@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import (SpectralField, grad_h_norm_sq, grad_norm_sq, l2_norm,
-                       oversample)
+from .spectral import (SpectralField, _oversampled_mag_sq, _oversampled_values,
+                       grad_h_norm_sq, grad_norm_sq, l2_norm, oversample)
 
 
 @dataclass
@@ -50,10 +50,10 @@ class BoundParams:
 def norms(v: SpectralField, qs=(), t: float = 0.0) -> NormRecord:
     """L2 / gradient norms by Parseval, L^q and sup by oversampled quadrature.
 
-    A single oversampled evaluation of |v| feeds every lattice-quadrature
+    A single oversampled evaluation of |v|^2 feeds every lattice-quadrature
     norm.
     """
-    mag_sq = np.sum(oversample(v).values ** 2, axis=0)
+    mag_sq = _oversampled_mag_sq(v, 2)
     vol = v.grid.volume
 
     def _lq(q):
@@ -251,11 +251,14 @@ def ladyzhenskaya_ratio(phi: SpectralField, varphi: SpectralField,
         if f.ncomp != 1:
             raise ConfigurationError("ratio checker expects scalar fields")
     g = phi.grid
-    pv = oversample(phi, factor).values[0]
-    vv = oversample(varphi, factor).values[0]
-    sv = oversample(psi, factor).values[0]
-    col_phi = np.mean(np.abs(pv), axis=2) * g.volume
-    col_mix = np.mean(np.abs(vv * sv), axis=2) * g.volume
+    # Each field is reduced to its column means before the next is
+    # evaluated; the bare arrays are reduced in place, psi is only read.
+    vals = _oversampled_values(phi, factor)[0]
+    col_phi = np.mean(np.abs(vals, out=vals), axis=2) * g.volume
+    del vals
+    mix = _oversampled_values(varphi, factor)[0]
+    mix *= oversample(psi, factor).values[0]
+    col_mix = np.mean(np.abs(mix, out=mix), axis=2) * g.volume
     lhs = float(np.mean(col_phi * col_mix))
 
     def _pair(f):

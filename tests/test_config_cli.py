@@ -1,12 +1,17 @@
 """Tests for the run-config parser, experiment persistence and the CLI."""
 
+import copy
+
 import pytest
 
+from hydrostat import experiments
 from hydrostat.cli import main
 from hydrostat.config import parse_config, with_overrides
+from hydrostat.decomposition import prepare_initial_parts
 from hydrostat.errors import ConfigError
 from hydrostat.experiments import (load_manifest, manifest_core_bytes,
                                    reconstruct_verdicts, run_experiment)
+from hydrostat.io import write_snapshot
 
 SMALL_ENERGY = """
 [grid]
@@ -23,6 +28,20 @@ expression_v = cos(2*pi*x)
 epsilon = 0
 [experiment]
 kind = energy_identity
+[output]
+directory = {out}
+seed = 5
+"""
+
+SMALL_LEMMAS = """
+[grid]
+nx = 8
+ny = 8
+nz = 8
+[experiment]
+kind = lemma_suite
+moser_count = 20
+ladyzhenskaya_count = 2
 [output]
 directory = {out}
 seed = 5
@@ -118,6 +137,19 @@ class TestRunPersistence:
         rebuilt = reconstruct_verdicts(manifest, tmp_path / "run")
         assert rebuilt == manifest["verdicts"]
 
+    def test_lemma_verdicts_recomputed_from_stored_metrics(self, tmp_path):
+        cfg = parse_config(text=SMALL_LEMMAS.format(out=tmp_path / "run"))
+        _, manifest = run_experiment(cfg)
+        assert reconstruct_verdicts(manifest, tmp_path / "run") == manifest["verdicts"]
+        for name in ("max_ratio1_coarse", "max_ratio2_coarse",
+                     "max_ratio1_fine", "max_ratio2_fine"):
+            broken = copy.deepcopy(manifest)
+            broken["metrics"][name] = float("nan")
+            assert not reconstruct_verdicts(broken, tmp_path / "run")["ratios_finite"], name
+        stale = copy.deepcopy(manifest)
+        stale["verdicts"]["exponent_inequality"] = False
+        assert reconstruct_verdicts(stale, tmp_path / "run")["exponent_inequality"] is True
+
     def test_zero_data_energy_residual_exactly_zero(self, tmp_path):
         text = SMALL_ENERGY.format(out=tmp_path / "zero").replace(
             "expression_v = cos(2*pi*x)", "expression_v = 0")
@@ -131,6 +163,23 @@ class TestRunPersistence:
         _, manifest = run_experiment(cfg)
         assert (tmp_path / "snap" / "initial.hsf").exists()
         assert any(e["name"] == "initial.hsf" for e in manifest["files"])
+
+    def test_snapshot_reuses_the_runners_initial_data(self, tmp_path, monkeypatch):
+        text = SMALL_DECOMP.format(out=tmp_path / "snap") + "snapshots = true\n"
+        cfg = parse_config(text=text)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return prepare_initial_parts(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "prepare_initial_parts", counted)
+        run_experiment(cfg)
+        assert len(calls) == 1
+        vbar0, step0 = prepare_initial_parts(cfg.make_grid(), cfg.initial_data)
+        write_snapshot(tmp_path / "expected.hsf", vbar0 + step0)
+        assert ((tmp_path / "snap" / "initial.hsf").read_bytes()
+                == (tmp_path / "expected.hsf").read_bytes())
 
 
 class TestCli:

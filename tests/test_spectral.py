@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hydrostat.errors import ConfigurationError, DataError
+from hydrostat.estimates import ladyzhenskaya_ratio, norms
 from hydrostat.spectral import (EVEN, NONE, ODD, Grid, PhysicalField,
                                 SpectralField, conjugate_symmetry_residual,
                                 dealias, derivative, div_h, field_from_function,
                                 grad_h, l2_lattice_norm, l2_norm, l2_norm_sq,
-                                laplacian, oversample, pointwise_product,
-                                refine, symmetrize, to_physical, to_spectral,
-                                zero_field)
+                                laplacian, linf_norm, lq_norm, oversample,
+                                pointwise_product, refine, symmetrize,
+                                to_physical, to_spectral, zero_field)
 
 H = 0.5
 
@@ -253,6 +254,50 @@ class TestNormsAndSampling:
         coarse = to_physical(f).values
         fine = oversample(f, 2).values
         np.testing.assert_allclose(fine[:, ::2, ::2, ::2], coarse, atol=1e-12)
+
+    @given(nx=st.integers(4, 16), ny=st.integers(4, 16), nz=st.integers(4, 16),
+           ncomp=st.sampled_from((1, 2, 3)), factor=st.sampled_from((2, 3)),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_oversample_matches_padded_inverse_transform(self, nx, ny, nz, ncomp,
+                                                         factor, seed):
+        """Reference: the full zero-padded spectrum through one irfftn.
+
+        The coefficients are not dealiased, so every Nyquist plane is
+        populated and its placement in the padded spectrum is checked.
+        """
+        grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
+        rng = np.random.default_rng(seed)
+        f = to_spectral(PhysicalField(grid, rng.standard_normal(
+            (ncomp,) + grid.physical_shape)))
+        for plane in (f.coeffs[:, -1], f.coeffs[:, :, grid.ny // 2],
+                      f.coeffs[..., grid.nz // 2]):
+            assert np.min(np.abs(plane).max(axis=0)) > 0
+        fine = Grid.make(factor * grid.nx, factor * grid.ny, factor * grid.nz, H)
+        expected = to_physical(refine(f, fine)).values
+        got = oversample(f, factor)
+        assert got.grid.compatible(fine)
+        assert got.values.shape == expected.shape
+        assert np.max(np.abs(got.values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_lattice_reductions_leave_coefficients_untouched(self, grid):
+        f = random_field(grid, 15, ncomp=3)
+        g, p, s = (random_field(grid, seed) for seed in (16, 17, 18))
+        before = [x.coeffs.tobytes() for x in (f, g, p, s)]
+        oversample(f)
+        norms(f, qs=(3.0,))
+        lq_norm(f, 4.0)
+        linf_norm(f)
+        ladyzhenskaya_ratio(g, p, s)
+        assert [x.coeffs.tobytes() for x in (f, g, p, s)] == before
+
+    @pytest.mark.parametrize("ncomp", [1, 2, 3])
+    def test_linf_is_max_of_pointwise_magnitude(self, grid, ncomp):
+        f = random_field(grid, 19, ncomp=ncomp)
+        vals = oversample(f).values
+        expected = float(np.max(np.sqrt(np.sum(vals ** 2, axis=0))))
+        assert linf_norm(f) == expected
+        assert norms(f).linf == expected
 
     def test_refine_preserves_norm(self, grid):
         f = random_field(grid, 14, ncomp=2)
