@@ -15,8 +15,7 @@ from .spectral import (EVEN, NONE, ODD, Grid, PhysicalField, SpectralField,
                        grad_h, l2_norm, laplacian, linf_norm, lq_norm,
                        pointwise_product, refine, symmetrize, to_physical,
                        to_spectral, zero_field)
-from .hydrostatics import (BarotropicMode, Pressure2D, PressureSplit,
-                           barotropic_mode, barotropic_residual,
+from .hydrostatics import (Pressure2D, PressureSplit, barotropic_residual,
                            boundary_trace_norm, project_barotropic,
                            recover_w, solve_pressure, vertical_integral)
 from .solver import (PhysicsParams, SolverState, StepControl, integrate,
@@ -29,4 +28,4 @@ from .estimates import (BoundParams, IterationInstance, NormRecord,
                         ladyzhenskaya_ratio, moser_bound_check, norms,
                         perturbation_response, sup_norm_envelope)
 from .diagnostics import DiagnosticsSeries
-from .io import read_snapshot, snapshot_hook, write_snapshot
+from .io import read_snapshot, write_snapshot

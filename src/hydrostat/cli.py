@@ -1,7 +1,8 @@
 """Command-line surface: ``hydrostat run|validate|report``.
 
 Exit codes: 0 when every acceptance check passes, 1 when any verdict
-fails, 2 on configuration errors.
+fails, 2 on configuration errors and on run directories ``report`` cannot
+read.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _cmd_report(args):
     try:
         manifest = load_manifest(args.run_dir)
         verdicts = reconstruct_verdicts(manifest, args.run_dir)
-    except (ConfigError, OSError, KeyError, ValueError) as err:
+    except (HydrostatError, OSError, LookupError, TypeError, ValueError) as err:
         print(f"report error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"experiment: {manifest['experiment']}")

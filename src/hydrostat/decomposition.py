@@ -214,21 +214,36 @@ class DecompositionRun:
     series: DiagnosticsSeries
 
 
-def run_decomposition(v0bar: SpectralField, V0: SpectralField,
-                      params: PhysicsParams, ctl: StepControl, t_end: float,
-                      qs=()) -> DecompositionRun:
+def lockstep(v0bar: SpectralField, V0: SpectralField, params: PhysicsParams,
+             ctl: StepControl, t_end: float):
     """Co-integrate the nonlinear system and both linear parts.
 
-    The nonlinear trajectory supplies driver fields at the exact RK stage
-    times; per step the series records the reconstruction residual
-    ||v - (vbar + V)||_2 / ||v||_2 alongside the standard norms.
+    Yields ``(dt, DecompositionState)`` at t = 0 (with dt = 0.0) and after
+    every step; the nonlinear trajectory supplies the driver fields at the
+    exact RK stage times of both linear parts.
     """
     v = make_state(v0bar + V0, 0.0, params)
     vbar = make_state(v0bar, 0.0, params)
     V = make_state(V0, 0.0, params)
-    series = DiagnosticsSeries()
+    yield 0.0, DecompositionState(vbar, V, v)
+    for dt in _plan_steps(0.0, t_end, ctl.dt):
+        v, stages = step(v, ctl, dt=dt, record_stages=True)
+        vbar = step_linear(vbar, stages, ctl, dt=dt)
+        V = step_linear(V, stages, ctl, dt=dt)
+        yield dt, DecompositionState(vbar, V, v)
 
-    def _record():
+
+def run_decomposition(v0bar: SpectralField, V0: SpectralField,
+                      params: PhysicsParams, ctl: StepControl, t_end: float,
+                      qs=()) -> DecompositionRun:
+    """Split run with a per-step record.
+
+    Per step the series records the reconstruction residual
+    ||v - (vbar + V)||_2 / ||v||_2 alongside the standard norms.
+    """
+    series = DiagnosticsSeries()
+    for _, state in lockstep(v0bar, V0, params, ctl, t_end):
+        v, vbar, V = state.driver, state.vbar, state.V
         rec = norms(v.v, qs=qs, t=v.t)
         dzbar = derivative(vbar.v, "z")
         denom = max(rec.l2, np.finfo(float).tiny)
@@ -245,13 +260,6 @@ def run_decomposition(v0bar: SpectralField, V0: SpectralField,
             grad_h_dz_vbar_sq=grad_h_norm_sq(dzbar),
             recon_residual=l2_norm(v.v - (vbar.v + V.v)) / denom)
 
-    _record()
-    for dt in _plan_steps(0.0, t_end, ctl.dt):
-        v, stages = step(v, ctl, dt=dt, record_stages=True)
-        vbar = step_linear(vbar, stages, ctl, dt=dt)
-        V = step_linear(V, stages, ctl, dt=dt)
-        _record()
-
     t = series.array("t")
     residual, dissipation = energy_residual_series(
         t, series.array("l2"), series.array("grad_l2"))
@@ -259,4 +267,4 @@ def run_decomposition(v0bar: SpectralField, V0: SpectralField,
     series.columns["dissipation"] = list(dissipation)
     series.columns["dz_vbar_dissipation"] = list(
         integrate_series(t, series.array("grad_dz_vbar_sq")))
-    return DecompositionRun(DecompositionState(vbar, V, v), series)
+    return DecompositionRun(state, series)

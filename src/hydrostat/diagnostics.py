@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 
 CSV_COLUMNS = ("t", "l2", "grad_l2", "l4", "l6", "linf_V", "dz_vbar_l2",
                "energy_residual", "recon_residual")
@@ -40,9 +40,6 @@ class DiagnosticsSeries:
             return np.full(self.length, np.nan)
         return np.asarray(self.columns[name], dtype=float)
 
-    def last(self, name):
-        return self.columns[name][-1]
-
     def to_csv(self) -> str:
         """Fixed-schema CSV with 17 significant digits (byte-reproducible)."""
         lines = [",".join(CSV_COLUMNS)]
@@ -53,9 +50,18 @@ class DiagnosticsSeries:
 
     @classmethod
     def from_csv(cls, text: str) -> "DiagnosticsSeries":
+        """Parse ``to_csv`` output; malformed text raises ``DataError``."""
         lines = [ln for ln in text.strip().splitlines() if ln]
+        if len(lines) < 2:
+            raise DataError("series CSV has no data rows")
         header = lines[0].split(",")
-        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+        rows = [ln.split(",") for ln in lines[1:]]
+        if any(len(row) != len(header) for row in rows):
+            raise DataError(f"series CSV rows do not all have {len(header)} fields")
+        try:
+            data = np.array([[float(x) for x in row] for row in rows])
+        except ValueError as err:
+            raise DataError(f"series CSV: {err}") from None
         series = cls()
         series.columns = {name: list(data[:, j]) for j, name in enumerate(header)}
         return series

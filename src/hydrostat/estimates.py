@@ -29,9 +29,6 @@ class NormRecord:
     l6: float
     linf: float
     lq: dict = field(default_factory=dict)    # extra q -> ||v||_q
-    dz_vbar_l2: float = np.nan                # decomposition extras
-    linf_V: float = np.nan
-    dissipation: float = np.nan               # cumulative int ||grad v||_2^2
 
 
 @dataclass(frozen=True)
@@ -93,11 +90,6 @@ def growth_envelope(t, v0_l4, c):
 def sup_norm_envelope(t, v0_l4, p: BoundParams):
     """Growth envelope with the uniqueness-theory constant C0."""
     return growth_envelope(t, v0_l4, p.c0)
-
-
-def linf_growth_bound(t, v0_l4, p: BoundParams):
-    """Same closed form with the interior constant C."""
-    return growth_envelope(t, v0_l4, p.c)
 
 
 def perturbation_response(s, v0_l4, h, p: BoundParams):

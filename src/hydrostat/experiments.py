@@ -21,15 +21,15 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .decomposition import (InitialDataSpec, make_cusp_step_data, mollify,
-                            prepare_initial_parts, run_decomposition)
+from .decomposition import (InitialDataSpec, lockstep, make_cusp_step_data,
+                            mollify, prepare_initial_parts, run_decomposition)
 from .diagnostics import DiagnosticsSeries, integrate_series
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .estimates import (fit_sup_envelope_c0, ladyzhenskaya_ratio,
                         moser_bound_check, norms, random_instance,
                         saturated_instance)
 from .io import write_snapshot
-from .solver import _plan_steps, integrate, make_state, step, step_linear
+from .solver import _plan_steps, integrate, make_state, step
 from .spectral import (PhysicalField, SpectralField, dealias, derivative,
                        field_from_function, grad_h_norm_sq, grad_norm_sq,
                        l2_norm, linf_norm, refine, to_spectral)
@@ -67,50 +67,23 @@ def exp_energy_identity(cfg: RunConfig) -> ExperimentReport:
     v0 = vbar0 + step0
 
     report = ExperimentReport("energy_identity", initial=v0)
-    residuals = {}
     for label, dt in (("series", cfg.dt), ("series_half", cfg.dt / 2.0)):
         state = make_state(v0, 0.0, params)
         _, series = integrate(state, cfg.step_control(dt), cfg.t_end)
-        residuals[label] = float(np.max(series.array("energy_residual")))
         report.files[f"{label}.csv"] = series.to_csv().encode()
-
-    res, res_half = residuals["series"], residuals["series_half"]
-    shrink = res / max(res_half, 1e-300)
-    report.metrics.update(residual=res, residual_half=res_half, shrink=shrink,
-                          convergence_order=float(np.log2(max(shrink, 1e-300))))
-    report.verdicts["energy_residual_ok"] = res <= ENERGY_RESIDUAL_TOL
-    report.verdicts["energy_shrink_ok"] = (res <= 1e-12) or (shrink >= ENERGY_SHRINK_MIN)
-    return report
+    return _judged(report, cfg)
 
 
 def exp_decomposition(cfg: RunConfig) -> ExperimentReport:
     """Split run: reconstruction residual, part regularity and the sup-norm fit."""
     grid = cfg.make_grid()
     vbar0, step0 = prepare_initial_parts(grid, cfg.initial_data)
-    run = run_decomposition(vbar0, step0, cfg.physics(), cfg.step_control(),
-                            cfg.t_end)
-    ser = run.series
-    t = ser.array("t")
-    linf_V = ser.array("linf_V")
-    recon = float(np.nanmax(ser.array("recon_residual")))
-    linf_V0 = float(linf_V[0])
-    v0_l4 = float(ser.array("l4")[0])
-    c0 = fit_sup_envelope_c0(t, linf_V, linf_V0, v0_l4)
-
+    ser = run_decomposition(vbar0, step0, cfg.physics(), cfg.step_control(),
+                            cfg.t_end).series
     report = ExperimentReport("decomposition", initial=vbar0 + step0)
     report.files["series.csv"] = ser.to_csv().encode()
-    report.metrics.update(
-        max_recon_residual=recon,
-        sup_linf_V=float(np.max(linf_V)),
-        linf_V0=linf_V0,
-        v0_l4=v0_l4,
-        sup_dz_vbar_l2=float(np.max(ser.array("dz_vbar_l2"))),
-        dz_vbar_dissipation=float(ser.array("dz_vbar_dissipation")[-1]),
-        fitted_c0=float(c0))
-    report.verdicts["reconstruction_ok"] = recon <= RECONSTRUCTION_TOL
-    report.verdicts["linf_V_bounded"] = bool(np.all(np.isfinite(linf_V)))
-    report.verdicts["fitted_c0_finite"] = bool(np.isfinite(c0))
-    return report
+    report.metrics["dz_vbar_dissipation"] = float(ser.array("dz_vbar_dissipation")[-1])
+    return _judged(report, cfg)
 
 
 def _perturbation_field(cfg: RunConfig, grid, amplitude):
@@ -125,86 +98,55 @@ def _perturbation_field(cfg: RunConfig, grid, amplitude):
 def exp_stability(cfg: RunConfig) -> ExperimentReport:
     """Perturbation growth against the Gronwall-type envelope.
 
-    The base data, its decomposition parts (supplying the envelope weight
-    from the X-part norms) and two perturbed trajectories (sizes sigma_p
-    and sigma_p / 2) advance in one lockstep loop, so differences are
-    sampled at identical times.
+    Two perturbed trajectories (sizes sigma_p and sigma_p / 2) advance
+    inside the split run's lockstep loop, whose X-part norms supply the
+    envelope weight, so differences are sampled at identical times.
     """
     grid = cfg.make_grid()
     params = cfg.physics()
     ctl = cfg.step_control()
     vbar0, step0 = prepare_initial_parts(grid, cfg.initial_data)
     delta_full = _perturbation_field(cfg, grid, cfg.sigma_perturbation)
-    delta_half = delta_full * 0.5
-
     v0 = vbar0 + step0
-    st_a = make_state(v0, 0.0, params)
-    vbar = make_state(vbar0, 0.0, params)
-    v_small = make_state(step0, 0.0, params)
     st_b = make_state(v0 + delta_full, 0.0, params)
-    st_c = make_state(v0 + delta_half, 0.0, params)
-    d0_b = l2_norm(st_a.v - st_b.v)
-    d0_c = l2_norm(st_a.v - st_c.v)
+    st_c = make_state(v0 + delta_full * 0.5, 0.0, params)
 
     ser = DiagnosticsSeries()
-    times, diff_b, diff_c = [0.0], [d0_b], [d0_c]
-
-    def _record():
-        rec = norms(st_a.v, t=st_a.t)
-        dzbar = derivative(vbar.v, "z")
-        ser.add_row(t=st_a.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4,
-                    l6=rec.l6, linf_V=linf_norm(v_small.v),
+    diff_b, diff_c = [], []
+    for dt, split in lockstep(vbar0, step0, params, ctl, cfg.t_end):
+        if dt:                                  # dt = 0.0 only at t = 0
+            st_b = step(st_b, ctl, dt=dt)
+            st_c = step(st_c, ctl, dt=dt)
+        v = split.driver
+        diff_b.append(l2_norm(v.v - st_b.v))
+        diff_c.append(l2_norm(v.v - st_c.v))
+        rec = norms(v.v, t=v.t)
+        dzbar = derivative(split.vbar.v, "z")
+        ser.add_row(t=v.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4,
+                    l6=rec.l6, linf_V=linf_norm(split.V.v),
                     dz_vbar_l2=l2_norm(dzbar),
-                    grad_l2_vbar=np.sqrt(grad_norm_sq(vbar.v)),
+                    grad_l2_vbar=np.sqrt(grad_norm_sq(split.vbar.v)),
                     grad_h_dz_vbar_sq=grad_h_norm_sq(dzbar))
 
-    _record()
-    for dt in _plan_steps(0.0, cfg.t_end, ctl.dt):
-        new_a, stages = step(st_a, ctl, dt=dt, record_stages=True)
-        vbar = step_linear(vbar, stages, ctl, dt=dt)
-        v_small = step_linear(v_small, stages, ctl, dt=dt)
-        st_a = new_a
-        st_b = step(st_b, ctl, dt=dt)
-        st_c = step(st_c, ctl, dt=dt)
-        times.append(st_a.t)
-        diff_b.append(l2_norm(st_a.v - st_b.v))
-        diff_c.append(l2_norm(st_a.v - st_c.v))
-        _record()
-
-    times = np.asarray(times)
-    diff_b = np.asarray(diff_b)
-    diff_c = np.asarray(diff_c)
-    ratio = float(diff_b[-1] / max(diff_c[-1], 1e-300))
-
+    d0_b = diff_b[0]
     m_hat = ((1.0 + ser.array("dz_vbar_l2") ** 2)
              * (1.0 + ser.array("grad_l2_vbar") ** 2
                 + ser.array("grad_h_dz_vbar_sq")))
     m_int = integrate_series(ser.array("t"), m_hat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        demands = np.log(diff_b / max(d0_b, 1e-300)) / m_int
+        demands = np.log(np.asarray(diff_b) / max(d0_b, 1e-300)) / m_int
     demands = demands[1:][np.isfinite(demands[1:])]
-    envelope_c = float(np.max(demands)) if demands.size else 0.0
 
     report = ExperimentReport("stability", initial=v0)
     report.files["series.csv"] = ser.to_csv().encode()
     report.files["differences.json"] = _json_bytes({
-        "t": times.tolist(),
-        "diff_sigma": diff_b.tolist(),
-        "diff_sigma_half": diff_c.tolist(),
-        "normalizer_sigma": float(d0_b),
-        "normalizer_sigma_half": float(d0_c)})
-    report.metrics.update(
-        final_diff_sigma=float(diff_b[-1]),
-        final_diff_sigma_half=float(diff_c[-1]),
-        final_ratio=ratio,
-        normalized_final_growth=float(diff_b[-1] / max(d0_b, 1e-300)),
-        envelope_c=envelope_c)
-    lo, hi = STABILITY_RATIO_RANGE
-    report.verdicts["perturbation_ratio_ok"] = lo <= ratio <= hi
-    report.verdicts["difference_bounded"] = bool(np.all(np.isfinite(diff_b))
-                                                 and np.all(np.isfinite(diff_c)))
-    report.verdicts["envelope_finite"] = bool(np.isfinite(envelope_c))
-    return report
+        "t": ser.columns["t"],
+        "diff_sigma": diff_b,
+        "diff_sigma_half": diff_c,
+        "normalizer_sigma": d0_b,
+        "normalizer_sigma_half": diff_c[0]})
+    report.metrics["envelope_c"] = float(np.max(demands)) if demands.size else 0.0
+    return _judged(report, cfg)
 
 
 def exp_mollification_convergence(cfg: RunConfig) -> ExperimentReport:
@@ -234,21 +176,13 @@ def exp_mollification_convergence(cfg: RunConfig) -> ExperimentReport:
         results = [_one(e) for e in cfg.epsilons]
 
     report = ExperimentReport("mollification")
-    distances = []
-    for i in range(len(cfg.epsilons) - 1):
-        cap_a, cap_b = results[i][0], results[i + 1][0]
-        pair = max(l2_norm(cap_a[s] - cap_b[s]) for s in cap_a)
-        distances.append(float(pair))
-        report.metrics[f"distance_{i}"] = float(pair)
+    distances = [float(max(l2_norm(cap_a[s] - cap_b[s]) for s in cap_a))
+                 for (cap_a, _), (cap_b, _) in zip(results, results[1:])]
     for i, (_, series) in enumerate(results):
         report.files[f"series_eps{i}.csv"] = series.to_csv().encode()
     report.files["distances.json"] = _json_bytes({
         "epsilons": list(cfg.epsilons), "pairwise_distances": distances})
-    report.metrics["n_pairs"] = float(len(distances))
-    report.verdicts["cauchy_decrease"] = all(
-        distances[i] > distances[i + 1] for i in range(len(distances) - 1))
-    report.verdicts["distances_finite"] = all(np.isfinite(distances))
-    return report
+    return _judged(report, cfg)
 
 
 def _capture_hook(captured, sample_steps):
@@ -291,7 +225,6 @@ def exp_lemma_suite(cfg: RunConfig) -> ExperimentReport:
         tightness = max(tightness, np.exp(min(margin, 0.0)))
     sat = moser_bound_check(saturated_instance(2.0, 0.1, cfg.moser_kmax))
     a1_gap = abs(sat.log_certified[0] - (np.log(2.0) + 2.0 * np.log(0.1)))
-    exponent_ok = _exponent_inequality_holds()
 
     coarse = cfg.make_grid()
     fine = cfg.make_grid(nz=2 * cfg.grid_nz)
@@ -311,7 +244,6 @@ def exp_lemma_suite(cfg: RunConfig) -> ExperimentReport:
 
     ones = field_from_function(coarse, lambda X, Y, Z: 1.0 + 0 * X)
     const_case = ladyzhenskaya_ratio(ones, ones, ones)
-    expected_const = np.sqrt(coarse.volume)
 
     report.metrics.update(
         moser_count=float(cfg.moser_count),
@@ -325,16 +257,7 @@ def exp_lemma_suite(cfg: RunConfig) -> ExperimentReport:
         constant_case_ratio2=const_case.ratio2)
     report.files["ratios.json"] = _json_bytes(
         {"samples": ratios, "max_coarse": max_coarse, "max_fine": max_fine})
-    report.verdicts["moser_zero_violations"] = violations == 0
-    report.verdicts["a1_identity"] = bool(a1_gap <= 1e-12)
-    report.verdicts["exponent_inequality"] = exponent_ok
-    report.verdicts["ratios_finite"] = bool(np.isfinite(max_fine).all()
-                                            and np.isfinite(max_coarse).all())
-    report.verdicts["ratio_drift_ok"] = bool(drift1 <= LADYZHENSKAYA_DRIFT_TOL
-                                             and drift2 <= LADYZHENSKAYA_DRIFT_TOL)
-    report.verdicts["constant_case_ok"] = bool(
-        abs(const_case.ratio1 - expected_const) <= CONSTANT_CASE_TOL
-        and abs(const_case.ratio2 - expected_const) <= CONSTANT_CASE_TOL)
+    report = _judged(report, cfg)
     report.metrics["report_hash"] = _metrics_hash(report.metrics)
     return report
 
@@ -346,6 +269,114 @@ _RUNNERS = {
     "mollification": exp_mollification_convergence,
     "lemma_suite": exp_lemma_suite,
 }
+
+
+# ---------------------------------------------------------------------------
+# judges: metrics and verdicts from the persisted files
+# ---------------------------------------------------------------------------
+#
+# One pure judge per kind, ``judge(files, metrics, h) -> (derived, verdicts)``,
+# serves both ``run`` (on the bytes it is about to write) and ``report`` (on
+# the bytes read back).  Values are re-derived from the CSV/JSON files; the
+# stored metrics are read only where their inputs are not persisted.  The
+# ``.17g`` CSV text and JSON float repr round-trip bit-exactly, so both
+# callers reach the same values.
+
+def _artifact(files, name):
+    if name not in files:
+        raise DataError(f"run has no {name}")
+    return files[name]
+
+
+def _series(files, name):
+    return DiagnosticsSeries.from_csv(_artifact(files, name).decode())
+
+
+def _judge_energy_identity(files, metrics, h):
+    res = float(np.max(_series(files, "series.csv").array("energy_residual")))
+    res_half = float(np.max(_series(files, "series_half.csv").array("energy_residual")))
+    shrink = res / max(res_half, 1e-300)
+    derived = dict(residual=res, residual_half=res_half, shrink=shrink,
+                   convergence_order=float(np.log2(max(shrink, 1e-300))))
+    return derived, {
+        "energy_residual_ok": res <= ENERGY_RESIDUAL_TOL,
+        "energy_shrink_ok": (res <= 1e-12) or (shrink >= ENERGY_SHRINK_MIN)}
+
+
+def _judge_decomposition(files, metrics, h):
+    ser = _series(files, "series.csv")
+    linf_V = ser.array("linf_V")
+    recon = float(np.nanmax(ser.array("recon_residual")))
+    linf_V0 = float(linf_V[0])
+    v0_l4 = float(ser.array("l4")[0])
+    c0 = fit_sup_envelope_c0(ser.array("t"), linf_V, linf_V0, v0_l4)
+    derived = dict(max_recon_residual=recon, sup_linf_V=float(np.max(linf_V)),
+                   linf_V0=linf_V0, v0_l4=v0_l4,
+                   sup_dz_vbar_l2=float(np.max(ser.array("dz_vbar_l2"))),
+                   fitted_c0=float(c0))
+    return derived, {
+        "reconstruction_ok": recon <= RECONSTRUCTION_TOL,
+        "linf_V_bounded": bool(np.all(np.isfinite(linf_V))),
+        "fitted_c0_finite": bool(np.isfinite(c0))}
+
+
+def _judge_stability(files, metrics, h):
+    record = json.loads(_artifact(files, "differences.json"))
+    diff_b = np.asarray(record["diff_sigma"])
+    diff_c = np.asarray(record["diff_sigma_half"])
+    ratio = float(diff_b[-1] / max(diff_c[-1], 1e-300))
+    lo, hi = STABILITY_RATIO_RANGE
+    derived = dict(
+        final_diff_sigma=float(diff_b[-1]),
+        final_diff_sigma_half=float(diff_c[-1]),
+        final_ratio=ratio,
+        normalized_final_growth=float(diff_b[-1] / max(record["normalizer_sigma"], 1e-300)))
+    return derived, {
+        "perturbation_ratio_ok": lo <= ratio <= hi,
+        "difference_bounded": bool(np.all(np.isfinite(diff_b))
+                                   and np.all(np.isfinite(diff_c))),
+        "envelope_finite": bool(np.isfinite(metrics["envelope_c"]))}
+
+
+def _judge_mollification(files, metrics, h):
+    d = json.loads(_artifact(files, "distances.json"))["pairwise_distances"]
+    derived = {f"distance_{i}": float(x) for i, x in enumerate(d)}
+    derived["n_pairs"] = float(len(d))
+    return derived, {
+        "cauchy_decrease": all(d[i] > d[i + 1] for i in range(len(d) - 1)),
+        "distances_finite": all(np.isfinite(d))}
+
+
+def _judge_lemma_suite(files, metrics, h):
+    maxima = [metrics[f"max_ratio{i}_{lattice}"]
+              for i in (1, 2) for lattice in ("coarse", "fine")]
+    expected = np.sqrt(2.0 * h)          # the constant field's exact ratio
+    return {}, {
+        "moser_zero_violations": metrics["moser_violations"] == 0,
+        "a1_identity": bool(metrics["a1_identity_gap"] <= 1e-12),
+        "exponent_inequality": _exponent_inequality_holds(),
+        "ratios_finite": bool(np.all(np.isfinite(maxima))),
+        "ratio_drift_ok": bool(metrics["ratio1_drift"] <= LADYZHENSKAYA_DRIFT_TOL
+                               and metrics["ratio2_drift"] <= LADYZHENSKAYA_DRIFT_TOL),
+        "constant_case_ok": bool(
+            abs(metrics["constant_case_ratio1"] - expected) <= CONSTANT_CASE_TOL
+            and abs(metrics["constant_case_ratio2"] - expected) <= CONSTANT_CASE_TOL)}
+
+
+_JUDGES = {
+    "energy_identity": _judge_energy_identity,
+    "decomposition": _judge_decomposition,
+    "stability": _judge_stability,
+    "mollification": _judge_mollification,
+    "lemma_suite": _judge_lemma_suite,
+}
+
+
+def _judged(report, cfg):
+    """Add the judge's derived metrics and verdicts to a runner's report."""
+    derived, report.verdicts = _JUDGES[report.kind](report.files, report.metrics, cfg.h)
+    report.metrics.update(derived)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -431,66 +462,16 @@ def load_manifest(run_dir) -> dict:
 # verdict reconstruction from persisted artifacts
 # ---------------------------------------------------------------------------
 
-def _series_from(run_dir, name):
-    path = Path(run_dir) / name
-    if not path.exists():
-        raise ConfigError(f"missing series file {name} in {run_dir}")
-    return DiagnosticsSeries.from_csv(path.read_text())
-
-
 def reconstruct_verdicts(manifest: dict, run_dir) -> dict:
-    """Recompute every verdict from the persisted CSV/JSON data alone."""
-    kind = manifest["experiment"]
-    metrics = manifest["metrics"]
-    out = {}
-    if kind == "energy_identity":
-        res = float(np.max(_series_from(run_dir, "series.csv").array("energy_residual")))
-        res_half = float(np.max(_series_from(run_dir, "series_half.csv")
-                                .array("energy_residual")))
-        shrink = res / max(res_half, 1e-300)
-        out["energy_residual_ok"] = res <= ENERGY_RESIDUAL_TOL
-        out["energy_shrink_ok"] = (res <= 1e-12) or (shrink >= ENERGY_SHRINK_MIN)
-    elif kind == "decomposition":
-        ser = _series_from(run_dir, "series.csv")
-        linf_V = ser.array("linf_V")
-        recon = float(np.nanmax(ser.array("recon_residual")))
-        c0 = fit_sup_envelope_c0(ser.array("t"), linf_V, float(linf_V[0]),
-                                 float(ser.array("l4")[0]))
-        out["reconstruction_ok"] = recon <= RECONSTRUCTION_TOL
-        out["linf_V_bounded"] = bool(np.all(np.isfinite(linf_V)))
-        out["fitted_c0_finite"] = bool(np.isfinite(c0))
-    elif kind == "stability":
-        payload = json.loads((Path(run_dir) / "differences.json").read_text())
-        diff_b = np.asarray(payload["diff_sigma"])
-        diff_c = np.asarray(payload["diff_sigma_half"])
-        ratio = float(diff_b[-1] / max(diff_c[-1], 1e-300))
-        lo, hi = STABILITY_RATIO_RANGE
-        out["perturbation_ratio_ok"] = lo <= ratio <= hi
-        out["difference_bounded"] = bool(np.all(np.isfinite(diff_b))
-                                         and np.all(np.isfinite(diff_c)))
-        out["envelope_finite"] = bool(np.isfinite(metrics["envelope_c"]))
-    elif kind == "mollification":
-        payload = json.loads((Path(run_dir) / "distances.json").read_text())
-        d = payload["pairwise_distances"]
-        out["cauchy_decrease"] = all(d[i] > d[i + 1] for i in range(len(d) - 1))
-        out["distances_finite"] = all(np.isfinite(d))
-    elif kind == "lemma_suite":
-        out["moser_zero_violations"] = metrics["moser_violations"] == 0
-        out["a1_identity"] = metrics["a1_identity_gap"] <= 1e-12
-        out["exponent_inequality"] = _exponent_inequality_holds()
-        maxima = [metrics[f"max_ratio{i}_{lattice}"]
-                  for i in (1, 2) for lattice in ("coarse", "fine")]
-        out["ratios_finite"] = bool(np.all(np.isfinite(maxima)))
-        out["ratio_drift_ok"] = (metrics["ratio1_drift"] <= LADYZHENSKAYA_DRIFT_TOL
-                                 and metrics["ratio2_drift"] <= LADYZHENSKAYA_DRIFT_TOL)
-        h = None
-        for line in manifest["config"].splitlines():
-            if line.startswith("grid.h"):
-                h = float(line.split("=")[1])
-        expected = np.sqrt(2.0 * h)
-        out["constant_case_ok"] = bool(
-            abs(metrics["constant_case_ratio1"] - expected) <= CONSTANT_CASE_TOL
-            and abs(metrics["constant_case_ratio2"] - expected) <= CONSTANT_CASE_TOL)
-    else:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    return out
+    """Recompute every verdict from the persisted files, with the run's judge."""
+    judge = _JUDGES.get(manifest["experiment"])
+    if judge is None:
+        raise ConfigError(f"unknown experiment kind {manifest['experiment']!r}")
+    files = {}
+    for entry in manifest["files"]:
+        path = Path(run_dir) / entry["name"]
+        if not path.exists():
+            raise ConfigError(f"missing file {entry['name']} in {run_dir}")
+        files[entry["name"]] = path.read_bytes()
+    config = dict(line.partition(" = ")[::2] for line in manifest["config"].splitlines())
+    return judge(files, manifest["metrics"], float(config["grid.h"]))[1]

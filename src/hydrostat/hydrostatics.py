@@ -44,12 +44,6 @@ class Pressure2D:
         return Pressure2D(self.grid, self.coeffs + other.coeffs,
                           self.zero_mean and other.zero_mean)
 
-    def as_field(self) -> SpectralField:
-        """Embed as a z-independent scalar SpectralField (even in z)."""
-        out = np.zeros((1,) + self.grid.spectral_shape, dtype=complex)
-        out[0, :, :, 0] = self.coeffs
-        return SpectralField(self.grid, out, EVEN)
-
 
 @dataclass(frozen=True, eq=False)
 class PressureSplit:
@@ -63,28 +57,6 @@ class PressureSplit:
 def zmean_coeffs(f: SpectralField) -> np.ndarray:
     """The l = 0 plane of the coefficients: the z-average per horizontal mode."""
     return f.coeffs[..., 0]
-
-
-@dataclass(frozen=True, eq=False)
-class BarotropicMode:
-    """The z-average <v> of a horizontal velocity, as horizontal modes."""
-
-    grid: Grid
-    coeffs: np.ndarray      # (2, nxr, ny) complex
-
-    def divergence_norm(self) -> float:
-        """L2 size of div_h <v>; vanishes to round-off after projection."""
-        g = self.grid
-        d = (1j * g.kx_d[..., 0] * self.coeffs[0]
-             + 1j * g.ky_d[..., 0] * self.coeffs[1])
-        return np.sqrt(float(g.volume * np.sum(g.mode_weights[..., 0]
-                                               * np.abs(d) ** 2)))
-
-
-def barotropic_mode(v: SpectralField) -> BarotropicMode:
-    if v.ncomp != 2:
-        raise ConfigurationError("barotropic mode needs a 2-component field")
-    return BarotropicMode(v.grid, zmean_coeffs(v).copy())
 
 
 def barotropic_residual(v: SpectralField) -> float:

@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigurationError, DataError
 from .spectral import EVEN, NONE, ODD, Grid, PhysicalField, SpectralField, to_physical, to_spectral
 
 MAGIC = b"HSF1"
@@ -32,7 +32,11 @@ def write_snapshot(path, f: SpectralField) -> None:
 
 
 def read_snapshot(path, grid: Grid | None = None) -> SpectralField:
-    """Read a snapshot; reuses ``grid`` when it matches the header."""
+    """Read a snapshot; reuses ``grid`` when it matches the header.
+
+    Any malformed file raises ``DataError``: a bad header field, a payload
+    that is short or followed by trailing bytes, or non-finite values.
+    """
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
@@ -42,26 +46,17 @@ def read_snapshot(path, grid: Grid | None = None) -> SpectralField:
             raise DataError(f"{path}: bad magic {magic!r}")
         if tag_byte not in _BYTE_TAG:
             raise DataError(f"{path}: unknown symmetry byte {tag_byte}")
-        count = ncomp * nx * ny * nz
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if data.size != count:
-            raise DataError(f"{path}: truncated payload")
+        if ncomp == 0:
+            raise DataError(f"{path}: no components")
+        payload = fh.read()
+    count = ncomp * nx * ny * nz
+    if len(payload) != count * 8:
+        what = "truncated payload" if len(payload) < count * 8 else "trailing bytes"
+        raise DataError(f"{path}: {what} ({len(payload)} bytes, header needs {count * 8})")
     if grid is None or (grid.nx, grid.ny, grid.nz, grid.h) != (nx, ny, nz, h):
-        grid = Grid.make(nx, ny, nz, h)
-    values = data.reshape(ncomp, nx, ny, nz).astype(float)
+        try:
+            grid = Grid.make(nx, ny, nz, h)
+        except ConfigurationError as err:
+            raise DataError(f"{path}: bad header: {err}") from None
+    values = np.frombuffer(payload, dtype="<f8").reshape(ncomp, nx, ny, nz).astype(float)
     return to_spectral(PhysicalField(grid, values), _BYTE_TAG[tag_byte])
-
-
-def snapshot_hook(directory, stride=1, prefix="state"):
-    """Integration hook writing HSF1 dumps every ``stride`` steps."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    counter = {"i": 0}
-
-    def hook(state, series):
-        counter["i"] += 1
-        if counter["i"] % stride == 0:
-            write_snapshot(os.path.join(directory,
-                                        f"{prefix}_{state.t:.6f}.hsf"), state.v)
-    return hook

@@ -57,13 +57,10 @@ class PhysicsParams:
 class StepControl:
     dt: float
     cfl_target: float = 0.5
-    scheme: str = "rk3-if"
 
     def __post_init__(self):
         if not self.dt > 0:
             raise ConfigurationError(f"dt={self.dt}: time step must be positive")
-        if self.scheme != "rk3-if":
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True, eq=False)

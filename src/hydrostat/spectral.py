@@ -38,6 +38,9 @@ _TAGS = (EVEN, ODD, NONE)
 # transforms act on (ncomp, nx, ny, nz) arrays: rfft along x, fft along y, z
 _AXES = (2, 3, 1)
 
+# |k|^2 sums three squared wavenumbers; each must stay below this to be finite
+_K_LIMIT = np.sqrt(np.finfo(float).max / 3)
+
 
 def _forward(values):
     return np.fft.rfftn(values, axes=_AXES, norm="forward")
@@ -73,8 +76,10 @@ class Grid:
         for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
             if n < 8 or n % 2:
                 raise ConfigurationError(f"{name}={n}: mode counts must be even and >= 8")
-        if not h > 0:
-            raise ConfigurationError(f"h={h}: half-height must be positive")
+        if not 0 < h < np.inf:
+            raise ConfigurationError(f"h={h}: half-height must be positive and finite")
+        if not np.pi / h * nz < _K_LIMIT:
+            raise ConfigurationError(f"h={h}: vertical wavenumbers up to pi*nz/h overflow")
 
         nxr = nx // 2 + 1
         mx = np.arange(nxr, dtype=float)

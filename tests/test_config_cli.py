@@ -1,16 +1,21 @@
 """Tests for the run-config parser, experiment persistence and the CLI."""
 
 import copy
+import json
+import shutil
 
+import numpy as np
 import pytest
 
 from hydrostat import experiments
 from hydrostat.cli import main
 from hydrostat.config import parse_config, with_overrides
-from hydrostat.decomposition import prepare_initial_parts
+from hydrostat.decomposition import prepare_initial_parts, run_decomposition
+from hydrostat.diagnostics import DiagnosticsSeries
 from hydrostat.errors import ConfigError
-from hydrostat.experiments import (load_manifest, manifest_core_bytes,
-                                   reconstruct_verdicts, run_experiment)
+from hydrostat.experiments import (exp_stability, load_manifest,
+                                   manifest_core_bytes, reconstruct_verdicts,
+                                   run_experiment)
 from hydrostat.io import write_snapshot
 
 SMALL_ENERGY = """
@@ -61,6 +66,54 @@ kind = decomposition
 directory = {out}
 seed = 5
 """
+
+SMALL_STABILITY = """
+[grid]
+nx = 16
+ny = 16
+nz = 16
+[time]
+dt = 2e-3
+t_end = 0.01
+[experiment]
+kind = stability
+[output]
+directory = {out}
+seed = 5
+"""
+
+SMALL_MOLLIFICATION = """
+[grid]
+nx = 16
+ny = 16
+nz = 16
+[time]
+dt = 2e-3
+t_end = 0.004
+[experiment]
+kind = mollification
+epsilons = 0.2, 0.1, 0.05
+sample_count = 1
+[output]
+directory = {out}
+seed = 5
+"""
+
+SMALL_BY_KIND = {
+    "energy_identity": SMALL_ENERGY,
+    "decomposition": SMALL_DECOMP,
+    "stability": SMALL_STABILITY,
+    "mollification": SMALL_MOLLIFICATION,
+    "lemma_suite": SMALL_LEMMAS,
+}
+
+
+@pytest.fixture(scope="module")
+def decomp_run(tmp_path_factory):
+    """One small decomposition run directory, copied by tests that alter it."""
+    out = tmp_path_factory.mktemp("decomp") / "run"
+    run_experiment(parse_config(text=SMALL_DECOMP.format(out=out)))
+    return out
 
 
 class TestConfigParsing:
@@ -182,6 +235,50 @@ class TestRunPersistence:
                 == (tmp_path / "expected.hsf").read_bytes())
 
 
+class TestReport:
+    @pytest.mark.parametrize("kind", sorted(SMALL_BY_KIND))
+    def test_round_trip_every_kind(self, tmp_path, kind):
+        cfg = parse_config(text=SMALL_BY_KIND[kind].format(out=tmp_path / "run"))
+        assert cfg.experiment == kind
+        _, manifest = run_experiment(cfg)
+        assert manifest["verdicts"]
+        assert reconstruct_verdicts(manifest, tmp_path / "run") == manifest["verdicts"]
+
+    def test_nan_difference_fails_difference_bounded(self, tmp_path):
+        cfg = parse_config(text=SMALL_STABILITY.format(out=tmp_path / "run"))
+        _, manifest = run_experiment(cfg)
+        assert manifest["verdicts"]["difference_bounded"]
+        path = tmp_path / "run" / "differences.json"
+        record = json.loads(path.read_text())
+        record["diff_sigma"][2] = float("nan")
+        path.write_text(json.dumps(record))
+        assert reconstruct_verdicts(manifest, tmp_path / "run")["difference_bounded"] is False
+
+    def test_large_recon_residual_fails_reconstruction(self, tmp_path, decomp_run):
+        run_dir = shutil.copytree(decomp_run, tmp_path / "run")
+        manifest = load_manifest(run_dir)
+        assert manifest["verdicts"]["reconstruction_ok"]
+        path = run_dir / "series.csv"
+        lines = path.read_text().splitlines()
+        col = lines[0].split(",").index("recon_residual")
+        row = lines[3].split(",")
+        row[col] = "2e-08"
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert reconstruct_verdicts(manifest, run_dir)["reconstruction_ok"] is False
+
+    def test_stability_base_columns_match_the_split_run(self, tmp_path):
+        """Both experiments advance the base data in the same lockstep loop."""
+        cfg = parse_config(text=SMALL_STABILITY.format(out=tmp_path / "run"))
+        stab = DiagnosticsSeries.from_csv(exp_stability(cfg).files["series.csv"].decode())
+        vbar0, step0 = prepare_initial_parts(cfg.make_grid(), cfg.initial_data)
+        split = run_decomposition(vbar0, step0, cfg.physics(), cfg.step_control(),
+                                  cfg.t_end).series
+        assert stab.length == split.length == 6
+        for name in ("t", "l2", "l4", "linf_V", "dz_vbar_l2"):
+            np.testing.assert_array_equal(stab.array(name), split.array(name), err_msg=name)
+
+
 class TestCli:
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "c.ini"
@@ -245,3 +342,26 @@ seed = 5
 
     def test_report_on_empty_directory(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("text", [
+        "",
+        DiagnosticsSeries().to_csv(),
+        "t,l2\n0.0,1.0\n0.002\n",
+        "t,l2\n0.0,one\n",
+    ], ids=["empty", "header-only", "ragged", "non-numeric"])
+    def test_report_on_malformed_series_exits_two(self, tmp_path, decomp_run,
+                                                   text, capsys):
+        run_dir = shutil.copytree(decomp_run, tmp_path / "run")
+        (run_dir / "series.csv").write_text(text)
+        assert main(["report", str(run_dir)]) == 2
+        assert "report error" in capsys.readouterr().err
+
+    def test_report_on_malformed_record_exits_two(self, tmp_path, capsys):
+        _, manifest = run_experiment(parse_config(
+            text=SMALL_MOLLIFICATION.format(out=tmp_path / "run")))
+        path = tmp_path / "run" / "distances.json"
+        record = json.loads(path.read_text())
+        record["pairwise_distances"][0] = None
+        path.write_text(json.dumps(record))
+        assert main(["report", str(tmp_path / "run")]) == 2
+        assert "report error" in capsys.readouterr().err

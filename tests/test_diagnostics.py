@@ -6,6 +6,7 @@ import pytest
 from hydrostat.diagnostics import (CSV_COLUMNS, DiagnosticsSeries,
                                    energy_residual_series, integrate_series,
                                    stepwise_energy_residuals)
+from hydrostat.errors import DataError
 
 
 class TestSeries:
@@ -34,6 +35,20 @@ class TestSeries:
                 s.add_row(t=i * 0.1, l2=np.sqrt(i + 1))
             return s.to_csv()
         assert build() == build()
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "  \n\n",
+        "t,l2\n",
+        "t,l2\n0.0,1.0\n0.1\n",
+        "t,l2\n0.0,1.0,2.0\n",
+        "t,l2\n0.0,abc\n",
+        "t,l2\n0.0,\n",
+    ], ids=["empty", "blank", "header-only", "short-row", "long-row",
+            "non-numeric", "empty-field"])
+    def test_malformed_csv_raises_data_error(self, text):
+        with pytest.raises(DataError):
+            DiagnosticsSeries.from_csv(text)
 
 
 class TestQuadrature:

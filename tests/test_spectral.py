@@ -42,6 +42,11 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             Grid.make(16, 16, 16, 0.0)
 
+    @pytest.mark.parametrize("h", [float("inf"), float("nan"), 1e-300, 5e-324])
+    def test_rejects_height_with_unrepresentable_wavenumbers(self, h):
+        with pytest.raises(ConfigurationError):
+            Grid.make(16, 16, 16, h)
+
     def test_dealias_mask_follows_two_thirds_rule(self, grid):
         mask = grid.dealias_mask
         # retained corner and first masked mode along each axis
