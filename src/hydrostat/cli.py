@@ -2,16 +2,18 @@
 
 Exit codes: 0 when every acceptance check passes, 1 when any verdict
 fails, 2 on configuration errors and on run directories ``report`` cannot
-read.
+read or whose files do not match their sha256 digests in the manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
+from pathlib import Path
 
 from .config import parse_config, with_overrides
-from .errors import ConfigError, HydrostatError
+from .errors import ConfigError, DataError, HydrostatError
 from .experiments import load_manifest, reconstruct_verdicts, run_experiment
 
 EXIT_OK = 0
@@ -57,9 +59,17 @@ def _cmd_validate(args):
     return EXIT_OK
 
 
+def _check_digests(manifest, run_dir):
+    for entry in manifest["files"]:
+        payload = (Path(run_dir) / entry["name"]).read_bytes()
+        if hashlib.sha256(payload).hexdigest() != entry["sha256"]:
+            raise DataError(f"{entry['name']} does not match its sha256 in the manifest")
+
+
 def _cmd_report(args):
     try:
         manifest = load_manifest(args.run_dir)
+        _check_digests(manifest, args.run_dir)
         verdicts = reconstruct_verdicts(manifest, args.run_dir)
     except (HydrostatError, OSError, LookupError, TypeError, ValueError) as err:
         print(f"report error: {err}", file=sys.stderr)

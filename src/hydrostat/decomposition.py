@@ -21,6 +21,8 @@ L^q norm (Young's inequality).
 
 from __future__ import annotations
 
+import ast
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,6 +65,9 @@ class InitialDataSpec:
                 raise ConfigurationError(f"delta={self.delta}: cusp exponent must be > 0")
             if not 0 < self.eta <= h:
                 raise ConfigurationError(f"eta={self.eta}: step half-width must lie in (0, h]")
+        if self.kind == "analytic":
+            _checked_expression(self.expression_u)
+            _checked_expression(self.expression_v)
         if self.epsilon < 0:
             raise ConfigurationError(f"epsilon={self.epsilon}: radius must be >= 0")
         if self.epsilon > 0 and self.epsilon >= min(1.0, 2.0 * h):
@@ -155,13 +160,57 @@ def make_cusp_step_data(grid: Grid, spec: InitialDataSpec):
 
 _SAFE_NAMES = {"pi": np.pi, "sin": np.sin, "cos": np.cos, "exp": np.exp,
                "sqrt": np.sqrt, "tanh": np.tanh, "abs": np.abs}
+_VARIABLES = {"x", "y", "z", "h", "pi"}
+_FUNCTIONS = {name for name, f in _SAFE_NAMES.items() if callable(f)}
+_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load, ast.Add, ast.Sub,
+          ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
+
+
+def _checked_expression(text):
+    """Compile a config expression after checking every node of its tree.
+
+    Allowed: the names x, y, z, h and pi, one-argument calls of the
+    functions in ``_SAFE_NAMES``, int/float constants, + - * / ** and unary
+    +/-.  Integer constants become floats, so that a power of constants
+    overflows at once instead of growing an unbounded integer.
+    """
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as err:
+        raise ConfigurationError(f"expression {text!r}: {err}") from err
+    calls = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and len(node.args) == 1 and not node.keywords}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            ok = node.id in (_FUNCTIONS if id(node) in calls else _VARIABLES)
+        elif isinstance(node, ast.Call):
+            ok = id(node.func) in calls
+        elif isinstance(node, ast.Constant):
+            ok = type(node.value) in (int, float) and abs(node.value) <= sys.float_info.max
+            if ok:
+                node.value = float(node.value)
+        else:
+            ok = isinstance(node, _NODES)
+        if not ok:
+            what = ast.unparse(node) if isinstance(node, ast.expr) else type(node).__name__
+            raise ConfigurationError(f"expression {text!r}: {what} is not allowed")
+    try:
+        return compile(tree, "<expression>", "eval")
+    except RecursionError as err:
+        raise ConfigurationError(f"expression {text!r}: nested too deeply") from err
 
 
 def _analytic_field(grid, spec):
+    codes = [_checked_expression(spec.expression_u),
+             _checked_expression(spec.expression_v)]
+
     def build(X, Y, Z):
         env = dict(_SAFE_NAMES, x=X, y=Y, z=Z, h=grid.h)
-        u = eval(spec.expression_u, {"__builtins__": {}}, env)  # noqa: S307 - restricted names
-        v = eval(spec.expression_v, {"__builtins__": {}}, env)
+        try:
+            u, v = (eval(code, {"__builtins__": {}}, env)  # noqa: S307 - checked tree
+                    for code in codes)
+        except ArithmeticError as err:
+            raise ConfigurationError(f"initial-data expression: {err}") from err
         return (u + 0 * X, v + 0 * X)
     return dealias(field_from_function(grid, build, EVEN))
 

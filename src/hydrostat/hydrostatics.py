@@ -6,9 +6,12 @@ Periodicity of w requires the barotropic constraint
 div_h integral_{-h}^{h} v dz = 0, which is enforced here by a Leray-type
 projection acting on the z-mean mode alone.
 
-Pressure depends on the horizontal position only and is recovered at every
-evaluation from the instantaneous velocity through a 2D Poisson problem
-with zero-mean gauge; it is never integrated as a dynamic variable.
+Pressure depends on the horizontal position only: its gradient lies in
+the z-mean plane and is the Lagrange multiplier of the barotropic
+constraint, so during time stepping the projection is what enforces it.
+``solve_pressure`` recovers it on demand from the instantaneous velocity
+through a 2D Poisson problem with zero-mean gauge; it is never integrated
+as a dynamic variable.
 """
 
 from __future__ import annotations
@@ -166,10 +169,9 @@ def _zmean_spectrum(values2d_mean, grid):
     return np.fft.rfftn(values2d_mean, axes=(1, 0), norm="forward")
 
 
-def _advection_tensor_zmean(u: SpectralField, u_phys: PhysicalField,
+def _advection_tensor_zmean(g: Grid, u_phys: PhysicalField,
                             drv_phys: PhysicalField) -> np.ndarray:
     """z-averaged div_H div_H of the mixed tensor u (x) v_driver, spectral, dealiased."""
-    g = u.grid
     out = np.zeros(g.spectral_shape[:2], dtype=complex)
     kx, ky = g.kx_d[..., 0], g.ky_d[..., 0]
     kk = ((kx * kx, kx * ky), (kx * ky, ky * ky))
@@ -186,44 +188,26 @@ def _advection_tensor_zmean(u: SpectralField, u_phys: PhysicalField,
     return out
 
 
-def pressure_rhs_parts(u: SpectralField, driver: SpectralField, f0: float,
-                       u_phys: PhysicalField | None = None,
-                       driver_phys: PhysicalField | None = None):
-    """Horizontal-mode RHS of the two pressure Poisson problems.
-
-    ``u`` is the advected field and ``driver`` the advecting one (they
-    coincide for the full nonlinear system).  Returns (advective, coriolis)
-    RHS coefficient arrays for -Lap_H p = rhs.
-    """
-    g = u.grid
-    if u_phys is None:
-        u_phys = to_physical(u)
-    if driver_phys is None:
-        driver_phys = u_phys if driver is u else to_physical(driver)
-    rhs1 = _advection_tensor_zmean(u, u_phys, driver_phys)
-    um = zmean_coeffs(u)
-    kx, ky = g.kx_d[..., 0], g.ky_d[..., 0]
-    rhs2 = f0 * 1j * (ky * um[0] - kx * um[1])
-    return rhs1, rhs2
-
-
 def solve_pressure(v: SpectralField, f0: float,
-                   driver: SpectralField | None = None,
-                   v_phys: PhysicalField | None = None,
-                   driver_phys: PhysicalField | None = None) -> PressureSplit:
+                   driver: SpectralField | None = None) -> PressureSplit:
     """Hydrostatic pressure with its advective/Coriolis split, p = p1 + p2.
 
-    With ``driver`` supplied, solves the linear-system analogue where the
-    advection tensor is v (x) driver; otherwise the full quadratic problem.
+    A diagnostic: the stepper never calls it.  With ``driver`` supplied,
+    solves the linear-system analogue where the advection tensor is
+    v (x) driver; otherwise the full quadratic problem.  The two parts
+    solve -Lap_H p = rhs for the z-mean advection tensor and for the
+    Coriolis term.
     """
     if v.ncomp != 2:
         raise ConfigurationError("pressure solve needs a 2-component field")
-    drv = v if driver is None else driver
-    rhs1, rhs2 = pressure_rhs_parts(v, drv, f0, v_phys, driver_phys)
-    p1 = poisson_h_solve(v.grid, rhs1)
-    p2 = poisson_h_solve(v.grid, rhs2)
-    total = Pressure2D(v.grid, p1.coeffs + p2.coeffs)
-    return PressureSplit(total, p1, p2)
+    g = v.grid
+    v_phys = to_physical(v)
+    drv_phys = v_phys if driver is None or driver is v else to_physical(driver)
+    vm = zmean_coeffs(v)
+    kx, ky = g.kx_d[..., 0], g.ky_d[..., 0]
+    p1 = poisson_h_solve(g, _advection_tensor_zmean(g, v_phys, drv_phys))
+    p2 = poisson_h_solve(g, f0 * 1j * (ky * vm[0] - kx * vm[1]))
+    return PressureSplit(p1 + p2, p1, p2)
 
 
 def pressure_gradient_field(p: Pressure2D) -> SpectralField:

@@ -2,13 +2,20 @@
 
 One shared right-hand-side routine serves both the full equations and the
 linear systems of the velocity decomposition: the advected field U is
-transported by a driver velocity (v_drv, w_drv) and feels its own pressure
-and Coriolis force.  For the nonlinear system the driver is U itself, so
-solutions of the full system solve their own linearization bit for bit.
+transported by a driver velocity (v_drv, w_drv) and feels its own Coriolis
+force.  For the nonlinear system the driver is U itself, so solutions of
+the full system solve their own linearization bit for bit.
+
+The pressure is not computed while stepping.  It depends on (x, y) only,
+so its gradient lies in the z-mean plane, and it is the Lagrange
+multiplier of the barotropic constraint: ``project_barotropic``, applied
+after every stage, removes exactly that gradient part.  ``rhs_nonlinear``
+applies the pressure explicitly through ``solve_pressure`` and is the
+reference the projected tendency is checked against.
 
 Scheme: three-stage low-storage Runge-Kutta (order 3) for the transport /
-pressure / rotation terms with the unit-viscosity diffusion handled by the
-exact integrating factor exp(-|k|^2 tau) per stage.  After every stage the
+rotation terms with the unit-viscosity diffusion handled by the exact
+integrating factor exp(-|k|^2 tau) per stage.  After every stage the
 iterate is dealiased, re-symmetrized (even in z) and projected back onto
 the barotropic constraint.
 
@@ -20,7 +27,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from math import ceil
 
 import numpy as np
@@ -72,11 +78,9 @@ class SolverState:
 
 @dataclass(frozen=True, eq=False)
 class DriverStage:
-    """Driver fields frozen at one RK stage time."""
+    """Driver velocity and vertical velocity on the lattice at one RK stage time."""
 
     t: float
-    v: SpectralField
-    w: SpectralField
     v_phys: PhysicalField
     w_phys: PhysicalField
 
@@ -95,7 +99,6 @@ def make_state(v: SpectralField, t: float, params: PhysicsParams) -> SolverState
     return SolverState(clean, float(t), params)
 
 
-@lru_cache(maxsize=64)
 def _stage_factors(grid: Grid, dt: float):
     """Integrating factors exp(-|k|^2 (c_{k+1} - c_k) dt) for the 3 stages."""
     return tuple(np.exp(-grid.k2 * ((RK_C[k + 1] - RK_C[k]) * dt)) for k in range(3))
@@ -112,10 +115,9 @@ def _coriolis(coeffs):
     return np.concatenate([-coeffs[1:2], coeffs[0:1]])
 
 
-def _rhs_core(u: SpectralField, u_phys: PhysicalField, driver: SpectralField,
-              driver_phys: PhysicalField, w_phys: PhysicalField,
-              f0: float) -> SpectralField:
-    """-[(v_drv . grad_H)U + w_drv dz U + grad_H P_U + f0 k x U], even in z."""
+def _rhs_core(u: SpectralField, driver_phys: PhysicalField,
+              w_phys: PhysicalField, f0: float) -> SpectralField:
+    """-[(v_drv . grad_H)U + w_drv dz U + f0 k x U], even in z, pressure-free."""
     g = u.grid
     gradients = np.concatenate([1j * g.kx_d * u.coeffs,
                                 1j * g.ky_d * u.coeffs,
@@ -123,11 +125,7 @@ def _rhs_core(u: SpectralField, u_phys: PhysicalField, driver: SpectralField,
     dx, dy, dz = np.split(_inverse_raw(gradients, g), 3)
     adv = (driver_phys.values[0] * dx + driver_phys.values[1] * dy
            + w_phys.values[0] * dz)
-    adv_hat = _forward(adv) * g.dealias_mask
-
-    press = solve_pressure(u, f0, driver=driver, v_phys=u_phys,
-                           driver_phys=driver_phys)
-    total = adv_hat + pressure_gradient_field(press.total).coeffs
+    total = _forward(adv) * g.dealias_mask
     if f0 != 0.0:
         total = total + f0 * _coriolis(u.coeffs)
     out = _cleanup(-total, g)
@@ -135,49 +133,60 @@ def _rhs_core(u: SpectralField, u_phys: PhysicalField, driver: SpectralField,
 
 
 def rhs_nonlinear(v: SpectralField, params: PhysicsParams) -> SpectralField:
-    """Full nonlinear tendency of the horizontal velocity (diffusion excluded)."""
+    """Full nonlinear tendency of the horizontal velocity (diffusion excluded).
+
+    Applies grad_H p from ``solve_pressure`` explicitly, where the stepper
+    leaves it to ``project_barotropic``.
+    """
     v_phys = to_physical(v)
-    w = recover_w(v)
-    return _rhs_core(v, v_phys, v, v_phys, to_physical(w), params.f0)
+    tendency = _rhs_core(v, v_phys, to_physical(recover_w(v)), params.f0)
+    grad_p = pressure_gradient_field(solve_pressure(v, params.f0).total)
+    return tendency.with_coeffs(tendency.coeffs - _cleanup(grad_p.coeffs, v.grid))
 
 
-def _advance_stages(u: SpectralField, t: float, dt: float, f0: float,
-                    driver_stages=None, collect=False):
+def _advance_stages(state: SolverState, dt: float, driver_stages=None,
+                    collect=False):
     """Shared RK3/integrating-factor stage loop.
 
-    With ``driver_stages`` given, ``u`` is advected by the frozen driver
+    With ``driver_stages`` given, the state is advected by the frozen driver
     (linear systems); otherwise the field drives itself (nonlinear system)
-    and, with ``collect``, the stage fields are returned for reuse.
+    and, with ``collect``, the stage fields are returned for reuse.  Raises
+    ``BlowUpError`` carrying ``state`` at the first stage that leaves
+    non-finite values.
     """
+    u, t = state.v, state.t
     g = u.grid
     factors = _stage_factors(g, dt)
     collected = [] if collect else None
     n_prev = None
     vmax0 = 0.0
-    for k in range(3):
-        if driver_stages is None:
-            u_phys = to_physical(u)
-            w = recover_w(u)
-            w_phys = to_physical(w)
-            stage = DriverStage(t + RK_C[k] * dt, u, w, u_phys, w_phys)
-            if collect:
-                collected.append(stage)
-        else:
-            stage = driver_stages[k]
-            expected = t + RK_C[k] * dt
-            if abs(stage.t - expected) > _STAGE_TIME_TOL * max(1.0, abs(expected)):
-                raise SchedulingError(
-                    f"driver stage at t={stage.t} but stage {k} needs t={expected}")
-            u_phys = to_physical(u)
-        if k == 0:
-            vmax0 = float(np.max(np.abs(u_phys.values)))
-        n_k = _rhs_core(u, u_phys, stage.v, stage.v_phys, stage.w_phys, f0)
-        incr = dt * RK_A[k] * n_k.coeffs
-        if k:
-            incr = incr + dt * RK_B[k] * n_prev
-        coeffs = factors[k] * (u.coeffs + incr)
-        u = project_barotropic(SpectralField(g, _cleanup(coeffs, g), EVEN))
-        n_prev = factors[k] * n_k.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(3):
+            if driver_stages is None:
+                u_phys = to_physical(u)
+                stage = DriverStage(t + RK_C[k] * dt, u_phys,
+                                    to_physical(recover_w(u)))
+                if collect:
+                    collected.append(stage)
+                if k == 0:
+                    vmax0 = float(np.max(np.abs(u_phys.values)))
+            else:
+                stage = driver_stages[k]
+                expected = t + RK_C[k] * dt
+                if abs(stage.t - expected) > _STAGE_TIME_TOL * max(1.0, abs(expected)):
+                    raise SchedulingError(
+                        f"driver stage at t={stage.t} but stage {k} needs t={expected}")
+            n_k = _rhs_core(u, stage.v_phys, stage.w_phys, state.params.f0)
+            incr = dt * RK_A[k] * n_k.coeffs
+            if k:
+                incr = incr + dt * RK_B[k] * n_prev
+            coeffs = factors[k] * (u.coeffs + incr)
+            u = project_barotropic(SpectralField(g, _cleanup(coeffs, g), EVEN))
+            if not np.all(np.isfinite(u.coeffs)):
+                raise BlowUpError(
+                    f"non-finite values at RK stage {k + 1} of 3 in the step from t={t}",
+                    last_good=state)
+            n_prev = factors[k] * n_k.coeffs
     return u, collected, vmax0
 
 
@@ -192,15 +201,11 @@ def step(state: SolverState, ctl: StepControl, dt: float | None = None,
     """
     dt = ctl.dt if dt is None else dt
     g = state.v.grid
-    u, stages, vmax = _advance_stages(state.v, state.t, dt, state.params.f0,
-                                      collect=record_stages)
+    u, stages, vmax = _advance_stages(state, dt, collect=record_stages)
     cfl = vmax * dt * 2.0 * np.pi * max(g.nx, g.ny, g.nz) / 3.0
     if cfl > ctl.cfl_target:
         warnings.warn(f"advisory CFL {cfl:.3f} exceeds target {ctl.cfl_target}",
                       CFLWarning, stacklevel=2)
-    if not np.all(np.isfinite(u.coeffs)):
-        raise BlowUpError(f"non-finite values after step from t={state.t}",
-                          last_good=state)
     new = SolverState(u, state.t + dt, state.params)
     return (new, stages) if record_stages else new
 
@@ -211,11 +216,7 @@ def step_linear(part: SolverState, stages, ctl: StepControl,
     dt = ctl.dt if dt is None else dt
     if len(stages) != 3:
         raise SchedulingError(f"need 3 driver stages, got {len(stages)}")
-    u, _, _ = _advance_stages(part.v, part.t, dt, part.params.f0,
-                              driver_stages=stages)
-    if not np.all(np.isfinite(u.coeffs)):
-        raise BlowUpError(f"non-finite values in linear part at t={part.t}",
-                          last_good=part)
+    u, _, _ = _advance_stages(part, dt, driver_stages=stages)
     return SolverState(u, part.t + dt, part.params)
 
 

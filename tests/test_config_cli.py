@@ -280,6 +280,45 @@ class TestReport:
 
 
 class TestCli:
+    @pytest.mark.parametrize("expression", [
+        "sin(",
+        "().__class__.__base__.__subclasses__()",
+        "__import__('os').getcwd()",
+        "x.real",
+        "sin(x, y)",
+        "cos(x=y)",
+        "[x][0]",
+        "x if y else z",
+        "x // 2",
+        "1j * x",
+        "sin",
+        "1e999",
+        pytest.param("9" * 400, id="huge-int"),
+        pytest.param("-" * 10000 + "x", id="deep-unary"),
+    ])
+    def test_validate_rejects_bad_expression(self, tmp_path, expression, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text(SMALL_ENERGY.format(out=tmp_path / "run").replace(
+            "expression_v = cos(2*pi*x)", f"expression_v = {expression}"))
+        assert main(["validate", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_report_rejects_file_that_fails_its_digest(self, tmp_path, decomp_run,
+                                                      capsys):
+        run_dir = shutil.copytree(decomp_run, tmp_path / "run")
+        assert main(["report", str(run_dir)]) == 0
+        capsys.readouterr()
+        path = run_dir / "series.csv"
+        lines = path.read_text().splitlines()
+        col = lines[0].split(",").index("recon_residual")
+        row = lines[3].split(",")
+        row[col] = "2e-08"
+        lines[3] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "report error" in err and "series.csv" in err
+
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "c.ini"
         path.write_text("[experiment]\nkind = lemma_suite\n")

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hydrostat.decomposition import (InitialDataSpec, make_cusp_step_data,
-                                     mollify, prepare_initial_parts,
-                                     run_decomposition)
+from hydrostat.decomposition import (_SAFE_NAMES, InitialDataSpec, lockstep,
+                                     make_cusp_step_data, mollify,
+                                     prepare_initial_parts, run_decomposition)
 from hydrostat.diagnostics import stepwise_energy_residuals
 from hydrostat.errors import ConfigurationError
-from hydrostat.hydrostatics import barotropic_residual
+from hydrostat.hydrostatics import barotropic_residual, solve_pressure
 from hydrostat.solver import (PhysicsParams, StepControl, make_state, step,
                               step_linear)
 from hydrostat.spectral import (EVEN, Grid, PhysicalField, dealias,
@@ -271,3 +271,48 @@ class TestRunDecomposition:
         d01 = l2_norm(finals[0] - finals[1])
         d12 = l2_norm(finals[1] - finals[2])
         assert d01 > d12 > 0
+
+
+class TestPartPressures:
+    @pytest.mark.parametrize("f0", [0.0, 1.3])
+    def test_part_pressures_add_up_to_the_driver_pressure(self, grid, f0):
+        """Linear in the advected field: p(vbar; v) + p(V; v) = p(v) while v = vbar + V."""
+        vbar0 = field_from_function(
+            grid, lambda X, Y, Z: (np.sin(2 * np.pi * Y) * np.cos(np.pi * Z / H),
+                                   np.cos(2 * np.pi * X) * np.cos(2 * np.pi * Z / H)),
+            symmetry=EVEN)
+        V0 = field_from_function(
+            grid, lambda X, Y, Z: (0.2 * np.cos(2 * np.pi * (X + Y)) + 0 * Z,
+                                   0.1 * np.sin(2 * np.pi * X) * np.cos(np.pi * Z / H)),
+            symmetry=EVEN)
+        states = [s for _, s in lockstep(vbar0, V0, PhysicsParams(f0, H),
+                                         StepControl(dt=1e-3), 3e-3)]
+        assert len(states) == 4
+        for state in states:
+            total = state.pressure_vbar + state.pressure_V
+            ref = solve_pressure(state.driver.v, f0).total.coeffs
+            assert np.max(np.abs(ref)) > 1e-3
+            assert np.max(np.abs(total.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestAnalyticExpressions:
+    @pytest.mark.parametrize("u, v", [
+        ("0", "cos(2*pi*x)"),
+        ("sin(2*pi*y)*cos(pi*z/h)**2 - -x/3", "exp(-(x-0.5)**2)*sqrt(abs(z))+tanh(y)"),
+        ("2**3*sin(2*pi*(x+y))", "+1.5e-1*(2+cos(4*pi*y))**-2"),
+    ])
+    def test_checked_expressions_give_the_plain_eval_field(self, grid, u, v):
+        def build(X, Y, Z):
+            env = dict(_SAFE_NAMES, x=X, y=Y, z=Z, h=H)
+            return tuple(eval(text, {"__builtins__": {}}, env) + 0 * X  # noqa: S307
+                         for text in (u, v))
+        ref = dealias(field_from_function(grid, build, EVEN))
+        spec = InitialDataSpec(kind="analytic", expression_u=u, expression_v=v)
+        out, _ = prepare_initial_parts(grid, spec)
+        assert out.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    @pytest.mark.parametrize("expression", ["10**400*x", "9**9**9**9"])
+    def test_constant_power_overflows_at_once(self, grid, expression):
+        spec = InitialDataSpec(kind="analytic", expression_v=expression)
+        with pytest.raises(ConfigurationError):
+            prepare_initial_parts(grid, spec)

@@ -1,16 +1,21 @@
 """Tests for the RK3/integrating-factor stepper against exact solutions."""
 
+import gc
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
 from hydrostat.diagnostics import stepwise_energy_residuals
 from hydrostat.errors import (BlowUpError, ConfigurationError, SchedulingError)
 from hydrostat.solver import (CFLWarning, PhysicsParams, StepControl,
-                              integrate, make_state, rhs_nonlinear, step,
-                              step_linear)
-from hydrostat.spectral import (EVEN, Grid, field_from_function, l2_norm,
-                                symmetrize, to_physical, zero_field)
-from hydrostat.hydrostatics import barotropic_residual
+                              _rhs_core, integrate, make_state, rhs_nonlinear,
+                              step, step_linear)
+from hydrostat.spectral import (EVEN, Grid, dealias, field_from_function,
+                                l2_norm, symmetrize, to_physical, zero_field)
+from hydrostat.hydrostatics import (barotropic_residual, project_barotropic,
+                                    recover_w)
 from hydrostat.decomposition import InitialDataSpec, prepare_initial_parts
 
 H = 0.5
@@ -226,3 +231,53 @@ class TestLinearStepScheduling:
         part = cusp_state(grid)
         with pytest.raises(SchedulingError):
             step_linear(part, [], StepControl(dt=1e-3))
+
+
+def structured_constrained(grid):
+    """Horizontally and vertically varying data on the barotropic constraint."""
+    v = field_from_function(
+        grid,
+        lambda X, Y, Z: (np.sin(2 * np.pi * Y) * np.cos(np.pi * Z / H)
+                         + 0.3 * np.cos(2 * np.pi * (X + Y)),
+                         np.cos(2 * np.pi * X) * np.cos(2 * np.pi * Z / H)
+                         + 0.2 * np.sin(2 * np.pi * X)),
+        symmetry=EVEN)
+    return project_barotropic(symmetrize(dealias(v), EVEN))
+
+
+class TestPressureFreeStepper:
+    @pytest.mark.parametrize("f0", [0.0, 1.3])
+    def test_projection_applies_the_pressure(self, grid, f0):
+        """The stepper's projected tendency equals the explicit-pressure one."""
+        v = structured_constrained(grid)
+        free = _rhs_core(v, to_physical(v), to_physical(recover_w(v)), f0)
+        ref = rhs_nonlinear(v, PhysicsParams(f0, H))
+        scale = np.max(np.abs(ref.coeffs))
+        assert np.max(np.abs(free.coeffs - ref.coeffs)) > 1e-2 * scale
+        gap = np.max(np.abs(project_barotropic(free).coeffs - ref.coeffs))
+        assert gap <= 1e-12 * scale
+
+    def test_step_does_not_pin_the_grid(self):
+        g = Grid.make(8, 8, 8, H)
+        state = make_state(decay_data(g), 0.0, PhysicsParams(0.0, H))
+        step(state, StepControl(dt=1e-3))
+        ref = weakref.ref(g)
+        del g, state
+        gc.collect()
+        assert ref() is None
+
+    def test_blow_up_raises_without_runtime_warnings(self, grid):
+        big = field_from_function(
+            grid, lambda X, Y, Z: (1e6 * np.sin(2 * np.pi * Y), 1e6 * np.sin(2 * np.pi * X)),
+            symmetry=EVEN)
+        state = make_state(big, 0.0, PhysicsParams(0.0, H))
+        ctl = StepControl(dt=0.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", CFLWarning)
+            with pytest.raises(BlowUpError) as err:
+                for _ in range(50):
+                    state = step(state, ctl)
+        assert err.value.last_good is state
+        assert np.all(np.isfinite(state.v.coeffs))
+        assert "RK stage" in str(err.value)
