@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import (SpectralField, _oversampled_mag_sq, _oversampled_values,
+from .spectral import (SpectralField, _lattice_norms, _oversampled_values,
                        grad_h_norm_sq, grad_norm_sq, l2_norm, oversample)
 
 
@@ -50,23 +50,14 @@ def norms(v: SpectralField, qs=(), t: float = 0.0) -> NormRecord:
     A single oversampled evaluation of |v|^2 feeds every lattice-quadrature
     norm.
     """
-    mag_sq = _oversampled_mag_sq(v, 2)
-    vol = v.grid.volume
-
-    def _lq(q):
-        if float(q).is_integer() and int(q) % 2 == 0:
-            moment = np.mean(mag_sq ** (int(q) // 2))
-        else:
-            moment = np.mean(mag_sq ** (q / 2.0))
-        return float((vol * moment) ** (1.0 / q))
-
+    linf, lq = _lattice_norms(v, (4.0, 6.0) + tuple(qs))
     return NormRecord(t=t,
                       l2=l2_norm(v),
                       grad_l2=np.sqrt(grad_norm_sq(v)),
-                      l4=_lq(4.0),
-                      l6=_lq(6.0),
-                      linf=float(np.sqrt(np.max(mag_sq))),
-                      lq={float(q): _lq(float(q)) for q in qs})
+                      l4=lq[4.0],
+                      l6=lq[6.0],
+                      linf=linf,
+                      lq={float(q): lq[float(q)] for q in qs})
 
 
 # ---------------------------------------------------------------------------

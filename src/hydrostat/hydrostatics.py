@@ -94,11 +94,13 @@ def vertical_integral(f: SpectralField, require_periodic: bool = True,
                       reference_norm: float | None = None) -> SpectralField:
     """Antiderivative from -h to z of an even-in-z field.
 
-    Coefficients are divided by i*kz for l != 0; the l = 0 plane is fixed by
-    requiring the result to vanish at z = -h.  A z-mean (l = 0) component of
-    the integrand would grow linearly in z; if its norm exceeds
-    ``tol * reference_norm`` while a periodic result is demanded, a
-    constraint violation is raised, otherwise it is silently dropped.
+    Coefficients are divided by i*kz for l != 0 and the result is projected
+    onto the odd class, whose l = 0 plane is zero.  An odd, 2h-periodic
+    function vanishes at z = -h, so no constant needs fixing.  A z-mean
+    (l = 0) component of the integrand would grow linearly in z; if its
+    norm exceeds ``tol * reference_norm`` while a periodic result is
+    demanded, a constraint violation is raised, otherwise it is silently
+    dropped.
     """
     if f.symmetry != EVEN:
         raise ConfigurationError("vertical integral is defined for even-in-z input")
@@ -115,12 +117,7 @@ def vertical_integral(f: SpectralField, require_periodic: bool = True,
     kz = g.kz_d
     inv = np.where(kz != 0, 1.0 / np.where(kz != 0, kz, 1.0), 0.0)
     anti = f.coeffs * (-1j) * inv          # c / (i kz), zero where kz table is 0
-
-    # l = 0 plane from F(-h) = 0; the lattice origin is the wall z = -h,
-    # where every basis phase equals one, so F(-h) is the plain sum.
-    anti[..., 0] = -np.sum(anti, axis=-1)
-    out = SpectralField(g, anti, ODD)
-    return symmetrize(out, ODD)
+    return symmetrize(SpectralField(g, anti, ODD), ODD)
 
 
 def recover_w(v: SpectralField, tol: float = CONSTRAINT_TOL) -> SpectralField:

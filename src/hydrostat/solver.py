@@ -15,9 +15,16 @@ reference the projected tendency is checked against.
 
 Scheme: three-stage low-storage Runge-Kutta (order 3) for the transport /
 rotation terms with the unit-viscosity diffusion handled by the exact
-integrating factor exp(-|k|^2 tau) per stage.  After every stage the
-iterate is dealiased, re-symmetrized (even in z) and projected back onto
-the barotropic constraint.
+integrating factor exp(-|k|^2 tau) per stage.  The stage tendency is
+dealiased and re-symmetrized (even in z); the iterate is only projected
+back onto the barotropic constraint, because a masked, exactly even state
+plus a masked, exactly even increment, times factors that are symmetric
+in l, is masked and exactly even again.
+
+Products are formed on half the lattice.  The driver velocity and the
+gradients of U are even or odd in z, so their values on the planes
+j = 0..nz/2 fix the rest (plane nz - j mirrors plane j), and the even
+products return to spectral space from those planes alone.
 
 Stepping is a pure state-to-state function: a single trajectory is
 sequential, but independent trajectories may run on separate threads.
@@ -36,9 +43,8 @@ from .errors import BlowUpError, ConfigurationError, SchedulingError
 from .estimates import norms
 from .hydrostatics import (pressure_gradient_field, project_barotropic,
                            recover_w, solve_pressure)
-from .spectral import (EVEN, Grid, PhysicalField, SpectralField, _forward,
-                       _inverse as _inverse_raw, dealias, parity_flip,
-                       symmetrize, to_physical)
+from .spectral import (EVEN, Grid, SpectralField, _forward_half,
+                       _inverse_half, dealias, parity_flip, symmetrize)
 
 RK_A = (8.0 / 15.0, 5.0 / 12.0, 3.0 / 4.0)
 RK_B = (0.0, -17.0 / 60.0, -5.0 / 12.0)
@@ -78,11 +84,16 @@ class SolverState:
 
 @dataclass(frozen=True, eq=False)
 class DriverStage:
-    """Driver velocity and vertical velocity on the lattice at one RK stage time."""
+    """Driver velocity and vertical velocity at one RK stage time.
+
+    Bare lattice values on the planes j = 0..nz/2, shapes
+    (2, nx, ny, nz/2 + 1) and (1, nx, ny, nz/2 + 1); v is even and w odd
+    in z, so these planes determine the whole lattice.
+    """
 
     t: float
-    v_phys: PhysicalField
-    w_phys: PhysicalField
+    v: np.ndarray
+    w: np.ndarray
 
 
 class CFLWarning(UserWarning):
@@ -115,17 +126,19 @@ def _coriolis(coeffs):
     return np.concatenate([-coeffs[1:2], coeffs[0:1]])
 
 
-def _rhs_core(u: SpectralField, driver_phys: PhysicalField,
-              w_phys: PhysicalField, f0: float) -> SpectralField:
-    """-[(v_drv . grad_H)U + w_drv dz U + f0 k x U], even in z, pressure-free."""
+def _rhs_core(u: SpectralField, v: np.ndarray, w: np.ndarray,
+              f0: float) -> SpectralField:
+    """-[(v . grad_H)U + w dz U + f0 k x U], even in z, pressure-free.
+
+    ``v`` and ``w`` are the driver's half-plane values, as in ``DriverStage``.
+    """
     g = u.grid
     gradients = np.concatenate([1j * g.kx_d * u.coeffs,
                                 1j * g.ky_d * u.coeffs,
                                 1j * g.kz_d * u.coeffs])
-    dx, dy, dz = np.split(_inverse_raw(gradients, g), 3)
-    adv = (driver_phys.values[0] * dx + driver_phys.values[1] * dy
-           + w_phys.values[0] * dz)
-    total = _forward(adv) * g.dealias_mask
+    dx, dy, dz = np.split(_inverse_half(gradients, g), 3)
+    adv = v[0] * dx + v[1] * dy + w[0] * dz
+    total = _forward_half(adv, g) * g.dealias_mask
     if f0 != 0.0:
         total = total + f0 * _coriolis(u.coeffs)
     out = _cleanup(-total, g)
@@ -138,10 +151,11 @@ def rhs_nonlinear(v: SpectralField, params: PhysicsParams) -> SpectralField:
     Applies grad_H p from ``solve_pressure`` explicitly, where the stepper
     leaves it to ``project_barotropic``.
     """
-    v_phys = to_physical(v)
-    tendency = _rhs_core(v, v_phys, to_physical(recover_w(v)), params.f0)
+    g = v.grid
+    tendency = _rhs_core(v, _inverse_half(v.coeffs, g),
+                         _inverse_half(recover_w(v).coeffs, g), params.f0)
     grad_p = pressure_gradient_field(solve_pressure(v, params.f0).total)
-    return tendency.with_coeffs(tendency.coeffs - _cleanup(grad_p.coeffs, v.grid))
+    return tendency.with_coeffs(tendency.coeffs - _cleanup(grad_p.coeffs, g))
 
 
 def _advance_stages(state: SolverState, dt: float, driver_stages=None,
@@ -163,25 +177,24 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(3):
             if driver_stages is None:
-                u_phys = to_physical(u)
-                stage = DriverStage(t + RK_C[k] * dt, u_phys,
-                                    to_physical(recover_w(u)))
+                v = _inverse_half(u.coeffs, g)
+                stage = DriverStage(t + RK_C[k] * dt, v,
+                                    _inverse_half(recover_w(u).coeffs, g))
                 if collect:
                     collected.append(stage)
                 if k == 0:
-                    vmax0 = float(np.max(np.abs(u_phys.values)))
+                    vmax0 = float(np.max(np.abs(v)))
             else:
                 stage = driver_stages[k]
                 expected = t + RK_C[k] * dt
                 if abs(stage.t - expected) > _STAGE_TIME_TOL * max(1.0, abs(expected)):
                     raise SchedulingError(
                         f"driver stage at t={stage.t} but stage {k} needs t={expected}")
-            n_k = _rhs_core(u, stage.v_phys, stage.w_phys, state.params.f0)
+            n_k = _rhs_core(u, stage.v, stage.w, state.params.f0)
             incr = dt * RK_A[k] * n_k.coeffs
             if k:
                 incr = incr + dt * RK_B[k] * n_prev
-            coeffs = factors[k] * (u.coeffs + incr)
-            u = project_barotropic(SpectralField(g, _cleanup(coeffs, g), EVEN))
+            u = project_barotropic(SpectralField(g, factors[k] * (u.coeffs + incr), EVEN))
             if not np.all(np.isfinite(u.coeffs)):
                 raise BlowUpError(
                     f"non-finite values at RK stage {k + 1} of 3 in the step from t={t}",

@@ -8,6 +8,17 @@ coefficients (``SpectralField``) with half-spectrum storage along x and
 full spectra along y and z, so the z-parity operation l -> -l is a pure
 index permutation.
 
+Even and odd fields are evaluated on half the lattice.  The parity map
+z -> -z takes plane j to plane nz - j (mod nz), so planes j = 0..nz/2
+carry every value and the rest mirror them, with a sign flip for odd
+fields.  The stepper transforms, multiplies and transforms back on those
+planes alone (``_inverse_half``, ``_forward_half``).  The oversampled
+norms of parity-tagged fields reduce over the planes j = 0..nz'/2 of the
+finer lattice, counting the two end planes at half weight in means; an
+even field whose z Nyquist plane is populated is the exception, because
+zero padding places that mode on one side only and breaks the mirror.
+Untagged fields, and the public transforms, always use the whole lattice.
+
 Conventions (fixed for cross-run reproducibility):
 
 * forward transforms carry the 1/N factor, so the (0,0,0) coefficient is
@@ -49,6 +60,31 @@ def _forward(values):
 def _inverse(coeffs, grid):
     return np.fft.irfftn(coeffs, s=(grid.ny, grid.nz, grid.nx), axes=_AXES,
                          norm="forward")
+
+
+def _inverse_half(coeffs, grid):
+    """Lattice values of an even or odd field on the planes j = 0..nz/2.
+
+    A full z pass, then y and x on a contiguous copy of the kept planes
+    only; returns a (ncomp, nx, ny, nz/2 + 1) array.
+    """
+    kept = np.ascontiguousarray(
+        np.fft.ifft(coeffs, axis=3, norm="forward")[..., : grid.nz // 2 + 1])
+    np.fft.ifft(kept, axis=2, norm="forward", out=kept)
+    return np.fft.irfft(kept, n=grid.nx, axis=1, norm="forward")
+
+
+def _forward_half(values, grid):
+    """Coefficients of an even field from its values on the planes j = 0..nz/2.
+
+    Plane j > nz/2 is plane nz - j, copied exactly before the z pass.
+    """
+    nz = grid.nz
+    part = np.fft.rfftn(values, axes=(2, 1), norm="forward")
+    full = np.empty(part.shape[:3] + (nz,), dtype=complex)
+    full[..., : nz // 2 + 1] = part
+    full[..., nz // 2 + 1:] = part[..., nz // 2 - 1: 0: -1]
+    return np.fft.fft(full, axis=3, norm="forward", out=full)
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,14 +425,15 @@ def _pad_axis(dst, src, axis, n):
     dst[lead + (slice(hi, None),)] = src[lead + (slice(lo, None),)]
 
 
-def _oversampled_values(f: SpectralField, factor: int) -> np.ndarray:
+def _oversampled_values(f: SpectralField, factor: int, half: bool = False) -> np.ndarray:
     """Bare lattice values behind ``oversample``; the caller owns the array.
 
     Transforms one axis at a time and pads only the lines it is about to
     transform: z on the stored (m, n) lines, y on the stored m planes,
     then x by ``irfft(n=...)``, which pads internally.  The result is a
     (ncomp, nx', ny', nz') view of a (ncomp, ny', nz', nx') array, so the
-    last, real pass runs along contiguous lines.
+    last, real pass runs along contiguous lines.  With ``half``, only the
+    planes j = 0..nz'/2 go through the y and x passes and come back.
     """
     g = f.grid
     ncomp, nxr = f.coeffs.shape[:2]
@@ -405,8 +442,10 @@ def _oversampled_values(f: SpectralField, factor: int) -> np.ndarray:
     zpad = np.zeros((ncomp, nxr, g.ny, fnz), dtype=complex)
     _pad_axis(zpad, f.coeffs, 3, g.nz)
     np.fft.ifft(zpad, axis=3, norm="forward", out=zpad)
+    if half:
+        zpad = zpad[..., : fnz // 2 + 1]
 
-    ypad = np.zeros((ncomp, fny, fnz, nxr), dtype=complex)
+    ypad = np.zeros((ncomp, fny, zpad.shape[3], nxr), dtype=complex)
     _pad_axis(ypad, zpad.transpose(0, 2, 3, 1), 1, g.ny)
     del zpad
     np.fft.ifft(ypad, axis=1, norm="forward", out=ypad)
@@ -415,14 +454,71 @@ def _oversampled_values(f: SpectralField, factor: int) -> np.ndarray:
     return np.moveaxis(values, 3, 1)
 
 
-def _oversampled_mag_sq(f: SpectralField, factor: int) -> np.ndarray:
-    """|f|^2 (Euclidean in components) on the oversampled lattice, squared in place."""
-    vals = _oversampled_values(f, factor)
+def _mirrored(f: SpectralField) -> bool:
+    """Whether the oversampled lattice of ``f`` mirrors in z, plane j <-> nz' - j.
+
+    True for odd fields and for even ones with an empty z Nyquist plane;
+    the padding puts a populated Nyquist mode on the positive side only.
+    """
+    return f.symmetry != NONE and not np.any(f.coeffs[..., f.grid.nz // 2])
+
+
+def _mag_sq(vals):
+    """|v|^2 (Euclidean in components), squared in place in ``vals``."""
     np.square(vals, out=vals)
     mag_sq = vals[0]
     for comp in vals[1:]:
         mag_sq += comp
     return mag_sq
+
+
+def _lattice_mean(a, half):
+    """Mean over the whole lattice of values held on all planes or, with
+    ``half``, on the planes j = 0..nz'/2 of a mirrored lattice.
+
+    The end planes j = 0 and j = nz'/2 are their own mirrors and count at
+    half weight.
+    """
+    if not half:
+        return np.mean(a)
+    ends = np.sum(a[..., 0]) + np.sum(a[..., -1])
+    return (np.sum(a) - 0.5 * ends) / (a.size - a[..., 0].size)
+
+
+_LOG_MAX = float(np.log(np.finfo(float).max))
+
+
+def _lattice_norms(f: SpectralField, qs, factor: int = 2):
+    """Sup norm and ``{q: L^q norm}`` of |f| from one oversampled evaluation.
+
+    A mirrored lattice is evaluated and reduced on its planes
+    j = 0..nz'/2 only.  Even integer q take integer powers of |f|^2.
+    Only when |f|^2 or its largest power summed over the lattice would
+    overflow is |f| first divided by its max, so finite fields on the
+    edge of a blow-up keep finite norms and every other field keeps the
+    unscaled arithmetic.
+    """
+    half = _mirrored(f)
+    with np.errstate(over="ignore"):
+        mag_sq = _mag_sq(_oversampled_values(f, factor, half))
+    peak = float(np.max(mag_sq))
+    unit = 1.0
+    if peak > 1.0 and (max(qs, default=2.0) / 2.0 * np.log(peak)
+                       + np.log(mag_sq.size) >= _LOG_MAX):
+        vals = _oversampled_values(f, factor, half)
+        unit = float(max(np.max(vals), -np.min(vals)))
+        vals /= unit
+        mag_sq = _mag_sq(vals)
+        peak = float(np.max(mag_sq))
+
+    def _lq(q):
+        if float(q).is_integer() and int(q) % 2 == 0:
+            moment = _lattice_mean(mag_sq ** (int(q) // 2), half)
+        else:
+            moment = _lattice_mean(mag_sq ** (q / 2.0), half)
+        return unit * float((f.grid.volume * moment) ** (1.0 / q))
+
+    return unit * float(np.sqrt(peak)), {float(q): _lq(float(q)) for q in qs}
 
 
 def oversample(f: SpectralField, factor: int = 2) -> PhysicalField:
@@ -441,10 +537,7 @@ def oversample(f: SpectralField, factor: int = 2) -> PhysicalField:
 
 def lq_norm(f: SpectralField, q: float, factor: int = 2) -> float:
     """L^q norm via oversampled lattice quadrature of |f| (Euclidean in components)."""
-    mag = _oversampled_mag_sq(f, factor)
-    np.sqrt(mag, out=mag)
-    mag **= q
-    return float((f.grid.volume * np.mean(mag)) ** (1.0 / q))
+    return _lattice_norms(f, (q,), factor)[1][float(q)]
 
 
 def linf_norm(f: SpectralField, factor: int = 2) -> float:
@@ -453,7 +546,7 @@ def linf_norm(f: SpectralField, factor: int = 2) -> float:
     sqrt is monotone and correctly rounded, so sqrt(max |f|^2) is the max
     of sqrt(|f|^2) bit for bit.
     """
-    return float(np.sqrt(np.max(_oversampled_mag_sq(f, factor))))
+    return _lattice_norms(f, (), factor)[0]
 
 
 def conjugate_symmetry_residual(f: SpectralField) -> float:

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hydrostat.errors import ConfigurationError, ConstraintViolationError
 from hydrostat.hydrostatics import (Pressure2D, barotropic_residual,
                                     boundary_trace_norm, poisson_h_solve,
                                     project_barotropic, recover_w,
                                     solve_pressure, vertical_integral)
-from hydrostat.spectral import (EVEN, Grid, PhysicalField, SpectralField,
+from hydrostat.spectral import (EVEN, ODD, Grid, PhysicalField, SpectralField,
                                 dealias, derivative, div_h,
                                 field_from_function, l2_norm, symmetrize,
                                 to_physical, to_spectral)
@@ -90,6 +91,23 @@ class TestRecoverW:
         assert residual <= 1e-12 * max(l2_norm(div_h(v)), 1.0)
         assert boundary_trace_norm(w) <= 1e-10
         assert w.symmetry == "odd"
+
+    @given(n=st.integers(4, 12), nz=st.integers(4, 16), seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_wall_fixed_antiderivative_bytes(self, n, nz, seed):
+        """Reference: the l = 0 plane fixed from F(-h) = 0 before the odd projection.
+
+        The projection zeroes that plane again, so leaving it out changes
+        no byte, sign bits included.
+        """
+        g = Grid.make(2 * n, 2 * n, 2 * nz, H)
+        v = constrained_random(g, seed)
+        s = div_h(v)
+        inv = np.where(g.kz_d != 0, 1.0 / np.where(g.kz_d != 0, g.kz_d, 1.0), 0.0)
+        anti = s.coeffs * (-1j) * inv
+        anti[..., 0] = -np.sum(anti, axis=-1)
+        expected = -symmetrize(SpectralField(g, anti, ODD), ODD).coeffs
+        assert recover_w(v).coeffs.tobytes() == expected.tobytes()
 
     def test_w_odd_coefficientwise(self, grid):
         v = constrained_random(grid, 22)

@@ -1,5 +1,7 @@
 """Tests for the spectral substrate: transforms, parity, operators, masks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 from hydrostat.errors import ConfigurationError, DataError
 from hydrostat.estimates import ladyzhenskaya_ratio, norms
 from hydrostat.spectral import (EVEN, NONE, ODD, Grid, PhysicalField,
-                                SpectralField, conjugate_symmetry_residual,
+                                SpectralField, _forward, _forward_half,
+                                _inverse, _inverse_half, _mirrored,
+                                conjugate_symmetry_residual,
                                 dealias, derivative, div_h, field_from_function,
                                 grad_h, l2_lattice_norm, l2_norm, l2_norm_sq,
                                 laplacian, linf_norm, lq_norm, oversample,
@@ -322,3 +326,110 @@ class TestNormsAndSampling:
         for coarse, fine in zip(errors, errors[1:]):
             if coarse > 1e-12:
                 assert coarse / max(fine, 1e-300) >= 10.0
+
+
+def parity_field(grid, seed, ncomp, tag):
+    """Exactly even or odd data, not dealiased, so the z Nyquist plane is populated."""
+    rng = np.random.default_rng(seed)
+    return symmetrize(to_spectral(PhysicalField(
+        grid, rng.standard_normal((ncomp,) + grid.physical_shape))), tag)
+
+
+half_plane_cases = dict(
+    nx=st.integers(4, 16), ny=st.integers(4, 16), nz=st.integers(4, 16),
+    ncomp=st.integers(1, 6), tag=st.sampled_from((EVEN, ODD)),
+    seed=st.integers(0, 10_000))
+
+
+class TestHalfPlanes:
+    """Even and odd fields evaluated on the planes j = 0..nz/2."""
+
+    @given(**half_plane_cases)
+    @settings(max_examples=30, deadline=None)
+    def test_inverse_matches_full_lattice(self, nx, ny, nz, ncomp, tag, seed):
+        grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
+        f = parity_field(grid, seed, ncomp, tag)
+        expected = _inverse(f.coeffs, grid)[..., : nz + 1]
+        got = _inverse_half(f.coeffs, grid)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @given(**half_plane_cases)
+    @settings(max_examples=30, deadline=None)
+    def test_forward_of_even_values_matches_full_lattice(self, nx, ny, nz, ncomp,
+                                                          tag, seed):
+        """Even values: an even field itself, or an odd field times an odd scalar."""
+        grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
+        values = _inverse(parity_field(grid, seed, ncomp, tag).coeffs, grid)
+        if tag == ODD:
+            values = values * _inverse(parity_field(grid, seed + 1, 1, ODD).coeffs, grid)
+        expected = _forward(values)
+        got = _forward_half(values[..., : nz + 1], grid)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @given(**half_plane_cases)
+    @settings(max_examples=20, deadline=None)
+    def test_lattice_norms_match_full_lattice(self, nx, ny, nz, ncomp, tag, seed):
+        """The half-plane max is the full lattice's max over the same planes, bit for bit.
+
+        The mirrored planes of the full lattice equal their originals only
+        to round-off, so its overall max may differ in the last bits.
+        """
+        grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
+        f = dealias(parity_field(grid, seed, ncomp, tag))
+        assert _mirrored(f)
+        mag_sq = np.sum(oversample(f).values ** 2, axis=0)
+        half = float(np.sqrt(np.max(mag_sq[..., : 2 * nz + 1])))
+        full = float(np.sqrt(np.max(mag_sq)))
+        assert linf_norm(f) == half
+        assert norms(f).linf == half
+        assert abs(half - full) <= 1e-15 * full
+        rec = norms(f, qs=(3.0,))
+        for q, got in ((3.0, rec.lq[3.0]), (4.0, rec.l4), (6.0, rec.l6),
+                       (5.0, lq_norm(f, 5.0))):
+            expected = (grid.volume * np.mean(mag_sq ** (q / 2))) ** (1 / q)
+            assert abs(got - expected) <= 1e-14 * expected
+
+    def test_populated_z_nyquist_keeps_the_full_lattice(self, grid):
+        """Padding puts the coarse z Nyquist on one side, so that lattice does not mirror."""
+        f = parity_field(grid, 22, 2, EVEN)
+        assert np.max(np.abs(f.coeffs[..., grid.nz // 2])) > 0
+        assert not _mirrored(f)
+        mag_sq = np.sum(oversample(f).values ** 2, axis=0)
+        assert linf_norm(f) == float(np.sqrt(np.max(mag_sq)))
+        expected = (grid.volume * np.mean(mag_sq ** 2)) ** 0.25
+        assert abs(lq_norm(f, 4.0) - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize("tag", [EVEN, ODD])
+    def test_public_transforms_keep_the_full_lattice(self, grid, tag):
+        f = random_field(grid, 20, ncomp=2, symmetry=tag)
+        assert to_physical(f).values.shape == (2,) + grid.physical_shape
+        assert oversample(f).values.shape == (2, 32, 32, 32)
+
+
+class TestHugeFields:
+    """|f|^2 or its powers overflow here; the lattice norms scale by the max instead."""
+
+    def test_norms_of_a_huge_constant(self, grid):
+        c = 1e154
+        f = field_from_function(grid, lambda X, Y, Z: c + 0 * X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rec = norms(f, qs=(3.0,))
+        vol = grid.volume
+        assert rec.l4 == pytest.approx(c * vol ** 0.25, rel=1e-12)
+        assert rec.l6 == pytest.approx(c * vol ** (1 / 6), rel=1e-12)
+        assert rec.lq[3.0] == pytest.approx(c * vol ** (1 / 3), rel=1e-12)
+        assert rec.linf == pytest.approx(c, rel=1e-12)
+
+    @pytest.mark.parametrize("amplitude", [1e60, 1e154])
+    @pytest.mark.parametrize("tag", [NONE, EVEN])
+    def test_lattice_norms_stay_finite(self, grid, amplitude, tag):
+        f = random_field(grid, 21, ncomp=2, symmetry=tag)
+        big = f * amplitude
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = [lq_norm(big, q) for q in (3.0, 4.0, 6.0)] + [linf_norm(big)]
+        expected = [lq_norm(f, q) for q in (3.0, 4.0, 6.0)] + [linf_norm(f)]
+        for value, unit in zip(got, expected):
+            assert value == pytest.approx(amplitude * unit, rel=1e-12)
