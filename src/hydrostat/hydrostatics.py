@@ -67,10 +67,15 @@ def barotropic_residual(v: SpectralField) -> float:
     if v.ncomp != 2:
         raise ConfigurationError("barotropic residual needs a 2-component field")
     g = v.grid
-    u = zmean_coeffs(v)
-    d = 1j * g.kx_d[..., 0] * u[0] + 1j * g.ky_d[..., 0] * u[1]
-    res = np.sqrt(float(g.volume * np.sum(g.mode_weights[..., 0] * np.abs(d) ** 2)))
-    return res / max(l2_norm(v), 1.0)
+    return _mean_residual(zmean_coeffs(v), g.kx_d[..., 0], g.ky_d[..., 0],
+                          g.mode_weights[..., 0], g.volume, l2_norm(v))
+
+
+def _mean_residual(u, kx, ky, weights, volume, norm):
+    """L2 size of div_h of the z-mean plane ``u`` relative to max(norm, 1)."""
+    d = 1j * kx * u[0] + 1j * ky * u[1]
+    res = np.sqrt(float(volume * np.sum(weights * np.abs(d) ** 2)))
+    return res / max(norm, 1.0)
 
 
 def project_barotropic(v: SpectralField) -> SpectralField:
@@ -79,14 +84,17 @@ def project_barotropic(v: SpectralField) -> SpectralField:
         raise ConfigurationError("projection needs a 2-component field")
     g = v.grid
     coeffs = v.coeffs.copy()
-    u = coeffs[..., 0]
-    kx, ky = g.kx_d[..., 0], g.ky_d[..., 0]
+    _project_mean(coeffs[..., 0], g.kx_d[..., 0], g.ky_d[..., 0], g.kh2)
+    return SpectralField(g, coeffs, v.symmetry)
+
+
+def _project_mean(u, kx, ky, kh2):
+    """Remove, in place, the gradient part of the z-mean plane ``u``."""
     div = 1j * (kx * u[0] + ky * u[1])
-    kh2 = np.where(g.kh2 > 0, g.kh2, 1.0)
-    q = np.where(g.kh2 > 0, -div / kh2, 0.0)
+    safe = np.where(kh2 > 0, kh2, 1.0)
+    q = np.where(kh2 > 0, -div / safe, 0.0)
     u[0] -= 1j * kx * q
     u[1] -= 1j * ky * q
-    return SpectralField(g, coeffs, v.symmetry)
 
 
 def vertical_integral(f: SpectralField, require_periodic: bool = True,
@@ -114,10 +122,13 @@ def vertical_integral(f: SpectralField, require_periodic: bool = True,
             raise ConstraintViolationError(
                 "nonzero z-mean: antiderivative would grow linearly", res / max(ref, 1.0))
 
-    kz = g.kz_d
-    inv = np.where(kz != 0, 1.0 / np.where(kz != 0, kz, 1.0), 0.0)
-    anti = f.coeffs * (-1j) * inv          # c / (i kz), zero where kz table is 0
+    anti = f.coeffs * (-1j) * _inverse_kz(g)   # c / (i kz), zero where kz table is 0
     return symmetrize(SpectralField(g, anti, ODD), ODD)
+
+
+def _inverse_kz(g):
+    kz = g.kz_d
+    return np.where(kz != 0, 1.0 / np.where(kz != 0, kz, 1.0), 0.0)
 
 
 def recover_w(v: SpectralField, tol: float = CONSTRAINT_TOL) -> SpectralField:
@@ -137,6 +148,24 @@ def recover_w(v: SpectralField, tol: float = CONSTRAINT_TOL) -> SpectralField:
     s = div_h(v)
     integral = vertical_integral(s, require_periodic=False)
     return integral.with_coeffs(-integral.coeffs, symmetry=ODD)
+
+
+def _recover_w_band(u, band, tol=CONSTRAINT_TOL):
+    """``recover_w`` on a packed even state; returns the packed odd w.
+
+    The same arithmetic as ``recover_w`` restricted to the band, so the
+    result is the packed full w bit for bit.
+    """
+    g = band.grid
+    norm = np.sqrt(float(g.volume * np.sum(band.weights * np.abs(u) ** 2)))
+    res = _mean_residual(u[..., 0], band.kx[..., 0], band.ky[..., 0],
+                         band.weights[..., 0], g.volume, norm)
+    if res > tol:
+        raise ConstraintViolationError("barotropic constraint violated", res)
+    s = 1j * band.kx * u[0:1] + 1j * band.ky * u[1:2]
+    inv = _inverse_kz(g)
+    anti = s * (-1j) * inv[..., : band.nl]
+    return -(0.5 * (anti - s * (-1j) * band.mirror(inv)))
 
 
 def boundary_trace_norm(w: SpectralField) -> float:

@@ -21,6 +21,15 @@ back onto the barotropic constraint, because a masked, exactly even state
 plus a masked, exactly even increment, times factors that are symmetric
 in l, is masked and exactly even again.
 
+A step runs on the dealiased band.  Such a state is fixed by its
+coefficients at m <= nx/3, |n| <= ny/3 and 0 <= l <= nz/3, so the step
+packs it once (``spectral._Band``), runs the three stages on the packed
+array (gradients, w and its constraint check, products, RK update,
+integrating factors, projection, finiteness check) and unpacks once.
+The band transforms run every FFT pass on the lines that can be non-zero
+only, and the arithmetic on each packed entry is the same as on the full
+storage, so states agree bit for bit with a full-storage step.
+
 Products are formed on half the lattice.  The driver velocity and the
 gradients of U are even or odd in z, so their values on the planes
 j = 0..nz/2 fix the rest (plane nz - j mirrors plane j), and the even
@@ -41,10 +50,11 @@ import numpy as np
 from .diagnostics import DiagnosticsSeries, energy_residual_series
 from .errors import BlowUpError, ConfigurationError, SchedulingError
 from .estimates import norms
-from .hydrostatics import (pressure_gradient_field, project_barotropic,
+from .hydrostatics import (_project_mean, _recover_w_band,
+                           pressure_gradient_field, project_barotropic,
                            recover_w, solve_pressure)
-from .spectral import (EVEN, Grid, SpectralField, _forward_half,
-                       _inverse_half, dealias, parity_flip, symmetrize)
+from .spectral import (EVEN, SpectralField, _Band, dealias, parity_flip,
+                       symmetrize)
 
 RK_A = (8.0 / 15.0, 5.0 / 12.0, 3.0 / 4.0)
 RK_B = (0.0, -17.0 / 60.0, -5.0 / 12.0)
@@ -88,7 +98,8 @@ class DriverStage:
 
     Bare lattice values on the planes j = 0..nz/2, shapes
     (2, nx, ny, nz/2 + 1) and (1, nx, ny, nz/2 + 1); v is even and w odd
-    in z, so these planes determine the whole lattice.
+    in z, so these planes determine the whole lattice.  Both come from the
+    band inverse of the packed stage state (``spectral._Band.inverse``).
     """
 
     t: float
@@ -110,15 +121,15 @@ def make_state(v: SpectralField, t: float, params: PhysicsParams) -> SolverState
     return SolverState(clean, float(t), params)
 
 
-def _stage_factors(grid: Grid, dt: float):
+def _stage_factors(band: _Band, dt: float):
     """Integrating factors exp(-|k|^2 (c_{k+1} - c_k) dt) for the 3 stages."""
-    return tuple(np.exp(-grid.k2 * ((RK_C[k + 1] - RK_C[k]) * dt)) for k in range(3))
+    return tuple(np.exp(-band.k2 * ((RK_C[k + 1] - RK_C[k]) * dt)) for k in range(3))
 
 
 def _cleanup(coeffs, grid):
     """Dealias + even-symmetrize at the coefficient level."""
     masked = coeffs * grid.dealias_mask
-    return 0.5 * (masked + parity_flip(masked, grid))
+    return 0.5 * (masked + parity_flip(masked))
 
 
 def _coriolis(coeffs):
@@ -126,60 +137,61 @@ def _coriolis(coeffs):
     return np.concatenate([-coeffs[1:2], coeffs[0:1]])
 
 
-def _rhs_core(u: SpectralField, v: np.ndarray, w: np.ndarray,
-              f0: float) -> SpectralField:
-    """-[(v . grad_H)U + w dz U + f0 k x U], even in z, pressure-free.
+def _rhs_core(u: np.ndarray, band: _Band, v: np.ndarray, w: np.ndarray,
+              f0: float) -> np.ndarray:
+    """-[(v . grad_H)U + w dz U + f0 k x U] on the band, even in z, pressure-free.
 
-    ``v`` and ``w`` are the driver's half-plane values, as in ``DriverStage``.
+    ``u`` is the packed advected field; ``v`` and ``w`` are the driver's
+    half-plane values, as in ``DriverStage``.
     """
-    g = u.grid
-    gradients = np.concatenate([1j * g.kx_d * u.coeffs,
-                                1j * g.ky_d * u.coeffs,
-                                1j * g.kz_d * u.coeffs])
-    dx, dy, dz = np.split(_inverse_half(gradients, g), 3)
+    gradients = np.concatenate([1j * band.kx * u, 1j * band.ky * u,
+                                1j * band.kz * u])
+    dx, dy, dz = np.split(band.inverse(gradients, odd_from=2 * len(u)), 3)
     adv = v[0] * dx + v[1] * dy + w[0] * dz
-    total = _forward_half(adv, g) * g.dealias_mask
-    if f0 != 0.0:
-        total = total + f0 * _coriolis(u.coeffs)
-    out = _cleanup(-total, g)
-    return SpectralField(g, out, EVEN)
+    return -band.forward(adv, f0 * _coriolis(u) if f0 != 0.0 else None)
 
 
 def rhs_nonlinear(v: SpectralField, params: PhysicsParams) -> SpectralField:
     """Full nonlinear tendency of the horizontal velocity (diffusion excluded).
 
+    ``v`` is taken as a solver state: dealiased and exactly even in z.
     Applies grad_H p from ``solve_pressure`` explicitly, where the stepper
     leaves it to ``project_barotropic``.
     """
     g = v.grid
-    tendency = _rhs_core(v, _inverse_half(v.coeffs, g),
-                         _inverse_half(recover_w(v).coeffs, g), params.f0)
+    band = _Band(g)
+    u = band.pack(v.coeffs)
+    w = band.pack(recover_w(v).coeffs)
+    tendency = band.unpack(_rhs_core(u, band, band.inverse(u),
+                                     band.inverse(w, odd_from=0), params.f0))
     grad_p = pressure_gradient_field(solve_pressure(v, params.f0).total)
-    return tendency.with_coeffs(tendency.coeffs - _cleanup(grad_p.coeffs, g))
+    return SpectralField(g, tendency - _cleanup(grad_p.coeffs, g), EVEN)
 
 
 def _advance_stages(state: SolverState, dt: float, driver_stages=None,
                     collect=False):
-    """Shared RK3/integrating-factor stage loop.
+    """Shared RK3/integrating-factor stage loop, on the packed band.
 
-    With ``driver_stages`` given, the state is advected by the frozen driver
-    (linear systems); otherwise the field drives itself (nonlinear system)
-    and, with ``collect``, the stage fields are returned for reuse.  Raises
-    ``BlowUpError`` carrying ``state`` at the first stage that leaves
-    non-finite values.
+    The state is packed once, stepped through the three stages on the
+    band and unpacked once.  With ``driver_stages`` given, it is advected
+    by the frozen driver (linear systems); otherwise the field drives
+    itself (nonlinear system) and, with ``collect``, the stage fields are
+    returned for reuse.  Raises ``BlowUpError`` carrying ``state`` at the
+    first stage that leaves non-finite values.
     """
-    u, t = state.v, state.t
-    g = u.grid
-    factors = _stage_factors(g, dt)
+    t = state.t
+    band = _Band(state.v.grid)
+    u = band.pack(state.v.coeffs)
+    factors = _stage_factors(band, dt)
     collected = [] if collect else None
     n_prev = None
     vmax0 = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(3):
             if driver_stages is None:
-                v = _inverse_half(u.coeffs, g)
+                v = band.inverse(u)
                 stage = DriverStage(t + RK_C[k] * dt, v,
-                                    _inverse_half(recover_w(u).coeffs, g))
+                                    band.inverse(_recover_w_band(u, band), odd_from=0))
                 if collect:
                     collected.append(stage)
                 if k == 0:
@@ -190,17 +202,18 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
                 if abs(stage.t - expected) > _STAGE_TIME_TOL * max(1.0, abs(expected)):
                     raise SchedulingError(
                         f"driver stage at t={stage.t} but stage {k} needs t={expected}")
-            n_k = _rhs_core(u, stage.v, stage.w, state.params.f0)
-            incr = dt * RK_A[k] * n_k.coeffs
+            n_k = _rhs_core(u, band, stage.v, stage.w, state.params.f0)
+            incr = dt * RK_A[k] * n_k
             if k:
                 incr = incr + dt * RK_B[k] * n_prev
-            u = project_barotropic(SpectralField(g, factors[k] * (u.coeffs + incr), EVEN))
-            if not np.all(np.isfinite(u.coeffs)):
+            u = factors[k] * (u + incr)
+            _project_mean(u[..., 0], band.kx[..., 0], band.ky[..., 0], band.kh2)
+            if not np.all(np.isfinite(u)):
                 raise BlowUpError(
                     f"non-finite values at RK stage {k + 1} of 3 in the step from t={t}",
                     last_good=state)
-            n_prev = factors[k] * n_k.coeffs
-    return u, collected, vmax0
+            n_prev = factors[k] * n_k
+    return SpectralField(state.v.grid, band.unpack(u), EVEN), collected, vmax0
 
 
 def step(state: SolverState, ctl: StepControl, dt: float | None = None,

@@ -12,7 +12,12 @@ Even and odd fields are evaluated on half the lattice.  The parity map
 z -> -z takes plane j to plane nz - j (mod nz), so planes j = 0..nz/2
 carry every value and the rest mirror them, with a sign flip for odd
 fields.  The stepper transforms, multiplies and transforms back on those
-planes alone (``_inverse_half``, ``_forward_half``).  The oversampled
+planes alone.  Its states are also dealiased, so it keeps them packed in
+the band m <= nx/3, |n| <= ny/3, 0 <= l <= nz/3 (``_Band``), and the band
+transforms prune every FFT pass to the lines that can be non-zero: the
+inverse runs z on the band's (m, n) lines, y on m <= nx/3 and pads x; the
+forward runs x on every line, y on m <= nx/3 and z on the band's (m, n)
+lines, and takes the l <-> -l average there.  The oversampled
 norms of parity-tagged fields reduce over the planes j = 0..nz'/2 of the
 finer lattice, counting the two end planes at half weight in means; an
 even field whose z Nyquist plane is populated is the exception, because
@@ -62,29 +67,92 @@ def _inverse(coeffs, grid):
                          norm="forward")
 
 
-def _inverse_half(coeffs, grid):
-    """Lattice values of an even or odd field on the planes j = 0..nz/2.
+class _Band:
+    """The dealiased band of an even field, and its pruned transforms.
 
-    A full z pass, then y and x on a contiguous copy of the kept planes
-    only; returns a (ncomp, nx, ny, nz/2 + 1) array.
+    A masked, exactly even field is fixed by its coefficients at
+    m <= nx/3, |n| <= ny/3 and 0 <= l <= nz/3: every other stored
+    coefficient is zero or, at -l, a copy of l.  Packed arrays have shape
+    (ncomp, nm, len(rows), nl), where ``rows`` are the stored y indices of
+    the band (n >= 0 first).  The index tables and the grid tables
+    restricted to the band are derived from ``grid.dealias_mask`` on every
+    construction; nothing is cached.
     """
-    kept = np.ascontiguousarray(
-        np.fft.ifft(coeffs, axis=3, norm="forward")[..., : grid.nz // 2 + 1])
-    np.fft.ifft(kept, axis=2, norm="forward", out=kept)
-    return np.fft.irfft(kept, n=grid.nx, axis=1, norm="forward")
 
+    def __init__(self, grid):
+        keep = grid.dealias_mask
+        self.grid = grid
+        self.nm = int(np.count_nonzero(keep[:, 0, 0]))
+        self.rows = np.flatnonzero(keep[0, :, 0])
+        self.nl = int(np.count_nonzero(keep[0, 0, : grid.nz // 2 + 1]))
+        self.kx = grid.kx_d[: self.nm]
+        self.ky = grid.ky_d[:, self.rows]
+        self.kz = grid.kz_d[..., : self.nl]
+        self.k2 = self.pack(grid.k2)
+        self.kh2 = grid.kh2[: self.nm][:, self.rows]
+        # Parseval weights: half-spectrum in x, and l > 0 stands for l and -l
+        self.weights = grid.mode_weights[: self.nm] * np.where(
+            np.arange(self.nl) > 0, 2.0, 1.0)
 
-def _forward_half(values, grid):
-    """Coefficients of an even field from its values on the planes j = 0..nz/2.
+    def pack(self, a):
+        """The band of an array whose last three axes are (nxr, ny, nz)."""
+        return a[..., : self.nm, :, : self.nl][..., self.rows, :]
 
-    Plane j > nz/2 is plane nz - j, copied exactly before the z pass.
-    """
-    nz = grid.nz
-    part = np.fft.rfftn(values, axes=(2, 1), norm="forward")
-    full = np.empty(part.shape[:3] + (nz,), dtype=complex)
-    full[..., : nz // 2 + 1] = part
-    full[..., nz // 2 + 1:] = part[..., nz // 2 - 1: 0: -1]
-    return np.fft.fft(full, axis=3, norm="forward", out=full)
+    def mirror(self, a):
+        """Entries at -l for l = 0..nl-1 of an array of full z lines."""
+        return np.concatenate((a[..., :1], a[..., : -self.nl: -1]), axis=-1)
+
+    def unpack(self, b):
+        """Full (ncomp, nxr, ny, nz) coefficients of the even field ``b``."""
+        g = self.grid
+        out = np.zeros(b.shape[:1] + g.spectral_shape, dtype=complex)
+        lines = out[:, : self.nm]
+        lines[:, :, self.rows, : self.nl] = b
+        lines[:, :, self.rows, g.nz - self.nl + 1:] = b[..., : 0: -1]
+        return out
+
+    def inverse(self, b, odd_from=None):
+        """Lattice values on the planes j = 0..nz/2 of the packed ``b``.
+
+        Components ``odd_from`` onwards are odd in z, the others even.  l
+        is mirrored onto the full z line and the z pass runs on the band's
+        (m, n) lines only; the y pass runs on m <= nx/3, and the x pass
+        pads the remaining m with zeros.  Returns (ncomp, nx, ny, nz/2 + 1).
+        """
+        g = self.grid
+        lines = np.zeros(b.shape[:3] + (g.nz,), dtype=complex)
+        lines[..., : self.nl] = b
+        mirror = lines[..., g.nz - self.nl + 1:]
+        mirror[...] = b[..., : 0: -1]
+        if odd_from is not None:
+            np.negative(mirror[odd_from:], out=mirror[odd_from:])
+        np.fft.ifft(lines, axis=3, norm="forward", out=lines)
+        planes = np.zeros(b.shape[:2] + (g.ny, g.nz // 2 + 1), dtype=complex)
+        planes[:, :, self.rows] = lines[..., : g.nz // 2 + 1]
+        np.fft.ifft(planes, axis=2, norm="forward", out=planes)
+        return np.fft.irfft(planes, n=g.nx, axis=1, norm="forward")
+
+    def forward(self, values, add=None):
+        """Band coefficients of the even part of F(values) + ``add``.
+
+        ``values`` holds an even field on the planes j = 0..nz/2.  The x
+        pass runs on every line, the y pass on m <= nx/3 only, and the z
+        pass, after plane nz - j is copied exactly from plane j, on the
+        band's (m, n) lines only.  ``add`` (packed) joins at l and at -l
+        before the two are averaged.
+        """
+        g = self.grid
+        half = g.nz // 2 + 1
+        part = np.fft.rfft(values, axis=1, norm="forward")[:, : self.nm]
+        part = np.fft.fft(part, axis=2, norm="forward")[:, :, self.rows]
+        lines = np.empty(part.shape[:3] + (g.nz,), dtype=complex)
+        lines[..., :half] = part
+        lines[..., half:] = part[..., half - 2: 0: -1]
+        np.fft.fft(lines, axis=3, norm="forward", out=lines)
+        pos, neg = lines[..., : self.nl], self.mirror(lines)
+        if add is not None:
+            pos, neg = pos + add, neg + add
+        return 0.5 * (pos + neg)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +172,6 @@ class Grid:
     k2: np.ndarray          # (nxr, ny, nz) |k|^2
     kh2: np.ndarray         # (nxr, ny) horizontal |k_H|^2
     dealias_mask: np.ndarray
-    parity_index: np.ndarray  # permutation implementing l -> -l
     mode_weights: np.ndarray  # Parseval weights for half-spectrum storage
 
     @classmethod
@@ -138,15 +205,13 @@ class Grid:
                 & (np.abs(my) <= ny / 3)[None, :, None]
                 & (np.abs(mz) <= nz / 3)[None, None, :])
 
-        parity_index = (-np.arange(nz)) % nz
-
         weights = np.full((nxr, 1, 1), 2.0)
         weights[0] = 1.0
         weights[-1] = 1.0
 
         return cls(nx=nx, ny=ny, nz=nz, h=float(h), kx=kx, ky=ky, kz=kz,
                    kx_d=kx_d, ky_d=ky_d, kz_d=kz_d, k2=k2, kh2=kh2,
-                   dealias_mask=keep, parity_index=parity_index,
+                   dealias_mask=keep,
                    mode_weights=weights)
 
     @property
@@ -282,16 +347,16 @@ def zero_field(grid, ncomp=1, symmetry=NONE):
 # symmetry and mask projections
 # ---------------------------------------------------------------------------
 
-def parity_flip(coeffs, grid):
-    """Coefficients of z -> -z, as the l -> -l index permutation."""
-    return coeffs[..., grid.parity_index]
+def parity_flip(coeffs):
+    """Coefficients of z -> -z: plane l = 0, then l -> -l as a reversed slice."""
+    return np.concatenate((coeffs[..., :1], coeffs[..., :0:-1]), axis=-1)
 
 
 def symmetrize(f: SpectralField, tag: str) -> SpectralField:
     """Project onto the even or odd class in z: (f(z) +/- f(-z)) / 2."""
     if tag not in (EVEN, ODD):
         raise ConfigurationError(f"symmetrize needs 'even' or 'odd', got {tag!r}")
-    flipped = parity_flip(f.coeffs, f.grid)
+    flipped = parity_flip(f.coeffs)
     if tag == EVEN:
         return SpectralField(f.grid, 0.5 * (f.coeffs + flipped), EVEN)
     return SpectralField(f.grid, 0.5 * (f.coeffs - flipped), ODD)
@@ -360,10 +425,27 @@ def pointwise_product(f: PhysicalField, g: PhysicalField) -> PhysicalField:
 # norms and oversampling
 # ---------------------------------------------------------------------------
 
+def _parseval(f: SpectralField, weights) -> float:
+    """volume * sum(weights * |c|^2) over the stored coefficients.
+
+    Only when that sum overflows from finite coefficients is it taken
+    again of c / max |c| and scaled back in Python floats, which give inf
+    without a warning when the true value is out of range; every other
+    field keeps the unscaled arithmetic.
+    """
+    g = f.grid
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(g.volume * np.sum(weights * np.abs(f.coeffs) ** 2))
+    if np.isfinite(total) or not np.all(np.isfinite(f.coeffs)):
+        return total
+    unit = float(np.max(np.abs(f.coeffs)))
+    scaled = float(g.volume * np.sum(weights * np.abs(f.coeffs / unit) ** 2))
+    return scaled * unit * unit
+
+
 def l2_norm_sq(f: SpectralField) -> float:
     """Squared L2 norm over M x (-h,h), computed by Parseval."""
-    g = f.grid
-    return float(g.volume * np.sum(g.mode_weights * np.abs(f.coeffs) ** 2))
+    return _parseval(f, f.grid.mode_weights)
 
 
 def l2_norm(f: SpectralField) -> float:
@@ -373,14 +455,13 @@ def l2_norm(f: SpectralField) -> float:
 def grad_norm_sq(f: SpectralField) -> float:
     """Squared L2 norm of the full (3D) gradient, by Parseval."""
     g = f.grid
-    return float(g.volume * np.sum(g.mode_weights * g.k2 * np.abs(f.coeffs) ** 2))
+    return _parseval(f, g.mode_weights * g.k2)
 
 
 def grad_h_norm_sq(f: SpectralField) -> float:
     """Squared L2 norm of the horizontal gradient."""
     g = f.grid
-    kh2 = g.kh2[:, :, None]
-    return float(g.volume * np.sum(g.mode_weights * kh2 * np.abs(f.coeffs) ** 2))
+    return _parseval(f, g.mode_weights * g.kh2[:, :, None])
 
 
 def l2_lattice_norm(f: PhysicalField) -> float:
@@ -557,9 +638,8 @@ def conjugate_symmetry_residual(f: SpectralField) -> float:
     """
     g = f.grid
     iy = (-np.arange(g.ny)) % g.ny
-    iz = g.parity_index
     res = 0.0
     for plane in (0, g.nx // 2):
         c = f.coeffs[:, plane]
-        res = max(res, float(np.max(np.abs(c - np.conj(c[:, iy][:, :, iz])))))
+        res = max(res, float(np.max(np.abs(c - np.conj(parity_flip(c[:, iy]))))))
     return res

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hydrostat.errors import ConfigurationError, ConstraintViolationError
-from hydrostat.hydrostatics import (Pressure2D, barotropic_residual,
+from hydrostat.hydrostatics import (Pressure2D, _recover_w_band,
+                                    barotropic_residual,
                                     boundary_trace_norm, poisson_h_solve,
                                     project_barotropic, recover_w,
                                     solve_pressure, vertical_integral)
 from hydrostat.spectral import (EVEN, ODD, Grid, PhysicalField, SpectralField,
-                                dealias, derivative, div_h,
+                                _Band, dealias, derivative, div_h,
                                 field_from_function, l2_norm, symmetrize,
                                 to_physical, to_spectral)
 
@@ -108,6 +109,23 @@ class TestRecoverW:
         anti[..., 0] = -np.sum(anti, axis=-1)
         expected = -symmetrize(SpectralField(g, anti, ODD), ODD).coeffs
         assert recover_w(v).coeffs.tobytes() == expected.tobytes()
+
+    @given(n=st.integers(4, 12), nz=st.integers(4, 16), seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_band_w_is_the_packed_w_bytes(self, n, nz, seed):
+        g = Grid.make(2 * n, 2 * n + 2, 2 * nz, H)
+        v = constrained_random(g, seed)
+        band = _Band(g)
+        got = _recover_w_band(band.pack(v.coeffs), band)
+        assert got.tobytes() == band.pack(recover_w(v).coeffs).tobytes()
+
+    def test_band_w_refuses_a_violated_constraint(self, grid):
+        bad = symmetrize(dealias(field_from_function(
+            grid, lambda X, Y, Z: (np.sin(2 * np.pi * X), 0 * X))), EVEN)
+        band = _Band(grid)
+        with pytest.raises(ConstraintViolationError) as err:
+            _recover_w_band(band.pack(bad.coeffs), band)
+        assert err.value.residual == pytest.approx(barotropic_residual(bad), rel=1e-12)
 
     def test_w_odd_coefficientwise(self, grid):
         v = constrained_random(grid, 22)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from hydrostat.diagnostics import stepwise_energy_residuals
-from hydrostat.errors import (BlowUpError, ConfigurationError, SchedulingError)
-from hydrostat.solver import (CFLWarning, PhysicsParams, StepControl,
-                              _cleanup, _rhs_core, integrate, make_state,
-                              rhs_nonlinear, step, step_linear)
-from hydrostat.spectral import (EVEN, Grid, _inverse_half, dealias,
+from hydrostat.errors import (BlowUpError, ConfigurationError,
+                              ConstraintViolationError, SchedulingError)
+from hydrostat.solver import (CFLWarning, PhysicsParams, SolverState,
+                              StepControl, _cleanup, _rhs_core, integrate,
+                              make_state, rhs_nonlinear, step, step_linear)
+from hydrostat.spectral import (EVEN, Grid, SpectralField, _Band, dealias,
                                 field_from_function, l2_norm, symmetrize,
                                 to_physical, zero_field)
 from hydrostat.hydrostatics import (barotropic_residual, project_barotropic,
@@ -126,6 +127,15 @@ class TestStep:
             parts = [step_linear(p, stages, ctl) for p in parts]
             for s in [v] + parts:
                 assert _cleanup(s.v.coeffs, grid).tobytes() == s.v.coeffs.tobytes()
+
+    def test_constraint_violation_raises(self, grid):
+        """A state off the barotropic constraint is refused, as recover_w refuses it."""
+        bad = symmetrize(dealias(field_from_function(
+            grid, lambda X, Y, Z: (np.sin(2 * np.pi * X), 0 * X))), EVEN)
+        with pytest.raises(ConstraintViolationError):
+            recover_w(bad)
+        with pytest.raises(ConstraintViolationError):
+            step(SolverState(bad, 0.0, PhysicsParams(1.0, H)), StepControl(dt=1e-3))
 
     def test_temporal_order_three(self, grid):
         """Error against the rotating-decay solution shrinks ~8x per halving."""
@@ -266,8 +276,10 @@ class TestPressureFreeStepper:
     def test_projection_applies_the_pressure(self, grid, f0):
         """The stepper's projected tendency equals the explicit-pressure one."""
         v = structured_constrained(grid)
-        free = _rhs_core(v, _inverse_half(v.coeffs, grid),
-                         _inverse_half(recover_w(v).coeffs, grid), f0)
+        band = _Band(grid)
+        u, w = band.pack(v.coeffs), band.pack(recover_w(v).coeffs)
+        free = SpectralField(grid, band.unpack(_rhs_core(
+            u, band, band.inverse(u), band.inverse(w, odd_from=0), f0)), EVEN)
         ref = rhs_nonlinear(v, PhysicsParams(f0, H))
         scale = np.max(np.abs(ref.coeffs))
         assert np.max(np.abs(free.coeffs - ref.coeffs)) > 1e-2 * scale

@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 from hydrostat.errors import ConfigurationError, DataError
 from hydrostat.estimates import ladyzhenskaya_ratio, norms
 from hydrostat.spectral import (EVEN, NONE, ODD, Grid, PhysicalField,
-                                SpectralField, _forward, _forward_half,
-                                _inverse, _inverse_half, _mirrored,
+                                SpectralField, _Band, _forward, _inverse,
+                                _mirrored, grad_h_norm_sq, grad_norm_sq,
                                 conjugate_symmetry_residual,
                                 dealias, derivative, div_h, field_from_function,
                                 grad_h, l2_lattice_norm, l2_norm, l2_norm_sq,
                                 laplacian, linf_norm, lq_norm, oversample,
-                                pointwise_product, refine, symmetrize,
+                                parity_flip, pointwise_product, refine,
+                                symmetrize,
                                 to_physical, to_spectral, zero_field)
 
 H = 0.5
@@ -347,10 +348,12 @@ class TestHalfPlanes:
     @given(**half_plane_cases)
     @settings(max_examples=30, deadline=None)
     def test_inverse_matches_full_lattice(self, nx, ny, nz, ncomp, tag, seed):
+        """The band inverse of a dealiased field, on the planes j = 0..nz/2."""
         grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
-        f = parity_field(grid, seed, ncomp, tag)
+        f = dealias(parity_field(grid, seed, ncomp, tag))
         expected = _inverse(f.coeffs, grid)[..., : nz + 1]
-        got = _inverse_half(f.coeffs, grid)
+        band = _Band(grid)
+        got = band.inverse(band.pack(f.coeffs), odd_from=0 if tag == ODD else None)
         assert got.shape == expected.shape
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
@@ -358,13 +361,17 @@ class TestHalfPlanes:
     @settings(max_examples=30, deadline=None)
     def test_forward_of_even_values_matches_full_lattice(self, nx, ny, nz, ncomp,
                                                           tag, seed):
-        """Even values: an even field itself, or an odd field times an odd scalar."""
+        """Even values: an even field itself, or an odd field times an odd scalar.
+
+        The band forward returns the band of the transform.
+        """
         grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
         values = _inverse(parity_field(grid, seed, ncomp, tag).coeffs, grid)
         if tag == ODD:
             values = values * _inverse(parity_field(grid, seed + 1, 1, ODD).coeffs, grid)
-        expected = _forward(values)
-        got = _forward_half(values[..., : nz + 1], grid)
+        band = _Band(grid)
+        expected = band.pack(_forward(values))
+        got = band.forward(values[..., : nz + 1])
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @given(**half_plane_cases)
@@ -407,6 +414,64 @@ class TestHalfPlanes:
         assert oversample(f).values.shape == (2, 32, 32, 32)
 
 
+band_cases = dict(
+    nx=st.integers(4, 16), ny=st.integers(4, 16), nz=st.integers(4, 16),
+    ncomp=st.integers(1, 6), seed=st.integers(0, 10_000))
+
+
+class TestBand:
+    """The dealiased band of an even state and its pruned transforms."""
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (10, 14, 20), (16, 16, 16),
+                                       (18, 12, 22), (32, 32, 64)])
+    def test_band_is_the_support_of_the_dealias_mask(self, shape):
+        grid = Grid.make(*shape, H)
+        band = _Band(grid)
+        ones = np.ones((1, band.nm, len(band.rows), band.nl), dtype=complex)
+        assert np.array_equal(band.unpack(ones)[0] != 0, grid.dealias_mask)
+        assert np.all(band.pack(grid.dealias_mask))
+        assert band.pack(grid.k2).shape == ones.shape[1:]
+
+    @given(**band_cases)
+    @settings(max_examples=30, deadline=None)
+    def test_pack_unpack_round_trip(self, nx, ny, nz, ncomp, seed):
+        grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
+        f = dealias(parity_field(grid, seed, ncomp, EVEN))
+        band = _Band(grid)
+        assert np.array_equal(band.unpack(band.pack(f.coeffs)), f.coeffs)
+
+    @given(**band_cases)
+    @settings(max_examples=30, deadline=None)
+    def test_inverse_of_mixed_parity(self, nx, ny, nz, ncomp, seed):
+        """Even components first, then odd ones, as for U's gradients."""
+        grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
+        even = dealias(parity_field(grid, seed, ncomp, EVEN)).coeffs
+        odd = dealias(parity_field(grid, seed + 1, ncomp, ODD)).coeffs
+        both = np.concatenate([even, odd])
+        expected = _inverse(both, grid)[..., : nz + 1]
+        band = _Band(grid)
+        got = band.inverse(band.pack(both), odd_from=ncomp)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @given(**band_cases)
+    @settings(max_examples=30, deadline=None)
+    def test_forward_adds_before_the_parity_average(self, nx, ny, nz, ncomp, seed):
+        grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
+        values = _inverse(parity_field(grid, seed, ncomp, EVEN).coeffs, grid)
+        add = dealias(parity_field(grid, seed + 1, ncomp, EVEN)).coeffs
+        band = _Band(grid)
+        expected = band.pack(_forward(values) + add)
+        got = band.forward(values[..., : nz + 1], band.pack(add))
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("nz", range(8, 65, 2))
+def test_parity_flip_slices_equal_the_index_gather(nz):
+    grid = Grid.make(8, 8, nz, H)
+    c = random_field(grid, nz, ncomp=2).coeffs
+    assert parity_flip(c).tobytes() == c[..., (-np.arange(nz)) % nz].tobytes()
+
+
 class TestHugeFields:
     """|f|^2 or its powers overflow here; the lattice norms scale by the max instead."""
 
@@ -433,3 +498,32 @@ class TestHugeFields:
         expected = [lq_norm(f, q) for q in (3.0, 4.0, 6.0)] + [linf_norm(f)]
         for value, unit in zip(got, expected):
             assert value == pytest.approx(amplitude * unit, rel=1e-12)
+
+    @pytest.mark.parametrize("tag", [NONE, EVEN])
+    def test_parseval_norms_do_not_overflow(self, grid, tag):
+        """Squares of 1e154 overflow; in range results stay finite, the rest is inf."""
+        f = random_field(grid, 21, ncomp=2, symmetry=tag)
+        big = f * 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = [fn(big) for fn in (l2_norm_sq, grad_norm_sq, grad_h_norm_sq)]
+            rec = norms(big)
+        unit = [fn(f) for fn in (l2_norm_sq, grad_norm_sq, grad_h_norm_sq)]
+        for value, small in zip(got, unit):
+            assert value == pytest.approx(small * 1e154 * 1e154, rel=1e-12)
+        assert np.isfinite(got[0])
+        assert rec.l2 == pytest.approx(1e154 * l2_norm(f), rel=1e-12)
+
+    def test_parseval_rescales_when_only_the_sum_overflows(self):
+        """The weighted sum overflows, the volume-scaled norm does not."""
+        g = Grid.make(16, 16, 16, 0.25)
+        f = random_field(g, 23, ncomp=2)
+        amplitude = np.sqrt(np.finfo(float).max) * np.sqrt(1.2 * g.volume / l2_norm_sq(f))
+        constant = field_from_function(g, lambda X, Y, Z: 1e155 + 0 * X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = l2_norm_sq(f * amplitude)
+            flat = (grad_norm_sq(constant), grad_h_norm_sq(constant))
+        assert np.isfinite(got)
+        assert got == pytest.approx(amplitude * l2_norm_sq(f) * amplitude, rel=1e-12)
+        assert flat == (0.0, 0.0)
