@@ -1,21 +1,23 @@
 """Run configuration: line-oriented ``key = value`` sections, strict schema.
 
-Unknown sections or keys are rejected.  The config hash is taken over the
-effective configuration (defaults merged with the file and any command
-line overrides), canonicalized as sorted ``section.key = value`` lines, so
-it is stable under key reordering.
+Unknown sections or keys are rejected, and every float must be finite.
+The config hash is taken over the effective configuration (defaults
+merged with the file and any command line overrides), canonicalized as
+sorted ``section.key = value`` lines, so it is stable under key
+reordering.  It leaves out ``output.directory`` and ``output.threads``,
+which change no output byte.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 
 from .decomposition import InitialDataSpec
 from .errors import ConfigError, HydrostatError
-from .estimates import BoundParams
 from .solver import PhysicsParams, StepControl
 from .spectral import Grid
 
@@ -23,15 +25,22 @@ EXPERIMENTS = ("energy_identity", "decomposition", "stability",
                "mollification", "lemma_suite")
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def _pair(text):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise ValueError(f"expected two comma-separated numbers, got {text!r}")
-    return (float(parts[0]), float(parts[1]))
+    return (_finite(parts[0]), _finite(parts[1]))
 
 
 def _floats(text):
-    return tuple(float(p.strip()) for p in text.split(",") if p.strip())
+    return tuple(_finite(p) for p in text.split(",") if p.strip())
 
 
 def _bool(text):
@@ -44,17 +53,16 @@ def _bool(text):
 
 
 _SCHEMA = {
-    "grid": {"nx": int, "ny": int, "nz": int, "h": float},
-    "physics": {"f0": float},
-    "time": {"dt": float, "t_end": float, "cfl_target": float},
-    "initial_data": {"kind": str, "a": _pair, "delta": float, "eta": float,
-                     "sigma": _pair, "epsilon": float, "expression_u": str,
+    "grid": {"nx": int, "ny": int, "nz": int, "h": _finite},
+    "physics": {"f0": _finite},
+    "time": {"dt": _finite, "t_end": _finite, "cfl_target": _finite},
+    "initial_data": {"kind": str, "a": _pair, "delta": _finite, "eta": _finite,
+                     "sigma": _pair, "epsilon": _finite, "expression_u": str,
                      "expression_v": str, "snapshot": str},
-    "experiment": {"kind": str, "sigma_perturbation": float,
-                   "eta_perturbation": float, "epsilons": _floats,
+    "experiment": {"kind": str, "sigma_perturbation": _finite,
+                   "eta_perturbation": _finite, "epsilons": _floats,
                    "moser_count": int, "moser_kmax": int,
                    "ladyzhenskaya_count": int, "sample_count": int},
-    "bounds": {"c0": float, "c": float, "c0_star": float},
     "output": {"directory": str, "seed": int, "threads": int,
                "snapshots": _bool},
 }
@@ -70,7 +78,6 @@ _DEFAULTS = {
                    "eta_perturbation": "0.25", "epsilons": "0.2, 0.1, 0.05",
                    "moser_count": "10000", "moser_kmax": "40",
                    "ladyzhenskaya_count": "200", "sample_count": "4"},
-    "bounds": {"c0": "1.0", "c": "1.0", "c0_star": "1.0"},
     "output": {"directory": "runs/out", "seed": "1234", "threads": "",
                "snapshots": "false"},
 }
@@ -97,7 +104,6 @@ class RunConfig:
     moser_kmax: int
     ladyzhenskaya_count: int
     sample_count: int
-    bounds: BoundParams
     directory: str
     seed: int
     threads: int
@@ -129,9 +135,13 @@ def _merge(file_values, overrides):
     return merged
 
 
+_UNHASHED = {("output", "directory"), ("output", "threads")}   # deployment settings
+
+
 def _canonical(merged):
     lines = [f"{s}.{k} = {merged[s][k]}"
-             for s in sorted(merged) for k in sorted(merged[s])]
+             for s in sorted(merged) for k in sorted(merged[s])
+             if (s, k) not in _UNHASHED]
     return "\n".join(lines) + "\n"
 
 
@@ -160,25 +170,19 @@ def parse_config(path=None, text=None, overrides=None) -> RunConfig:
             file_values.setdefault(section, {})[key] = value.strip()
 
     merged = _merge(file_values, overrides or {})
+    if not merged["output"]["threads"]:
+        merged["output"]["threads"] = os.environ.get("HYDROSTAT_THREADS", "1")
 
     typed = {}
     for section, keys in _SCHEMA.items():
         for key, caster in keys.items():
             raw = merged[section][key]
             if raw == "" and caster is not str:
-                if (section, key) != ("output", "threads"):
-                    raise ConfigError(f"[{section}] {key}: empty value")
-                typed[(section, key)] = None
-                continue
+                raise ConfigError(f"[{section}] {key}: empty value")
             try:
                 typed[(section, key)] = caster(raw)
             except ValueError as err:
                 raise ConfigError(f"[{section}] {key} = {raw!r}: {err}") from err
-
-    threads = typed[("output", "threads")]
-    if threads is None:
-        threads = int(os.environ.get("HYDROSTAT_THREADS", "1"))
-    merged["output"]["threads"] = str(threads)
 
     ids = InitialDataSpec(
         kind=typed[("initial_data", "kind")],
@@ -206,11 +210,9 @@ def parse_config(path=None, text=None, overrides=None) -> RunConfig:
         moser_kmax=typed[("experiment", "moser_kmax")],
         ladyzhenskaya_count=typed[("experiment", "ladyzhenskaya_count")],
         sample_count=typed[("experiment", "sample_count")],
-        bounds=BoundParams(c0=typed[("bounds", "c0")], c=typed[("bounds", "c")],
-                           c0_star=typed[("bounds", "c0_star")]),
         directory=typed[("output", "directory")],
         seed=typed[("output", "seed")],
-        threads=threads,
+        threads=typed[("output", "threads")],
         snapshots=typed[("output", "snapshots")],
         canonical=_canonical(merged))
     validate_config(cfg)
@@ -224,7 +226,6 @@ def validate_config(cfg: RunConfig) -> None:
         cfg.physics()
         cfg.step_control()
         cfg.initial_data.validate(cfg.h)
-        BoundParams(cfg.bounds.c0, cfg.bounds.c, cfg.bounds.c0_star)
     except HydrostatError as err:
         raise ConfigError(str(err)) from err
     if cfg.experiment not in EXPERIMENTS:

@@ -283,8 +283,8 @@ def lockstep(v0bar: SpectralField, V0: SpectralField, params: PhysicsParams,
 
 
 def run_decomposition(v0bar: SpectralField, V0: SpectralField,
-                      params: PhysicsParams, ctl: StepControl, t_end: float,
-                      qs=()) -> DecompositionRun:
+                      params: PhysicsParams, ctl: StepControl,
+                      t_end: float) -> DecompositionRun:
     """Split run with a per-step record.
 
     Per step the series records the reconstruction residual
@@ -293,7 +293,7 @@ def run_decomposition(v0bar: SpectralField, V0: SpectralField,
     series = DiagnosticsSeries()
     for _, state in lockstep(v0bar, V0, params, ctl, t_end):
         v, vbar, V = state.driver, state.vbar, state.V
-        rec = norms(v.v, qs=qs, t=v.t)
+        rec = norms(v.v, t=v.t)
         dzbar = derivative(vbar.v, "z")
         denom = max(rec.l2, np.finfo(float).tiny)
         series.add_row(

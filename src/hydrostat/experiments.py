@@ -169,11 +169,8 @@ def exp_mollification_convergence(cfg: RunConfig) -> ExperimentReport:
                               hooks=(_capture_hook(captured, sample_steps),))
         return captured, series
 
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(_one, cfg.epsilons))
-    else:
-        results = [_one(e) for e in cfg.epsilons]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        results = list(pool.map(_one, cfg.epsilons))
 
     report = ExperimentReport("mollification")
     distances = [float(max(l2_norm(cap_a[s] - cap_b[s]) for s in cap_a))
@@ -228,8 +225,6 @@ def exp_lemma_suite(cfg: RunConfig) -> ExperimentReport:
 
     coarse = cfg.make_grid()
     fine = cfg.make_grid(nz=2 * cfg.grid_nz)
-    max_coarse = [0.0, 0.0]
-    max_fine = [0.0, 0.0]
     ratios = []
     for _ in range(cfg.ladyzhenskaya_count):
         triple = [_random_scalar_field(rng, coarse) for _ in range(3)]
@@ -237,10 +232,6 @@ def exp_lemma_suite(cfg: RunConfig) -> ExperimentReport:
         rf = ladyzhenskaya_ratio(*(refine(f, fine) for f in triple))
         ratios.append({"coarse": [rc.ratio1, rc.ratio2],
                        "fine": [rf.ratio1, rf.ratio2]})
-        max_coarse = [max(max_coarse[0], rc.ratio1), max(max_coarse[1], rc.ratio2)]
-        max_fine = [max(max_fine[0], rf.ratio1), max(max_fine[1], rf.ratio2)]
-    drift1 = abs(max_fine[0] - max_coarse[0]) / max(max_coarse[0], 1e-300)
-    drift2 = abs(max_fine[1] - max_coarse[1]) / max(max_coarse[1], 1e-300)
 
     ones = field_from_function(coarse, lambda X, Y, Z: 1.0 + 0 * X)
     const_case = ladyzhenskaya_ratio(ones, ones, ones)
@@ -250,13 +241,11 @@ def exp_lemma_suite(cfg: RunConfig) -> ExperimentReport:
         moser_violations=float(violations),
         moser_max_tightness=float(tightness),
         a1_identity_gap=float(a1_gap),
-        max_ratio1_coarse=max_coarse[0], max_ratio2_coarse=max_coarse[1],
-        max_ratio1_fine=max_fine[0], max_ratio2_fine=max_fine[1],
-        ratio1_drift=float(drift1), ratio2_drift=float(drift2),
         constant_case_ratio1=const_case.ratio1,
         constant_case_ratio2=const_case.ratio2)
+    maxima = _ratio_maxima(ratios)
     report.files["ratios.json"] = _json_bytes(
-        {"samples": ratios, "max_coarse": max_coarse, "max_fine": max_fine})
+        {"samples": ratios, "max_coarse": maxima["coarse"], "max_fine": maxima["fine"]})
     report = _judged(report, cfg)
     report.metrics["report_hash"] = _metrics_hash(report.metrics)
     return report
@@ -347,17 +336,32 @@ def _judge_mollification(files, metrics, h):
         "distances_finite": all(np.isfinite(d))}
 
 
+def _ratio_maxima(samples):
+    """Running max, from 0.0, of each ratio over the samples, per lattice."""
+    maxima = {"coarse": [0.0, 0.0], "fine": [0.0, 0.0]}
+    for sample in samples:
+        for lattice in maxima:
+            maxima[lattice] = list(map(max, maxima[lattice], sample[lattice]))
+    return maxima
+
+
 def _judge_lemma_suite(files, metrics, h):
-    maxima = [metrics[f"max_ratio{i}_{lattice}"]
-              for i in (1, 2) for lattice in ("coarse", "fine")]
+    samples = json.loads(_artifact(files, "ratios.json"))["samples"]
+    maxima = _ratio_maxima(samples)
+    derived = {f"max_ratio{i + 1}_{lattice}": top[i]
+               for lattice, top in maxima.items() for i in (0, 1)}
+    for i in (0, 1):
+        coarse, fine = maxima["coarse"][i], maxima["fine"][i]
+        derived[f"ratio{i + 1}_drift"] = float(abs(fine - coarse) / max(coarse, 1e-300))
     expected = np.sqrt(2.0 * h)          # the constant field's exact ratio
-    return {}, {
+    return derived, {
         "moser_zero_violations": metrics["moser_violations"] == 0,
         "a1_identity": bool(metrics["a1_identity_gap"] <= 1e-12),
         "exponent_inequality": _exponent_inequality_holds(),
-        "ratios_finite": bool(np.all(np.isfinite(maxima))),
-        "ratio_drift_ok": bool(metrics["ratio1_drift"] <= LADYZHENSKAYA_DRIFT_TOL
-                               and metrics["ratio2_drift"] <= LADYZHENSKAYA_DRIFT_TOL),
+        "ratios_finite": bool(np.all(np.isfinite(
+            [s[lattice] for s in samples for lattice in ("coarse", "fine")]))),
+        "ratio_drift_ok": bool(derived["ratio1_drift"] <= LADYZHENSKAYA_DRIFT_TOL
+                               and derived["ratio2_drift"] <= LADYZHENSKAYA_DRIFT_TOL),
         "constant_case_ok": bool(
             abs(metrics["constant_case_ratio1"] - expected) <= CONSTANT_CASE_TOL
             and abs(metrics["constant_case_ratio2"] - expected) <= CONSTANT_CASE_TOL)}

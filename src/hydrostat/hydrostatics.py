@@ -33,19 +33,17 @@ class Pressure2D:
 
     grid: Grid
     coeffs: np.ndarray      # (nxr, ny) complex
-    zero_mean: bool = True
 
     def __post_init__(self):
         nxr, ny = self.grid.spectral_shape[:2]
         if self.coeffs.shape != (nxr, ny):
             raise ConfigurationError(
                 f"pressure coefficients {self.coeffs.shape} do not match grid")
-        if self.zero_mean and self.coeffs[0, 0] != 0:
+        if self.coeffs[0, 0] != 0:
             raise ConfigurationError("zero-mean gauge violated")
 
     def __add__(self, other):
-        return Pressure2D(self.grid, self.coeffs + other.coeffs,
-                          self.zero_mean and other.zero_mean)
+        return Pressure2D(self.grid, self.coeffs + other.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,18 +95,16 @@ def _project_mean(u, kx, ky, kh2):
     u[1] -= 1j * ky * q
 
 
-def vertical_integral(f: SpectralField, require_periodic: bool = True,
-                      tol: float = CONSTRAINT_TOL,
-                      reference_norm: float | None = None) -> SpectralField:
+def vertical_integral(f: SpectralField, require_periodic: bool = True) -> SpectralField:
     """Antiderivative from -h to z of an even-in-z field.
 
     Coefficients are divided by i*kz for l != 0 and the result is projected
     onto the odd class, whose l = 0 plane is zero.  An odd, 2h-periodic
     function vanishes at z = -h, so no constant needs fixing.  A z-mean
     (l = 0) component of the integrand would grow linearly in z; if its
-    norm exceeds ``tol * reference_norm`` while a periodic result is
-    demanded, a constraint violation is raised, otherwise it is silently
-    dropped.
+    norm exceeds ``CONSTRAINT_TOL * max(||f||_2, 1)`` while a periodic
+    result is demanded, a constraint violation is raised, otherwise it is
+    silently dropped.
     """
     if f.symmetry != EVEN:
         raise ConfigurationError("vertical integral is defined for even-in-z input")
@@ -117,10 +113,10 @@ def vertical_integral(f: SpectralField, require_periodic: bool = True,
     if require_periodic:
         res = np.sqrt(float(g.volume * np.sum(g.mode_weights[..., 0]
                                               * np.abs(mean_plane) ** 2)))
-        ref = reference_norm if reference_norm is not None else l2_norm(f)
-        if res > tol * max(ref, 1.0):
+        ref = max(l2_norm(f), 1.0)
+        if res > CONSTRAINT_TOL * ref:
             raise ConstraintViolationError(
-                "nonzero z-mean: antiderivative would grow linearly", res / max(ref, 1.0))
+                "nonzero z-mean: antiderivative would grow linearly", res / ref)
 
     anti = f.coeffs * (-1j) * _inverse_kz(g)   # c / (i kz), zero where kz table is 0
     return symmetrize(SpectralField(g, anti, ODD), ODD)
@@ -131,26 +127,26 @@ def _inverse_kz(g):
     return np.where(kz != 0, 1.0 / np.where(kz != 0, kz, 1.0), 0.0)
 
 
-def recover_w(v: SpectralField, tol: float = CONSTRAINT_TOL) -> SpectralField:
+def recover_w(v: SpectralField) -> SpectralField:
     """Vertical velocity w = -div_h integral_{-h}^{z} v, odd in z.
 
-    Requires the barotropic constraint to hold to ``tol`` (relative, L2);
-    the residual below tolerance is projected away so that w is periodic
-    and vanishes at both walls.
+    Requires the barotropic constraint to hold to ``CONSTRAINT_TOL``
+    (relative, L2); the residual below tolerance is projected away so that
+    w is periodic and vanishes at both walls.
     """
     if v.ncomp != 2:
         raise ConfigurationError("recover_w needs a 2-component field")
     if v.symmetry != EVEN:
         raise ConfigurationError("recover_w needs an even-in-z field")
     res = barotropic_residual(v)
-    if res > tol:
+    if res > CONSTRAINT_TOL:
         raise ConstraintViolationError("barotropic constraint violated", res)
     s = div_h(v)
     integral = vertical_integral(s, require_periodic=False)
     return integral.with_coeffs(-integral.coeffs, symmetry=ODD)
 
 
-def _recover_w_band(u, band, tol=CONSTRAINT_TOL):
+def _recover_w_band(u, band):
     """``recover_w`` on a packed even state; returns the packed odd w.
 
     The same arithmetic as ``recover_w`` restricted to the band, so the
@@ -160,7 +156,7 @@ def _recover_w_band(u, band, tol=CONSTRAINT_TOL):
     norm = np.sqrt(float(g.volume * np.sum(band.weights * np.abs(u) ** 2)))
     res = _mean_residual(u[..., 0], band.kx[..., 0], band.ky[..., 0],
                          band.weights[..., 0], g.volume, norm)
-    if res > tol:
+    if res > CONSTRAINT_TOL:
         raise ConstraintViolationError("barotropic constraint violated", res)
     s = 1j * band.kx * u[0:1] + 1j * band.ky * u[1:2]
     inv = _inverse_kz(g)

@@ -256,8 +256,7 @@ def _plan_steps(t0: float, t_end: float, dt: float):
     return steps
 
 
-def integrate(state: SolverState, ctl: StepControl, t_end: float,
-              hooks=(), qs=()):
+def integrate(state: SolverState, ctl: StepControl, t_end: float, hooks=()):
     """Repeated stepping with per-step norm recording.
 
     Returns ``(final_state, series)``.  Hooks are called as
@@ -267,10 +266,9 @@ def integrate(state: SolverState, ctl: StepControl, t_end: float,
     series = DiagnosticsSeries()
 
     def _record(s):
-        rec = norms(s.v, qs=qs, t=s.t)
+        rec = norms(s.v, t=s.t)
         series.add_row(t=rec.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4,
-                       l6=rec.l6, linf=rec.linf,
-                       **{f"l{q:g}": val for q, val in rec.lq.items()})
+                       l6=rec.l6, linf=rec.linf)
 
     _record(state)
     try:

@@ -40,7 +40,6 @@ All operations are pure: fields are never mutated after construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -469,11 +468,6 @@ def l2_lattice_norm(f: PhysicalField) -> float:
     return np.sqrt(float(f.grid.volume * np.mean(np.sum(f.values ** 2, axis=0))))
 
 
-@lru_cache(maxsize=32)
-def _cached_grid(nx, ny, nz, h):
-    return Grid.make(nx, ny, nz, h)
-
-
 def refine(f: SpectralField, fine: Grid) -> SpectralField:
     """Embed onto a finer grid by zero padding (exact for dealiased fields)."""
     g = f.grid
@@ -612,7 +606,7 @@ def oversample(f: SpectralField, factor: int = 2) -> PhysicalField:
     (ncomp, ny', nz', nx').
     """
     g = f.grid
-    fine = _cached_grid(factor * g.nx, factor * g.ny, factor * g.nz, g.h)
+    fine = Grid.make(factor * g.nx, factor * g.ny, factor * g.nz, g.h)
     return PhysicalField(fine, _oversampled_values(f, factor))
 
 

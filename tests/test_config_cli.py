@@ -1,15 +1,18 @@
 """Tests for the run-config parser, experiment persistence and the CLI."""
 
 import copy
+import hashlib
 import json
+import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hydrostat import experiments
 from hydrostat.cli import main
-from hydrostat.config import parse_config, with_overrides
+from hydrostat.config import _SCHEMA, parse_config, with_overrides
 from hydrostat.decomposition import prepare_initial_parts, run_decomposition
 from hydrostat.diagnostics import DiagnosticsSeries
 from hydrostat.errors import ConfigError
@@ -138,6 +141,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(text="[mystery]\nx = 1\n")
 
+    def test_bounds_section_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown section \[bounds\]"):
+            parse_config(text="[bounds]\nc0 = 1.0\n")
+
+    def test_readme_config_block_parses_and_covers_the_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        parse_config(text=block)
+        sections = set(re.findall(r"^\[(\w+)\]", block, re.M))
+        assert sections == set(_SCHEMA)
+
     def test_module_invariants_checked_at_load(self):
         with pytest.raises(ConfigError):
             parse_config(text="[grid]\nnx = 12\nny = 16\nnz = 7\n")
@@ -194,14 +208,36 @@ class TestRunPersistence:
         cfg = parse_config(text=SMALL_LEMMAS.format(out=tmp_path / "run"))
         _, manifest = run_experiment(cfg)
         assert reconstruct_verdicts(manifest, tmp_path / "run") == manifest["verdicts"]
-        for name in ("max_ratio1_coarse", "max_ratio2_coarse",
-                     "max_ratio1_fine", "max_ratio2_fine"):
-            broken = copy.deepcopy(manifest)
-            broken["metrics"][name] = float("nan")
-            assert not reconstruct_verdicts(broken, tmp_path / "run")["ratios_finite"], name
+        path = tmp_path / "run" / "ratios.json"
+        original = path.read_text()
+        for lattice in ("coarse", "fine"):
+            for i in (0, 1):
+                record = json.loads(original)
+                record["samples"][-1][lattice][i] = float("nan")
+                path.write_text(json.dumps(record))
+                verdicts = reconstruct_verdicts(manifest, tmp_path / "run")
+                assert not verdicts["ratios_finite"], (lattice, i)
+        path.write_text(original)
         stale = copy.deepcopy(manifest)
         stale["verdicts"]["exponent_inequality"] = False
         assert reconstruct_verdicts(stale, tmp_path / "run")["exponent_inequality"] is True
+
+    def test_mollification_bytes_independent_of_threads_and_out(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(SMALL_MOLLIFICATION.format(out=tmp_path / "unused"))
+        runs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}"
+            run_experiment(with_overrides(path, out=out, threads=threads))
+            runs.append(out)
+        a, b = runs
+        names = sorted(f.name for f in a.iterdir())
+        assert names == sorted(f.name for f in b.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert (manifest_core_bytes(load_manifest(a))
+                == manifest_core_bytes(load_manifest(b)))
 
     def test_zero_data_energy_residual_exactly_zero(self, tmp_path):
         text = SMALL_ENERGY.format(out=tmp_path / "zero").replace(
@@ -253,6 +289,26 @@ class TestReport:
         record["diff_sigma"][2] = float("nan")
         path.write_text(json.dumps(record))
         assert reconstruct_verdicts(manifest, tmp_path / "run")["difference_bounded"] is False
+
+    def test_forged_ratio_sample_fails_drift(self, tmp_path, capsys):
+        """A ratios.json forged consistently, sha256 included, is judged on its samples."""
+        run_dir = tmp_path / "run"
+        path = tmp_path / "c.ini"
+        path.write_text(SMALL_LEMMAS.format(out=run_dir))
+        assert main(["run", str(path)]) == 0
+        capsys.readouterr()
+        record = json.loads((run_dir / "ratios.json").read_text())
+        record["samples"][0]["fine"][0] = 1.5 * max(record["max_coarse"][0],
+                                                    record["max_fine"][0])
+        payload = json.dumps(record).encode()
+        (run_dir / "ratios.json").write_bytes(payload)
+        manifest = load_manifest(run_dir)
+        for entry in manifest["files"]:
+            if entry["name"] == "ratios.json":
+                entry["sha256"] = hashlib.sha256(payload).hexdigest()
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["report", str(run_dir)]) == 1
+        assert "FAIL ratio_drift_ok" in capsys.readouterr().out
 
     def test_large_recon_residual_fails_reconstruction(self, tmp_path, decomp_run):
         run_dir = shutil.copytree(decomp_run, tmp_path / "run")
@@ -318,6 +374,27 @@ class TestCli:
         assert main(["report", str(run_dir)]) == 2
         err = capsys.readouterr().err
         assert "report error" in err and "series.csv" in err
+
+    @pytest.mark.parametrize("section, line", [
+        ("initial_data", "epsilon = nan"),
+        ("experiment", "epsilons = nan, 0.1"),
+        ("time", "cfl_target = nan"),
+        ("physics", "f0 = nan"),
+        ("experiment", "sigma_perturbation = inf"),
+        ("initial_data", "delta = inf"),
+    ])
+    def test_validate_rejects_non_finite_float(self, tmp_path, section, line, capsys):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[{section}]\n{line}\n")
+        assert main(["validate", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_validate_rejects_bad_threads_env(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HYDROSTAT_THREADS", "two")
+        path = tmp_path / "c.ini"
+        path.write_text("[experiment]\nkind = lemma_suite\n")
+        assert main(["validate", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_validate_ok(self, tmp_path, capsys):
         path = tmp_path / "c.ini"
