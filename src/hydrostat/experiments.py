@@ -246,9 +246,7 @@ def exp_lemma_suite(cfg: RunConfig) -> ExperimentReport:
     maxima = _ratio_maxima(ratios)
     report.files["ratios.json"] = _json_bytes(
         {"samples": ratios, "max_coarse": maxima["coarse"], "max_fine": maxima["fine"]})
-    report = _judged(report, cfg)
-    report.metrics["report_hash"] = _metrics_hash(report.metrics)
-    return report
+    return _judged(report, cfg)
 
 
 _RUNNERS = {
@@ -394,11 +392,6 @@ def _json_bytes(payload) -> bytes:
         raise TypeError(f"not JSON serializable: {type(obj)}")
     return (json.dumps(payload, sort_keys=True, indent=2, default=native)
             + "\n").encode()
-
-
-def _metrics_hash(metrics) -> str:
-    clean = {k: v for k, v in metrics.items() if k != "report_hash"}
-    return hashlib.sha256(_json_bytes(clean)).hexdigest()
 
 
 def manifest_core(manifest: dict) -> dict:

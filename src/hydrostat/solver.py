@@ -26,9 +26,10 @@ coefficients at m <= nx/3, |n| <= ny/3 and 0 <= l <= nz/3, so the step
 packs it once (``spectral._Band``), runs the three stages on the packed
 array (gradients, w and its constraint check, products, RK update,
 integrating factors, projection, finiteness check) and unpacks once.
-The band transforms run every FFT pass on the lines that can be non-zero
-only, and the arithmetic on each packed entry is the same as on the full
-storage, so states agree bit for bit with a full-storage step.
+The band transforms are partial Fourier sums, one small matrix product
+per axis (``spectral._Band``), so states agree with a
+full-storage FFT step to round-off; they stay masked and exactly even,
+because only l >= 0 is computed and ``unpack`` mirrors it.
 
 Products are formed on half the lattice.  The driver velocity and the
 gradients of U are even or odd in z, so their values on the planes

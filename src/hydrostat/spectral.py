@@ -13,11 +13,11 @@ z -> -z takes plane j to plane nz - j (mod nz), so planes j = 0..nz/2
 carry every value and the rest mirror them, with a sign flip for odd
 fields.  The stepper transforms, multiplies and transforms back on those
 planes alone.  Its states are also dealiased, so it keeps them packed in
-the band m <= nx/3, |n| <= ny/3, 0 <= l <= nz/3 (``_Band``), and the band
-transforms prune every FFT pass to the lines that can be non-zero: the
-inverse runs z on the band's (m, n) lines, y on m <= nx/3 and pads x; the
-forward runs x on every line, y on m <= nx/3 and z on the band's (m, n)
-lines, and takes the l <-> -l average there.  The oversampled
+the band m <= nx/3, |n| <= ny/3, 0 <= l <= nz/3 (``_Band``).  A band
+transform is a short partial Fourier sum along each axis, so it is taken
+as three small real matrix products (``np.matmul``, numpy's BLAS) rather
+than FFTs of mostly zero lines; the z tables are cosine and sine sums,
+so the forward result is even in l by construction.  The oversampled
 norms of parity-tagged fields reduce over the planes j = 0..nz'/2 of the
 finer lattice, counting the two end planes at half weight in means; an
 even field whose z Nyquist plane is populated is the exception, because
@@ -66,16 +66,48 @@ def _inverse(coeffs, grid):
                          norm="forward")
 
 
+def _unit_circle(n):
+    """cos and sin of 2 pi r / n for r = 0..n-1 (n even).
+
+    Exactly even and odd under r -> n - r, with sin exactly 0 at r = 0 and
+    r = n/2.  Tables index it by (p * q) mod n, so no angle exceeds 2 pi.
+    """
+    r = np.arange(n // 2 + 1)
+    c, s = np.cos(2 * np.pi * r / n), np.sin(2 * np.pi * r / n)
+    s[-1] = 0.0
+    return np.concatenate((c, c[-2:0:-1])), np.concatenate((s, -s[-2:0:-1]))
+
+
 class _Band:
-    """The dealiased band of an even field, and its pruned transforms.
+    """The dealiased band of an even field, and its transforms as matrix products.
 
     A masked, exactly even field is fixed by its coefficients at
     m <= nx/3, |n| <= ny/3 and 0 <= l <= nz/3: every other stored
     coefficient is zero or, at -l, a copy of l.  Packed arrays have shape
     (ncomp, nm, len(rows), nl), where ``rows`` are the stored y indices of
-    the band (n >= 0 first).  The index tables and the grid tables
-    restricted to the band are derived from ``grid.dealias_mask`` on every
-    construction; nothing is cached.
+    the band (n = 0..N, then -N..-1).
+
+    Each transform is three short partial Fourier sums, one real matrix
+    product per axis through ``np.matmul``.  Real and imaginary parts
+    travel as separate real blocks, [Re; Im]:
+
+    * z, on the planes j = 0..nz/2: an even line is c_0 + 2 sum c_l
+      cos(2 pi l j / nz), an odd one 2i sum c_l sin(2 pi l j / nz), whose
+      factor i the x table of odd components applies; back,
+      c_l = (v_0 + (-1)^l v_{nz/2} + 2 sum v_j cos(2 pi l j / nz)) / nz,
+      which is even in l by construction;
+    * y, on the folded rows c_0, c_n + c_-n and i(c_n - c_-n): the table
+      [1, cos, sin](2 pi n k / ny); back, its transpose / ny gives C_n
+      and S_n, and c_{+-n} = C_n -+ i S_n;
+    * x: the real pair [w_m cos, -w_m sin](2 pi m i / nx) on [Re; Im]
+      (w_0 = 1, w_m = 2; the band holds no x Nyquist); back,
+      [cos, -sin] / nx.
+
+    The z and y products run as stacks of small blocks (per component and
+    x mode or x point); the x product runs once per component.
+
+    The index and matrix tables are derived from ``grid.dealias_mask`` on
+    every construction; nothing is cached.
     """
 
     def __init__(self, grid):
@@ -89,9 +121,32 @@ class _Band:
         self.kz = grid.kz_d[..., : self.nl]
         self.k2 = self.pack(grid.k2)
         self.kh2 = grid.kh2[: self.nm][:, self.rows]
-        # Parseval weights: half-spectrum in x, and l > 0 stands for l and -l
-        self.weights = grid.mode_weights[: self.nm] * np.where(
-            np.arange(self.nl) > 0, 2.0, 1.0)
+        # l > 0 stands for l and -l, and m > 0 for m and -m
+        twice = np.where(np.arange(max(self.nl, self.nm)) > 0, 2.0, 1.0)
+        self.weights = grid.mode_weights[: self.nm] * twice[: self.nl]
+
+        half = grid.nz // 2 + 1
+        cos, sin = _unit_circle(grid.nz)
+        lj = np.outer(np.arange(self.nl), np.arange(half)) % grid.nz
+        self.z_even = twice[: self.nl, None] * cos[lj]
+        self.z_odd = 2.0 * sin[lj]
+        planes = np.full((half, 1), 2.0)
+        planes[[0, -1]] = 1.0           # j = 0 and nz/2 are their own mirrors
+        self.z_back = (planes * cos[lj.T]) / grid.nz
+
+        cos, sin = _unit_circle(grid.ny)
+        kn = np.outer(np.arange(grid.ny), np.arange(len(self.rows) // 2 + 1)) % grid.ny
+        self.y_fold = np.concatenate((cos[kn], sin[kn[:, 1:]]), axis=1)
+        self.y_back = self.y_fold.T / grid.ny
+
+        cos, sin = _unit_circle(grid.nx)
+        im = np.outer(np.arange(grid.nx), np.arange(self.nm)) % grid.nx
+        pair = np.stack((cos[im], -sin[im]), axis=2)
+        self.x_pair = (twice[: self.nm, None] * pair).reshape(grid.nx, -1)
+        # i times [Re; Im] is [-Im; Re]: odd components carry that factor of 2i sin
+        self.x_odd = (twice[: self.nm, None] * np.stack((-sin[im], -cos[im]), axis=2)
+                      ).reshape(grid.nx, -1)
+        self.x_back = pair.reshape(grid.nx, -1).T / grid.nx
 
     def pack(self, a):
         """The band of an array whose last three axes are (nxr, ny, nz)."""
@@ -113,45 +168,53 @@ class _Band:
     def inverse(self, b, odd_from=None):
         """Lattice values on the planes j = 0..nz/2 of the packed ``b``.
 
-        Components ``odd_from`` onwards are odd in z, the others even.  l
-        is mirrored onto the full z line and the z pass runs on the band's
-        (m, n) lines only; the y pass runs on m <= nx/3, and the x pass
-        pads the remaining m with zeros.  Returns (ncomp, nx, ny, nz/2 + 1).
+        Components ``odd_from`` onwards are odd in z, the others even.
+        Returns (ncomp, nx, ny, nz/2 + 1).
         """
         g = self.grid
-        lines = np.zeros(b.shape[:3] + (g.nz,), dtype=complex)
-        lines[..., : self.nl] = b
-        mirror = lines[..., g.nz - self.nl + 1:]
-        mirror[...] = b[..., : 0: -1]
-        if odd_from is not None:
-            np.negative(mirror[odd_from:], out=mirror[odd_from:])
-        np.fft.ifft(lines, axis=3, norm="forward", out=lines)
-        planes = np.zeros(b.shape[:2] + (g.ny, g.nz // 2 + 1), dtype=complex)
-        planes[:, :, self.rows] = lines[..., : g.nz // 2 + 1]
-        np.fft.ifft(planes, axis=2, norm="forward", out=planes)
-        return np.fft.irfft(planes, n=g.nx, axis=1, norm="forward")
+        ncomp, nm, nr, nl = b.shape
+        n0 = nr // 2 + 1
+        pos, neg = b[:, :, 1:n0], b[:, :, : n0 - 1: -1]
+        parts = np.empty((ncomp, nm, 2, nr, nl))
+        re, im = parts[:, :, 0], parts[:, :, 1]
+        re[:, :, 0], im[:, :, 0] = b[:, :, 0].real, b[:, :, 0].imag
+        np.add(pos.real, neg.real, out=re[:, :, 1:n0])
+        np.add(pos.imag, neg.imag, out=im[:, :, 1:n0])
+        np.subtract(neg.imag, pos.imag, out=re[:, :, n0:])
+        np.subtract(pos.real, neg.real, out=im[:, :, n0:])
+        odd = ncomp if odd_from is None else odd_from
+        lines = np.empty((ncomp, nm, 2, nr, g.nz // 2 + 1))
+        np.matmul(parts[:odd], self.z_even, out=lines[:odd])
+        np.matmul(parts[odd:], self.z_odd, out=lines[odd:])
+        planes = np.matmul(self.y_fold, lines).reshape(ncomp, 2 * nm, -1)
+        out = np.empty((ncomp, g.nx, planes.shape[2]))
+        np.matmul(self.x_pair, planes[:odd], out=out[:odd])
+        np.matmul(self.x_odd, planes[odd:], out=out[odd:])
+        return out.reshape(ncomp, g.nx, g.ny, -1)
 
     def forward(self, values, add=None):
-        """Band coefficients of the even part of F(values) + ``add``.
+        """Band coefficients of F(values) + ``add``.
 
-        ``values`` holds an even field on the planes j = 0..nz/2.  The x
-        pass runs on every line, the y pass on m <= nx/3 only, and the z
-        pass, after plane nz - j is copied exactly from plane j, on the
-        band's (m, n) lines only.  ``add`` (packed) joins at l and at -l
-        before the two are averaged.
+        ``values`` holds an even field on the planes j = 0..nz/2; ``add``
+        is packed.
         """
         g = self.grid
-        half = g.nz // 2 + 1
-        part = np.fft.rfft(values, axis=1, norm="forward")[:, : self.nm]
-        part = np.fft.fft(part, axis=2, norm="forward")[:, :, self.rows]
-        lines = np.empty(part.shape[:3] + (g.nz,), dtype=complex)
-        lines[..., :half] = part
-        lines[..., half:] = part[..., half - 2: 0: -1]
-        np.fft.fft(lines, axis=3, norm="forward", out=lines)
-        pos, neg = lines[..., : self.nl], self.mirror(lines)
+        ncomp, nm, nl = values.shape[0], self.nm, self.nl
+        lines = np.matmul(values, self.z_back).reshape(ncomp, g.nx, -1)
+        planes = np.matmul(self.x_back, lines).reshape(ncomp, nm, 2, g.ny, nl)
+        rows = np.matmul(self.y_back, planes)
+        n0 = len(self.rows) // 2 + 1
+        c, s = rows[..., :n0, :], rows[..., n0:, :]
+        out = np.empty((ncomp, nm, len(self.rows), nl), dtype=complex)
+        out[:, :, 0] = c[:, :, 0, 0] + 1j * c[:, :, 1, 0]
+        pos, neg = out[:, :, 1:n0], out[:, :, : n0 - 1: -1]
+        np.add(c[:, :, 0, 1:], s[:, :, 1], out=pos.real)
+        np.subtract(c[:, :, 1, 1:], s[:, :, 0], out=pos.imag)
+        np.subtract(c[:, :, 0, 1:], s[:, :, 1], out=neg.real)
+        np.add(c[:, :, 1, 1:], s[:, :, 0], out=neg.imag)
         if add is not None:
-            pos, neg = pos + add, neg + add
-        return 0.5 * (pos + neg)
+            out += add
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,25 +566,29 @@ def _pad_axis(dst, src, axis, n):
 def _oversampled_values(f: SpectralField, factor: int, half: bool = False) -> np.ndarray:
     """Bare lattice values behind ``oversample``; the caller owns the array.
 
-    Transforms one axis at a time and pads only the lines it is about to
-    transform: z on the stored (m, n) lines, y on the stored m planes,
-    then x by ``irfft(n=...)``, which pads internally.  The result is a
+    Transforms one axis at a time and only the lines that can be non-zero:
+    z on the stored (m, n) lines that hold a non-zero coefficient, y on the
+    m planes up to the last that holds such a line, then x by
+    ``irfft(n=...)``, which pads the remaining m internally.  Padding
+    places indices as ``_pad_axis`` does.  The result is a
     (ncomp, nx', ny', nz') view of a (ncomp, ny', nz', nx') array, so the
     last, real pass runs along contiguous lines.  With ``half``, only the
     planes j = 0..nz'/2 go through the y and x passes and come back.
     """
     g = f.grid
-    ncomp, nxr = f.coeffs.shape[:2]
+    ncomp = f.coeffs.shape[0]
     fnx, fny, fnz = factor * g.nx, factor * g.ny, factor * g.nz
+    ms, ns = np.nonzero(np.any(f.coeffs, axis=(0, 3)))
 
-    zpad = np.zeros((ncomp, nxr, g.ny, fnz), dtype=complex)
-    _pad_axis(zpad, f.coeffs, 3, g.nz)
-    np.fft.ifft(zpad, axis=3, norm="forward", out=zpad)
+    zpad = np.zeros((ncomp, len(ms), fnz), dtype=complex)
+    _pad_axis(zpad, f.coeffs[:, ms, ns], 2, g.nz)
+    np.fft.ifft(zpad, axis=2, norm="forward", out=zpad)
     if half:
         zpad = zpad[..., : fnz // 2 + 1]
 
-    ypad = np.zeros((ncomp, fny, zpad.shape[3], nxr), dtype=complex)
-    _pad_axis(ypad, zpad.transpose(0, 2, 3, 1), 1, g.ny)
+    ypad = np.zeros((ncomp, fny, zpad.shape[2], int(ms.max(initial=0)) + 1), dtype=complex)
+    fine_ns = np.where(ns <= g.ny // 2, ns, ns + fny - g.ny)
+    ypad[:, fine_ns, :, ms] = zpad.transpose(1, 0, 2)
     del zpad
     np.fft.ifft(ypad, axis=1, norm="forward", out=ypad)
 

@@ -1,0 +1,55 @@
+"""Results do not depend on the number of BLAS threads.
+
+The band transforms of the stepper are matrix products through numpy's
+BLAS.  A fresh interpreter takes one nonlinear step, one linear step and
+one norm record at each of three resolutions, with OPENBLAS_NUM_THREADS
+and OMP_NUM_THREADS set to 1 and then to 2, and prints a hash of every
+result's bytes.  At 48x48x96 the per-component x products are large
+enough for BLAS to split them across threads.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hydrostat
+
+SCRIPT = """
+import hashlib
+import numpy as np
+from hydrostat import (EVEN, Grid, PhysicsParams, StepControl,
+                       field_from_function, make_state, norms, step, step_linear)
+digest = hashlib.sha256()
+for shape in ((16, 16, 32), (10, 14, 20), (48, 48, 96)):
+    g = Grid.make(*shape, 0.5)
+    v = field_from_function(g, lambda X, Y, Z: (
+        np.cos(2 * np.pi * Y) * np.cos(2 * np.pi * Z) + np.sin(2 * np.pi * (X + 2 * Y)),
+        np.sin(2 * np.pi * X) * np.cos(4 * np.pi * Z)), symmetry=EVEN)
+    state = make_state(v, 0.0, PhysicsParams(1.0, 0.5))
+    ctl = StepControl(dt=1e-3)
+    new, stages = step(state, ctl, record_stages=True)
+    part = step_linear(make_state(0.5 * v, 0.0, state.params), stages, ctl)
+    rec = norms(new.v)
+    for array in ([new.v.coeffs, part.v.coeffs]
+                  + [a for s in stages for a in (s.v, s.w)]
+                  + [np.array([rec.l2, rec.grad_l2, rec.l4, rec.l6, rec.linf])]):
+        digest.update(array.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def _run(threads):
+    src = str(Path(hydrostat.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
+def test_steps_and_norms_are_byte_identical_for_one_and_two_blas_threads():
+    one = _run(1)
+    assert len(one) == 64
+    assert _run(2) == one

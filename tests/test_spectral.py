@@ -10,7 +10,8 @@ from hydrostat.errors import ConfigurationError, DataError
 from hydrostat.estimates import ladyzhenskaya_ratio, norms
 from hydrostat.spectral import (EVEN, NONE, ODD, Grid, PhysicalField,
                                 SpectralField, _Band, _forward, _inverse,
-                                _mirrored, grad_h_norm_sq, grad_norm_sq,
+                                _mirrored, _oversampled_values, _pad_axis,
+                                grad_h_norm_sq, grad_norm_sq,
                                 conjugate_symmetry_residual,
                                 dealias, derivative, div_h, field_from_function,
                                 grad_h, l2_lattice_norm, l2_norm, l2_norm_sq,
@@ -34,6 +35,31 @@ def random_field(grid, seed, ncomp=1, symmetry=NONE):
     if symmetry != NONE:
         f = symmetrize(f, symmetry)
     return f
+
+
+def oversampling_input(grid, kind, seed, ncomp):
+    """``raw``: not dealiased, every Nyquist plane populated; else dealiased, tagged ``kind``."""
+    if kind != "raw":
+        return random_field(grid, seed, ncomp, kind)
+    rng = np.random.default_rng(seed)
+    return to_spectral(PhysicalField(grid, rng.standard_normal((ncomp,) + grid.physical_shape)))
+
+
+def unpruned_oversampled_values(f, factor, half=False):
+    """Reference for ``_oversampled_values``: z on every stored (m, n) line, y on every m plane."""
+    g = f.grid
+    ncomp, nxr = f.coeffs.shape[:2]
+    fnx, fny, fnz = factor * g.nx, factor * g.ny, factor * g.nz
+    zpad = np.zeros((ncomp, nxr, g.ny, fnz), dtype=complex)
+    _pad_axis(zpad, f.coeffs, 3, g.nz)
+    np.fft.ifft(zpad, axis=3, norm="forward", out=zpad)
+    if half:
+        zpad = zpad[..., : fnz // 2 + 1]
+    ypad = np.zeros((ncomp, fny, zpad.shape[3], nxr), dtype=complex)
+    _pad_axis(ypad, zpad.transpose(0, 2, 3, 1), 1, g.ny)
+    np.fft.ifft(ypad, axis=1, norm="forward", out=ypad)
+    values = np.fft.irfft(ypad, n=fnx, axis=3, norm="forward")
+    return np.moveaxis(values, 3, 1)
 
 
 class TestGrid:
@@ -267,28 +293,43 @@ class TestNormsAndSampling:
 
     @given(nx=st.integers(4, 16), ny=st.integers(4, 16), nz=st.integers(4, 16),
            ncomp=st.sampled_from((1, 2, 3)), factor=st.sampled_from((2, 3)),
-           seed=st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
+           kind=st.sampled_from(("raw", EVEN, ODD, NONE)), seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
     def test_oversample_matches_padded_inverse_transform(self, nx, ny, nz, ncomp,
-                                                         factor, seed):
+                                                         factor, kind, seed):
         """Reference: the full zero-padded spectrum through one irfftn.
 
-        The coefficients are not dealiased, so every Nyquist plane is
+        ``raw`` coefficients are not dealiased, so every Nyquist plane is
         populated and its placement in the padded spectrum is checked.
+        Dealiased inputs leave most (m, n) lines and m planes empty, which
+        the oversampling skips.
         """
         grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
-        rng = np.random.default_rng(seed)
-        f = to_spectral(PhysicalField(grid, rng.standard_normal(
-            (ncomp,) + grid.physical_shape)))
-        for plane in (f.coeffs[:, -1], f.coeffs[:, :, grid.ny // 2],
-                      f.coeffs[..., grid.nz // 2]):
-            assert np.min(np.abs(plane).max(axis=0)) > 0
+        f = oversampling_input(grid, kind, seed, ncomp)
+        if kind == "raw":
+            for plane in (f.coeffs[:, -1], f.coeffs[:, :, grid.ny // 2],
+                          f.coeffs[..., grid.nz // 2]):
+                assert np.min(np.abs(plane).max(axis=0)) > 0
+        else:
+            assert not np.all(np.any(f.coeffs, axis=(0, 3)))
         fine = Grid.make(factor * grid.nx, factor * grid.ny, factor * grid.nz, H)
         expected = to_physical(refine(f, fine)).values
         got = oversample(f, factor)
         assert got.grid.compatible(fine)
         assert got.values.shape == expected.shape
         assert np.max(np.abs(got.values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @given(nx=st.integers(4, 16), ny=st.integers(4, 16), nz=st.integers(4, 16),
+           ncomp=st.sampled_from((1, 2, 3)), factor=st.sampled_from((2, 3)),
+           kind=st.sampled_from(("raw", EVEN, ODD, NONE)), half=st.booleans(),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_pruned_oversampling_is_the_unpruned_one_bit_for_bit(
+            self, nx, ny, nz, ncomp, factor, kind, half, seed):
+        """Skipping empty lines and planes changes no byte of the lattice values."""
+        f = oversampling_input(Grid.make(2 * nx, 2 * ny, 2 * nz, H), kind, seed, ncomp)
+        got = _oversampled_values(f, factor, half)
+        assert got.tobytes() == unpruned_oversampled_values(f, factor, half).tobytes()
 
     def test_lattice_reductions_leave_coefficients_untouched(self, grid):
         f = random_field(grid, 15, ncomp=3)
