@@ -9,6 +9,7 @@ k = 40) are handled entirely in log space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,6 +156,7 @@ class MoserVerdict:
 
 
 _LOG_SLACK = 1e-9   # forgives round-off on exactly saturated recursions
+_LOG2 = math.log(2.0)
 
 
 def certified_log_bounds(m0, delta0, kmax):
@@ -171,15 +173,28 @@ def moser_bound_check(inst: IterationInstance) -> MoserVerdict:
 
     if la[0] > lm + 2 * ld + _LOG_SLACK:
         return MoserVerdict("hypothesis-violated", log_a, 1)
-    for k in range(1, len(la)):           # recursion index k, sequence A_{k+1}
-        bound = np.logaddexp(lm + 2.0 ** (k + 1) * ld, k * lm + 2 * la[k - 1])
-        if la[k] > bound + _LOG_SLACK:
-            return MoserVerdict("hypothesis-violated", log_a, k + 1)
+    k = np.arange(1, len(la))             # recursion index k, sequence A_{k+1}
+    bound = np.logaddexp(lm + 2.0 ** (k + 1) * ld, k * lm + 2 * la[:-1])
+    bad = np.nonzero(la[1:] > bound + _LOG_SLACK)[0]
+    if bad.size:
+        return MoserVerdict("hypothesis-violated", log_a, int(bad[0]) + 2)
 
     bad = np.nonzero(la > log_a + _LOG_SLACK)[0]
     if bad.size:
         return MoserVerdict("bound-violated", log_a, int(bad[0]) + 1)
     return MoserVerdict("ok", log_a)
+
+
+def _logaddexp(x, y):
+    """numpy's ``logaddexp`` on Python floats, branch by branch, to the same bits."""
+    if x == y:
+        return x + _LOG2
+    tmp = x - y
+    if tmp > 0:
+        return x + math.log1p(math.exp(-tmp))
+    if tmp <= 0:
+        return y + math.log1p(math.exp(tmp))
+    return tmp                            # a NaN operand
 
 
 def saturated_instance(m0, delta0, kmax, damping=None) -> IterationInstance:
@@ -188,15 +203,15 @@ def saturated_instance(m0, delta0, kmax, damping=None) -> IterationInstance:
     ``damping`` are multiplicative factors u_k applied to each saturated
     term; any such sequence still satisfies the hypothesis.
     """
-    lm, ld = np.log(m0), np.log(delta0)
+    lm, ld = float(np.log(m0)), float(np.log(delta0))
     log_u = np.zeros(kmax) if damping is None else np.log(np.asarray(damping, dtype=float))
     if log_u.shape != (kmax,) or np.any(log_u > 0):
         raise ConfigurationError("damping must be kmax factors in (0, 1]")
-    la = np.empty(kmax)
-    la[0] = lm + 2 * ld + log_u[0]
+    log_u = log_u.tolist()
+    la = [lm + 2 * ld + log_u[0]]
     for k in range(1, kmax):
-        la[k] = np.logaddexp(lm + 2.0 ** (k + 1) * ld, k * lm + 2 * la[k - 1]) + log_u[k]
-    return IterationInstance(m0, delta0, la)
+        la.append(_logaddexp(lm + 2.0 ** (k + 1) * ld, k * lm + 2 * la[-1]) + log_u[k])
+    return IterationInstance(m0, delta0, np.array(la))
 
 
 def random_instance(rng, kmax_limit=40) -> IterationInstance:

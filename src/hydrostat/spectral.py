@@ -17,12 +17,19 @@ the band m <= nx/3, |n| <= ny/3, 0 <= l <= nz/3 (``_Band``).  A band
 transform is a short partial Fourier sum along each axis, so it is taken
 as three small real matrix products (``np.matmul``, numpy's BLAS) rather
 than FFTs of mostly zero lines; the z tables are cosine and sine sums,
-so the forward result is even in l by construction.  The oversampled
-norms of parity-tagged fields reduce over the planes j = 0..nz'/2 of the
-finer lattice, counting the two end planes at half weight in means; an
-even field whose z Nyquist plane is populated is the exception, because
-zero padding places that mode on one side only and breaks the mirror.
-Untagged fields, and the public transforms, always use the whole lattice.
+so the forward result is even in l by construction.
+
+Sup and L^q norms evaluate a field on a finer, oversampled lattice
+(``oversample``).  There z is a zero-padded FFT of the populated (m, n)
+lines, and y and x are dense partial Fourier sums over the populated
+rows and x modes, again matrix products.  The oversampled norms of
+parity-tagged fields reduce over the planes j = 0..nz'/2 of the finer
+lattice, counting the two end planes at half weight in means; an even
+field whose z Nyquist plane is populated is the exception, because zero
+padding places that mode on one side only and breaks the mirror.
+Untagged fields and ``to_physical`` use the whole lattice; ``oversample``
+returns the whole lattice too, mirroring the half planes of a
+parity-tagged field.
 
 Conventions (fixed for cross-run reproducibility):
 
@@ -563,17 +570,41 @@ def _pad_axis(dst, src, axis, n):
     dst[lead + (slice(hi, None),)] = src[lead + (slice(lo, None),)]
 
 
+# OpenBLAS runs a product of at most this many multiply-adds on one thread
+# and splits larger ones over the cores, which stalls while another
+# process holds the second core.
+_BLOCK_MADDS = 2 ** 18
+
+
+def _blocked_matmul(a, b, out):
+    """``out = a @ b`` for a 2-D ``a``, as a stack of row blocks small
+    enough for one thread each; returns ``out``."""
+    rows = max(1, _BLOCK_MADDS // max(a.shape[1] * b.shape[1], 1))
+    n = a.shape[0] // rows * rows
+    np.matmul(a[:n].reshape(n // rows, rows, a.shape[1]), b,
+              out=out[:n].reshape(n // rows, rows, b.shape[1]))
+    np.matmul(a[n:], b, out=out[n:])
+    return out
+
+
 def _oversampled_values(f: SpectralField, factor: int, half: bool = False) -> np.ndarray:
     """Bare lattice values behind ``oversample``; the caller owns the array.
 
-    Transforms one axis at a time and only the lines that can be non-zero:
-    z on the stored (m, n) lines that hold a non-zero coefficient, y on the
-    m planes up to the last that holds such a line, then x by
-    ``irfft(n=...)``, which pads the remaining m internally.  Padding
-    places indices as ``_pad_axis`` does.  The result is a
-    (ncomp, nx', ny', nz') view of a (ncomp, ny', nz', nx') array, so the
-    last, real pass runs along contiguous lines.  With ``half``, only the
-    planes j = 0..nz'/2 go through the y and x passes and come back.
+    Evaluates one axis at a time and only the lines that can be non-zero:
+
+    * z: a zero-padded ``ifft`` on the stored (m, n) lines that hold a
+      non-zero coefficient, placed as ``_pad_axis`` places them;
+    * y: those lines go onto the populated rows n only, and one complex
+      table exp(2 pi i n k / ny') sums them;
+    * x: the real pair [w_m cos, -w_m sin](2 pi m i / nx') (w_0 = 1,
+      w_m = 2) on the interleaved [Re, Im] of the populated m; the row
+      for Im at m = 0 is zero, as ``irfft`` ignores that part.
+
+    The y and x sums are matrix products, run as stacks of row blocks
+    (``_blocked_matmul``); their tables are built on every call.  The
+    result is a (ncomp, nx', ny', nz') view of a (ncomp, ny', nz', nx')
+    array, so the x product writes contiguous lines.  With ``half``, only
+    the planes j = 0..nz'/2 go through the y and x passes and come back.
     """
     g = f.grid
     ncomp = f.coeffs.shape[0]
@@ -585,14 +616,31 @@ def _oversampled_values(f: SpectralField, factor: int, half: bool = False) -> np
     np.fft.ifft(zpad, axis=2, norm="forward", out=zpad)
     if half:
         zpad = zpad[..., : fnz // 2 + 1]
+    nzp = zpad.shape[2]
 
-    ypad = np.zeros((ncomp, fny, zpad.shape[2], int(ms.max(initial=0)) + 1), dtype=complex)
-    fine_ns = np.where(ns <= g.ny // 2, ns, ns + fny - g.ny)
-    ypad[:, fine_ns, :, ms] = zpad.transpose(1, 0, 2)
+    rows, row_of = np.unique(ns, return_inverse=True)
+    cols, col_of = np.unique(ms, return_inverse=True)
+    lines = np.zeros((ncomp, len(rows), nzp, len(cols)), dtype=complex)
+    lines[:, row_of, :, col_of] = zpad.transpose(1, 0, 2)
     del zpad
-    np.fft.ifft(ypad, axis=1, norm="forward", out=ypad)
 
-    values = np.fft.irfft(ypad, n=fnx, axis=3, norm="forward")
+    cos, sin = _unit_circle(fny)
+    nk = np.outer(np.where(rows <= g.ny // 2, rows, rows + fny - g.ny), np.arange(fny)) % fny
+    y_table = cos[nk] + 1j * sin[nk]
+    width = nzp * len(cols)
+    planes = np.empty((ncomp, fny, width), dtype=complex)
+    for comp in range(ncomp):      # transposed, so the row blocks run along (j, m)
+        _blocked_matmul(lines[comp].reshape(len(rows), width).T, y_table, planes[comp].T)
+    del lines
+
+    cos, sin = _unit_circle(fnx)
+    mi = np.outer(cols, np.arange(fnx)) % fnx
+    twice = np.where(cols > 0, 2.0, 1.0)[:, None]
+    x_pair = np.stack((twice * cos[mi], -twice * sin[mi]), axis=1)
+    x_pair[cols == 0, 1] = 0.0
+    values = np.empty((ncomp, fny, nzp, fnx))
+    _blocked_matmul(planes.view(float).reshape(ncomp * fny * nzp, 2 * len(cols)),
+                    x_pair.reshape(2 * len(cols), fnx), values.reshape(-1, fnx))
     return np.moveaxis(values, 3, 1)
 
 
@@ -634,7 +682,8 @@ def _lattice_norms(f: SpectralField, qs, factor: int = 2):
     """Sup norm and ``{q: L^q norm}`` of |f| from one oversampled evaluation.
 
     A mirrored lattice is evaluated and reduced on its planes
-    j = 0..nz'/2 only.  Even integer q take integer powers of |f|^2.
+    j = 0..nz'/2 only.  |f|^q is (|f|^2)^(q/2), except that |f|^6 is
+    |f|^4 * |f|^2, with |f|^4 shared with q = 4.
     Only when |f|^2 or its largest power summed over the lattice would
     overflow is |f| first divided by its max, so finite fields on the
     edge of a blow-up keep finite norms and every other field keeps the
@@ -653,14 +702,20 @@ def _lattice_norms(f: SpectralField, qs, factor: int = 2):
         mag_sq = _mag_sq(vals)
         peak = float(np.max(mag_sq))
 
-    def _lq(q):
-        if float(q).is_integer() and int(q) % 2 == 0:
-            moment = _lattice_mean(mag_sq ** (int(q) // 2), half)
-        else:
-            moment = _lattice_mean(mag_sq ** (q / 2.0), half)
-        return unit * float((f.grid.volume * moment) ** (1.0 / q))
-
-    return unit * float(np.sqrt(peak)), {float(q): _lq(float(q)) for q in qs}
+    qs = [float(q) for q in qs]
+    moments = {}
+    if 6.0 in qs:
+        # |f|^6 as |f|^4 * |f|^2: one product is cheaper than libm's pow
+        power = mag_sq * mag_sq
+        moments[4.0] = _lattice_mean(power, half)
+        power *= mag_sq
+        moments[6.0] = _lattice_mean(power, half)
+        del power
+    for q in qs:
+        if q not in moments:
+            moments[q] = _lattice_mean(mag_sq ** (q / 2.0), half)
+    lq = {q: unit * float((f.grid.volume * moments[q]) ** (1.0 / q)) for q in qs}
+    return unit * float(np.sqrt(peak)), lq
 
 
 def oversample(f: SpectralField, factor: int = 2) -> PhysicalField:
@@ -669,12 +724,20 @@ def oversample(f: SpectralField, factor: int = 2) -> PhysicalField:
     Exact for dealiased fields; used for sup-norm and L^q evaluation where
     the collocation lattice alone undersamples Gibbs extrema.  Agrees with
     ``to_physical(refine(f, fine))`` to round-off, but the zero padding is
-    never transformed.  ``values`` is a view whose memory order is
-    (ncomp, ny', nz', nx').
+    never summed.  A mirrored field (``_mirrored``) is evaluated on the
+    planes j = 0..nz'/2, and the planes j > nz'/2 are exact copies of
+    planes nz' - j, negated for odd fields; so the norms, which reduce
+    those planes alone, see the same bytes.  ``values`` is a view whose
+    memory order is (ncomp, ny', nz', nx').
     """
     g = f.grid
     fine = Grid.make(factor * g.nx, factor * g.ny, factor * g.nz, g.h)
-    return PhysicalField(fine, _oversampled_values(f, factor))
+    if not _mirrored(f):
+        return PhysicalField(fine, _oversampled_values(f, factor))
+    planes = np.moveaxis(_oversampled_values(f, factor, half=True), 1, 3)
+    mirror = planes[:, :, -2:0:-1]
+    values = np.concatenate((planes, -mirror if f.symmetry == ODD else mirror), axis=2)
+    return PhysicalField(fine, np.moveaxis(values, 3, 1))
 
 
 def lq_norm(f: SpectralField, q: float, factor: int = 2) -> float:

@@ -1,11 +1,13 @@
 """Results do not depend on the number of BLAS threads.
 
-The band transforms of the stepper are matrix products through numpy's
-BLAS.  A fresh interpreter takes one nonlinear step, one linear step and
-one norm record at each of three resolutions, with OPENBLAS_NUM_THREADS
+The band transforms of the stepper and the y and x passes of the
+oversampled evaluation are matrix products through numpy's BLAS.  A fresh
+interpreter takes one nonlinear step, one linear step and one norm record
+at each of three resolutions, one layer-inequality ratio at 32x32x128 and
+the sup norm of an untagged field at 48x48x96, with OPENBLAS_NUM_THREADS
 and OMP_NUM_THREADS set to 1 and then to 2, and prints a hash of every
-result's bytes.  At 48x48x96 the per-component x products are large
-enough for BLAS to split them across threads.
+result's bytes.  At 48x48x96 the per-component x products of the band are
+large enough for BLAS to split them across threads.
 """
 
 import os
@@ -20,6 +22,8 @@ import hashlib
 import numpy as np
 from hydrostat import (EVEN, Grid, PhysicsParams, StepControl,
                        field_from_function, make_state, norms, step, step_linear)
+from hydrostat.estimates import ladyzhenskaya_ratio
+from hydrostat.spectral import PhysicalField, dealias, linf_norm, to_spectral
 digest = hashlib.sha256()
 for shape in ((16, 16, 32), (10, 14, 20), (48, 48, 96)):
     g = Grid.make(*shape, 0.5)
@@ -35,6 +39,13 @@ for shape in ((16, 16, 32), (10, 14, 20), (48, 48, 96)):
                   + [a for s in stages for a in (s.v, s.w)]
                   + [np.array([rec.l2, rec.grad_l2, rec.l4, rec.l6, rec.linf])]):
         digest.update(array.tobytes())
+rng = np.random.default_rng(5)
+def scalar(shape):
+    g = Grid.make(*shape, 0.5)
+    return dealias(to_spectral(PhysicalField(g, rng.standard_normal((1,) + shape))))
+r = ladyzhenskaya_ratio(*(scalar((32, 32, 128)) for _ in range(3)))
+digest.update(np.array([r.lhs, r.rhs1, r.rhs2, r.ratio1, r.ratio2,
+                        linf_norm(scalar((48, 48, 96)))]).tobytes())
 print(digest.hexdigest())
 """
 

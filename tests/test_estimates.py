@@ -156,6 +156,55 @@ class TestMoserIteration:
         with pytest.raises(ConfigurationError):
             IterationInstance(1.5, 0.5, np.array([0.0]))
 
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_numpy_scalar_loops(self, seed):
+        """Terms, certified bounds and verdicts equal the loop forms bit for bit.
+
+        Perturbed copies raise one term, past the slack or, for the last
+        term, by about the slack, or lower one.
+        """
+        rng = np.random.default_rng(seed)
+        m0, delta0 = rng.uniform(2.0, 10.0), rng.uniform(1e-6, 1.0)
+        kmax = int(rng.integers(1, 41))
+        damping = rng.uniform(1e-3, 1.0, size=kmax) if seed % 2 else None
+        inst = saturated_instance(m0, delta0, kmax, damping)
+        assert inst.log_terms.tobytes() == loop_saturated(m0, delta0, kmax, damping).tobytes()
+        bumped = [inst.log_terms.copy() for _ in range(3)]
+        bumped[0][rng.integers(kmax)] += rng.choice([1e-12, 1e-6, 0.5])
+        bumped[1][-1] += 1e-9 * rng.uniform(0.5, 2.0)
+        bumped[2][rng.integers(kmax)] -= 0.5
+        for la in [inst.log_terms] + bumped:
+            case = IterationInstance(m0, delta0, la)
+            verdict = moser_bound_check(case)
+            assert (verdict.status, verdict.first_violation) == loop_verdict(case)
+            assert verdict.log_certified.tobytes() == certified_log_bounds(
+                m0, delta0, kmax).tobytes()
+
+
+def loop_saturated(m0, delta0, kmax, damping=None):
+    """The saturated recursion on numpy scalars, one term at a time."""
+    lm, ld = np.log(m0), np.log(delta0)
+    log_u = np.zeros(kmax) if damping is None else np.log(damping)
+    la = np.empty(kmax)
+    la[0] = lm + 2 * ld + log_u[0]
+    for k in range(1, kmax):
+        la[k] = np.logaddexp(lm + 2.0 ** (k + 1) * ld, k * lm + 2 * la[k - 1]) + log_u[k]
+    return la
+
+
+def loop_verdict(inst, slack=1e-9):
+    """(status, first_violation) with the hypothesis checked one k at a time."""
+    lm, ld, la = np.log(inst.m0), np.log(inst.delta0), inst.log_terms
+    if la[0] > lm + 2 * ld + slack:
+        return "hypothesis-violated", 1
+    for k in range(1, len(la)):
+        if la[k] > np.logaddexp(lm + 2.0 ** (k + 1) * ld, k * lm + 2 * la[k - 1]) + slack:
+            return "hypothesis-violated", k + 1
+    log_a = certified_log_bounds(inst.m0, inst.delta0, len(la))
+    bad = np.nonzero(la > log_a + slack)[0]
+    return ("bound-violated", int(bad[0]) + 1) if bad.size else ("ok", None)
+
 
 class TestLadyzhenskayaRatio:
     def test_constant_fields_ratio_one(self, grid):

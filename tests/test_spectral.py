@@ -324,12 +324,43 @@ class TestNormsAndSampling:
            kind=st.sampled_from(("raw", EVEN, ODD, NONE)), half=st.booleans(),
            seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
-    def test_pruned_oversampling_is_the_unpruned_one_bit_for_bit(
+    def test_oversampling_matches_the_unpruned_ffts(
             self, nx, ny, nz, ncomp, factor, kind, half, seed):
-        """Skipping empty lines and planes changes no byte of the lattice values."""
+        """The dense y and x sums on the populated lines are the padded FFTs to round-off."""
         f = oversampling_input(Grid.make(2 * nx, 2 * ny, 2 * nz, H), kind, seed, ncomp)
         got = _oversampled_values(f, factor, half)
-        assert got.tobytes() == unpruned_oversampled_values(f, factor, half).tobytes()
+        expected = unpruned_oversampled_values(f, factor, half)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_zero_field_oversamples_to_zeros(self, grid, half):
+        got = _oversampled_values(zero_field(grid, 2), 2, half)
+        assert got.shape == (2, 32, 32, 17 if half else 32)
+        assert not np.any(got)
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (0, 5), (3, 0), (5, 13), (8, 8)])
+    def test_single_populated_line(self, grid, m, n):
+        """One (m, n) line, Nyquist indices included, against the padded FFTs."""
+        rng = np.random.default_rng(m * 16 + n)
+        coeffs = np.zeros((1,) + grid.spectral_shape, dtype=complex)
+        coeffs[0, m, n] = rng.standard_normal(grid.nz) + 1j * rng.standard_normal(grid.nz)
+        f = SpectralField(grid, coeffs)
+        got = _oversampled_values(f, 2)
+        expected = unpruned_oversampled_values(f, 2)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_imaginary_part_at_m0_is_ignored(self, grid):
+        """As ``irfft`` does, the x pass reads only Re of the m = 0 plane after y and z."""
+        coeffs = np.zeros((1,) + grid.spectral_shape, dtype=complex)
+        coeffs[0, 0, 0, 0] = 2.0 + 3.0j
+        assert np.all(_oversampled_values(SpectralField(grid, coeffs), 2) == 2.0)
+        skewed = random_field(grid, 24, ncomp=2).coeffs.copy()
+        skewed[:, 0, 3, 2] += 0.5j      # breaks the conjugate symmetry of the m = 0 plane
+        f = SpectralField(grid, skewed)
+        got = _oversampled_values(f, 2)
+        expected = unpruned_oversampled_values(f, 2)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_lattice_reductions_leave_coefficients_untouched(self, grid):
         f = random_field(grid, 15, ncomp=3)
