@@ -24,8 +24,8 @@ from .decomposition import (DecompositionRun, DecompositionState,
                             InitialDataSpec, make_cusp_step_data, mollify,
                             prepare_initial_parts, run_decomposition)
 from .estimates import (BoundParams, IterationInstance, NormRecord,
-                        fit_envelope, growth_envelope, iteration_base,
-                        ladyzhenskaya_ratio, moser_bound_check, norms,
-                        perturbation_response, sup_norm_envelope)
+                        growth_envelope, iteration_base, ladyzhenskaya_ratio,
+                        moser_bound_check, norms, perturbation_response,
+                        sup_norm_envelope)
 from .diagnostics import DiagnosticsSeries
 from .io import read_snapshot, write_snapshot

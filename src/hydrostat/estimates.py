@@ -279,14 +279,6 @@ def ladyzhenskaya_ratio(phi: SpectralField, varphi: SpectralField,
 # envelope fitting for the non-explicit bounds
 # ---------------------------------------------------------------------------
 
-def fit_constant(measured) -> float:
-    """Minimal constant dominating the measured series."""
-    measured = np.asarray(measured, dtype=float)
-    if measured.size == 0:
-        raise ConfigurationError("cannot fit an empty series")
-    return float(np.max(measured))
-
-
 def fit_sup_envelope_c0(t, linf_V, linf_V0, v0_l4) -> float:
     """Minimal C0 with growth_envelope(t, .., C0) * ||V0||_inf >= ||V||_inf(t).
 
@@ -324,27 +316,3 @@ def fit_sup_envelope_c0(t, linf_V, linf_V0, v0_l4) -> float:
                 hi = mid
         need = max(need, hi)
     return float(need)
-
-
-def fit_l4_growth_c(t, l4, v0_l2, v0_l4) -> float:
-    """Minimal C with exp{C e^{2t}(t+1)(1+||v0||_2^2)^2}(1+||v0||_4) >= ||v||_4(t)."""
-    t = np.asarray(t, dtype=float)
-    l4 = np.asarray(l4, dtype=float)
-    if t.size == 0:
-        raise ConfigurationError("cannot fit an empty series")
-    denom = np.exp(2.0 * t) * (t + 1.0) * (1.0 + v0_l2 ** 2) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        need = (np.log(l4) - np.log1p(v0_l4)) / denom
-    need = need[np.isfinite(need)]
-    return float(max(0.0, need.max())) if need.size else 0.0
-
-
-def fit_envelope(form, t, measured, **context) -> float:
-    """Dispatch: minimal dominating constant for the named bound form."""
-    if form == "constant":
-        return fit_constant(measured)
-    if form == "sup_envelope":
-        return fit_sup_envelope_c0(t, measured, context["linf_V0"], context["v0_l4"])
-    if form == "l4_growth":
-        return fit_l4_growth_c(t, measured, context["v0_l2"], context["v0_l4"])
-    raise ConfigurationError(f"unknown bound form {form!r}")

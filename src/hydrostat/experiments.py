@@ -40,6 +40,7 @@ RECONSTRUCTION_TOL = 1e-8
 STABILITY_RATIO_RANGE = (1.5, 2.5)
 LADYZHENSKAYA_DRIFT_TOL = 0.10
 CONSTANT_CASE_TOL = 1e-12
+SATURATED_M0_DELTA0 = (2.0, 0.1)     # the saturated Moser instance: a1 = M0 delta0^2
 
 
 @dataclass
@@ -99,8 +100,10 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
     """Perturbation growth against the Gronwall-type envelope.
 
     Two perturbed trajectories (sizes sigma_p and sigma_p / 2) advance
-    inside the split run's lockstep loop, whose X-part norms supply the
-    envelope weight, so differences are sampled at identical times.
+    inside the split run's lockstep loop, so differences are sampled at
+    identical times.  ``differences.json`` also holds the envelope weight
+    m_hat(t) = (1 + ||dz vbar||^2)(1 + ||grad vbar||^2 + ||grad_H dz vbar||^2)
+    from the X part at those times.
     """
     grid = cfg.make_grid()
     params = cfg.physics()
@@ -113,6 +116,7 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
 
     ser = DiagnosticsSeries()
     diff_b, diff_c = [], []
+    grad_vbar, grad_h_dz_vbar_sq = [], []
     for dt, split in lockstep(vbar0, step0, params, ctl, cfg.t_end):
         if dt:                                  # dt = 0.0 only at t = 0
             st_b = step(st_b, ctl, dt=dt)
@@ -124,28 +128,21 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
         dzbar = derivative(split.vbar.v, "z")
         ser.add_row(t=v.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4,
                     l6=rec.l6, linf_V=linf_norm(split.V.v),
-                    dz_vbar_l2=l2_norm(dzbar),
-                    grad_l2_vbar=np.sqrt(grad_norm_sq(split.vbar.v)),
-                    grad_h_dz_vbar_sq=grad_h_norm_sq(dzbar))
+                    dz_vbar_l2=l2_norm(dzbar))
+        grad_vbar.append(np.sqrt(grad_norm_sq(split.vbar.v)))
+        grad_h_dz_vbar_sq.append(grad_h_norm_sq(dzbar))
 
-    d0_b = diff_b[0]
     m_hat = ((1.0 + ser.array("dz_vbar_l2") ** 2)
-             * (1.0 + ser.array("grad_l2_vbar") ** 2
-                + ser.array("grad_h_dz_vbar_sq")))
-    m_int = integrate_series(ser.array("t"), m_hat)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        demands = np.log(np.asarray(diff_b) / max(d0_b, 1e-300)) / m_int
-    demands = demands[1:][np.isfinite(demands[1:])]
-
+             * (1.0 + np.asarray(grad_vbar) ** 2 + np.asarray(grad_h_dz_vbar_sq)))
     report = ExperimentReport("stability", initial=v0)
     report.files["series.csv"] = ser.to_csv().encode()
     report.files["differences.json"] = _json_bytes({
         "t": ser.columns["t"],
+        "m_hat": m_hat.tolist(),
         "diff_sigma": diff_b,
         "diff_sigma_half": diff_c,
-        "normalizer_sigma": d0_b,
+        "normalizer_sigma": diff_b[0],
         "normalizer_sigma_half": diff_c[0]})
-    report.metrics["envelope_c"] = float(np.max(demands)) if demands.size else 0.0
     return _judged(report, cfg)
 
 
@@ -220,8 +217,11 @@ def exp_lemma_suite(cfg: RunConfig) -> ExperimentReport:
             violations += 1
         margin = float(np.max(inst.log_terms - verdict.log_certified))
         tightness = max(tightness, np.exp(min(margin, 0.0)))
-    sat = moser_bound_check(saturated_instance(2.0, 0.1, cfg.moser_kmax))
-    a1_gap = abs(sat.log_certified[0] - (np.log(2.0) + 2.0 * np.log(0.1)))
+    sat = moser_bound_check(saturated_instance(*SATURATED_M0_DELTA0, cfg.moser_kmax))
+    report.files["moser.json"] = _json_bytes({
+        "count": cfg.moser_count, "violations": violations,
+        "max_tightness": float(tightness),
+        "saturated_log_a1": float(sat.log_certified[0])})
 
     coarse = cfg.make_grid()
     fine = cfg.make_grid(nz=2 * cfg.grid_nz)
@@ -236,16 +236,10 @@ def exp_lemma_suite(cfg: RunConfig) -> ExperimentReport:
     ones = field_from_function(coarse, lambda X, Y, Z: 1.0 + 0 * X)
     const_case = ladyzhenskaya_ratio(ones, ones, ones)
 
-    report.metrics.update(
-        moser_count=float(cfg.moser_count),
-        moser_violations=float(violations),
-        moser_max_tightness=float(tightness),
-        a1_identity_gap=float(a1_gap),
-        constant_case_ratio1=const_case.ratio1,
-        constant_case_ratio2=const_case.ratio2)
     maxima = _ratio_maxima(ratios)
     report.files["ratios.json"] = _json_bytes(
-        {"samples": ratios, "max_coarse": maxima["coarse"], "max_fine": maxima["fine"]})
+        {"samples": ratios, "max_coarse": maxima["coarse"], "max_fine": maxima["fine"],
+         "constant_case": [const_case.ratio1, const_case.ratio2]})
     return _judged(report, cfg)
 
 
@@ -262,12 +256,13 @@ _RUNNERS = {
 # judges: metrics and verdicts from the persisted files
 # ---------------------------------------------------------------------------
 #
-# One pure judge per kind, ``judge(files, metrics, h) -> (derived, verdicts)``,
-# serves both ``run`` (on the bytes it is about to write) and ``report`` (on
-# the bytes read back).  Values are re-derived from the CSV/JSON files; the
-# stored metrics are read only where their inputs are not persisted.  The
-# ``.17g`` CSV text and JSON float repr round-trip bit-exactly, so both
-# callers reach the same values.
+# One pure judge per kind, ``judge(files, h) -> (derived, verdicts)``, serves
+# both ``run`` (on the bytes it is about to write) and ``report`` (on the
+# bytes read back, each checked against its sha256).  Every verdict and
+# derived metric comes from the CSV/JSON files and the grid's h alone; the
+# manifest's metrics are output, never input.  The ``.17g`` CSV text and
+# JSON float repr round-trip bit-exactly, so both callers reach the same
+# values.
 
 def _artifact(files, name):
     if name not in files:
@@ -279,7 +274,7 @@ def _series(files, name):
     return DiagnosticsSeries.from_csv(_artifact(files, name).decode())
 
 
-def _judge_energy_identity(files, metrics, h):
+def _judge_energy_identity(files, h):
     res = float(np.max(_series(files, "series.csv").array("energy_residual")))
     res_half = float(np.max(_series(files, "series_half.csv").array("energy_residual")))
     shrink = res / max(res_half, 1e-300)
@@ -290,7 +285,7 @@ def _judge_energy_identity(files, metrics, h):
         "energy_shrink_ok": (res <= 1e-12) or (shrink >= ENERGY_SHRINK_MIN)}
 
 
-def _judge_decomposition(files, metrics, h):
+def _judge_decomposition(files, h):
     ser = _series(files, "series.csv")
     linf_V = ser.array("linf_V")
     recon = float(np.nanmax(ser.array("recon_residual")))
@@ -307,25 +302,33 @@ def _judge_decomposition(files, metrics, h):
         "fitted_c0_finite": bool(np.isfinite(c0))}
 
 
-def _judge_stability(files, metrics, h):
+def _judge_stability(files, h):
     record = json.loads(_artifact(files, "differences.json"))
     diff_b = np.asarray(record["diff_sigma"])
     diff_c = np.asarray(record["diff_sigma_half"])
+    d0_b = max(record["normalizer_sigma"], 1e-300)
     ratio = float(diff_b[-1] / max(diff_c[-1], 1e-300))
+    # Smallest c with ||delta(t)|| <= ||delta(0)|| exp(c int_0^t m_hat).
+    m_int = integrate_series(record["t"], record["m_hat"])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        demands = np.log(diff_b / d0_b) / m_int
+    demands = demands[1:][np.isfinite(demands[1:])]
+    envelope_c = float(np.max(demands)) if demands.size else 0.0
     lo, hi = STABILITY_RATIO_RANGE
     derived = dict(
+        envelope_c=envelope_c,
         final_diff_sigma=float(diff_b[-1]),
         final_diff_sigma_half=float(diff_c[-1]),
         final_ratio=ratio,
-        normalized_final_growth=float(diff_b[-1] / max(record["normalizer_sigma"], 1e-300)))
+        normalized_final_growth=float(diff_b[-1] / d0_b))
     return derived, {
         "perturbation_ratio_ok": lo <= ratio <= hi,
         "difference_bounded": bool(np.all(np.isfinite(diff_b))
                                    and np.all(np.isfinite(diff_c))),
-        "envelope_finite": bool(np.isfinite(metrics["envelope_c"]))}
+        "envelope_finite": bool(np.isfinite(envelope_c))}
 
 
-def _judge_mollification(files, metrics, h):
+def _judge_mollification(files, h):
     d = json.loads(_artifact(files, "distances.json"))["pairwise_distances"]
     derived = {f"distance_{i}": float(x) for i, x in enumerate(d)}
     derived["n_pairs"] = float(len(d))
@@ -343,26 +346,36 @@ def _ratio_maxima(samples):
     return maxima
 
 
-def _judge_lemma_suite(files, metrics, h):
-    samples = json.loads(_artifact(files, "ratios.json"))["samples"]
+def _judge_lemma_suite(files, h):
+    moser = json.loads(_artifact(files, "moser.json"))
+    ratios = json.loads(_artifact(files, "ratios.json"))
+    samples = ratios["samples"]
+    const1, const2 = ratios["constant_case"]
+    m0, delta0 = SATURATED_M0_DELTA0
+    a1_gap = abs(moser["saturated_log_a1"] - (np.log(m0) + 2.0 * np.log(delta0)))
+    derived = dict(moser_count=float(moser["count"]),
+                   moser_violations=float(moser["violations"]),
+                   moser_max_tightness=float(moser["max_tightness"]),
+                   a1_identity_gap=float(a1_gap),
+                   constant_case_ratio1=float(const1),
+                   constant_case_ratio2=float(const2))
     maxima = _ratio_maxima(samples)
-    derived = {f"max_ratio{i + 1}_{lattice}": top[i]
-               for lattice, top in maxima.items() for i in (0, 1)}
+    derived.update({f"max_ratio{i + 1}_{lattice}": top[i]
+                    for lattice, top in maxima.items() for i in (0, 1)})
     for i in (0, 1):
         coarse, fine = maxima["coarse"][i], maxima["fine"][i]
         derived[f"ratio{i + 1}_drift"] = float(abs(fine - coarse) / max(coarse, 1e-300))
     expected = np.sqrt(2.0 * h)          # the constant field's exact ratio
     return derived, {
-        "moser_zero_violations": metrics["moser_violations"] == 0,
-        "a1_identity": bool(metrics["a1_identity_gap"] <= 1e-12),
+        "moser_zero_violations": moser["violations"] == 0,
+        "a1_identity": bool(a1_gap <= 1e-12),
         "exponent_inequality": _exponent_inequality_holds(),
         "ratios_finite": bool(np.all(np.isfinite(
             [s[lattice] for s in samples for lattice in ("coarse", "fine")]))),
         "ratio_drift_ok": bool(derived["ratio1_drift"] <= LADYZHENSKAYA_DRIFT_TOL
                                and derived["ratio2_drift"] <= LADYZHENSKAYA_DRIFT_TOL),
-        "constant_case_ok": bool(
-            abs(metrics["constant_case_ratio1"] - expected) <= CONSTANT_CASE_TOL
-            and abs(metrics["constant_case_ratio2"] - expected) <= CONSTANT_CASE_TOL)}
+        "constant_case_ok": bool(abs(const1 - expected) <= CONSTANT_CASE_TOL
+                                 and abs(const2 - expected) <= CONSTANT_CASE_TOL)}
 
 
 _JUDGES = {
@@ -376,7 +389,7 @@ _JUDGES = {
 
 def _judged(report, cfg):
     """Add the judge's derived metrics and verdicts to a runner's report."""
-    derived, report.verdicts = _JUDGES[report.kind](report.files, report.metrics, cfg.h)
+    derived, report.verdicts = _JUDGES[report.kind](report.files, cfg.h)
     report.metrics.update(derived)
     return report
 
@@ -471,4 +484,4 @@ def reconstruct_verdicts(manifest: dict, run_dir) -> dict:
             raise ConfigError(f"missing file {entry['name']} in {run_dir}")
         files[entry["name"]] = path.read_bytes()
     config = dict(line.partition(" = ")[::2] for line in manifest["config"].splitlines())
-    return judge(files, manifest["metrics"], float(config["grid.h"]))[1]
+    return judge(files, float(config["grid.h"]))[1]

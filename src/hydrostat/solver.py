@@ -269,7 +269,7 @@ def integrate(state: SolverState, ctl: StepControl, t_end: float, hooks=()):
     def _record(s):
         rec = norms(s.v, t=s.t)
         series.add_row(t=rec.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4,
-                       l6=rec.l6, linf=rec.linf)
+                       l6=rec.l6)
 
     _record(state)
     try:
@@ -281,8 +281,7 @@ def integrate(state: SolverState, ctl: StepControl, t_end: float, hooks=()):
     except BlowUpError as err:
         err.series = series
         raise
-    residual, dissipation = energy_residual_series(
+    residual, _ = energy_residual_series(
         series.array("t"), series.array("l2"), series.array("grad_l2"))
     series.columns["energy_residual"] = list(residual)
-    series.columns["dissipation"] = list(dissipation)
     return state, series

@@ -112,11 +112,35 @@ SMALL_BY_KIND = {
 
 
 @pytest.fixture(scope="module")
-def decomp_run(tmp_path_factory):
-    """One small decomposition run directory, copied by tests that alter it."""
-    out = tmp_path_factory.mktemp("decomp") / "run"
-    run_experiment(parse_config(text=SMALL_DECOMP.format(out=out)))
-    return out
+def small_run(tmp_path_factory):
+    """``small_run(kind)``: that kind's small run directory, made once per module.
+
+    Tests that alter a run work on a copy.
+    """
+    made = {}
+
+    def get(kind):
+        if kind not in made:
+            made[kind] = tmp_path_factory.mktemp(kind) / "run"
+            run_experiment(parse_config(text=SMALL_BY_KIND[kind].format(out=made[kind])))
+        return made[kind]
+    return get
+
+
+@pytest.fixture(scope="module")
+def decomp_run(small_run):
+    return small_run("decomposition")
+
+
+def _rewrite_record(run_dir, name, record):
+    """Write a JSON record and its new sha256 into the manifest, as a consistent forgery would."""
+    payload = json.dumps(record).encode()
+    (run_dir / name).write_bytes(payload)
+    manifest = load_manifest(run_dir)
+    for entry in manifest["files"]:
+        if entry["name"] == name:
+            entry["sha256"] = hashlib.sha256(payload).hexdigest()
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
 class TestConfigParsing:
@@ -279,6 +303,8 @@ class TestReport:
         _, manifest = run_experiment(cfg)
         assert manifest["verdicts"]
         assert reconstruct_verdicts(manifest, tmp_path / "run") == manifest["verdicts"]
+        blank = dict(manifest, metrics={})
+        assert reconstruct_verdicts(blank, tmp_path / "run") == manifest["verdicts"]
 
     def test_nan_difference_fails_difference_bounded(self, tmp_path):
         cfg = parse_config(text=SMALL_STABILITY.format(out=tmp_path / "run"))
@@ -300,15 +326,17 @@ class TestReport:
         record = json.loads((run_dir / "ratios.json").read_text())
         record["samples"][0]["fine"][0] = 1.5 * max(record["max_coarse"][0],
                                                     record["max_fine"][0])
-        payload = json.dumps(record).encode()
-        (run_dir / "ratios.json").write_bytes(payload)
-        manifest = load_manifest(run_dir)
-        for entry in manifest["files"]:
-            if entry["name"] == "ratios.json":
-                entry["sha256"] = hashlib.sha256(payload).hexdigest()
-        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        _rewrite_record(run_dir, "ratios.json", record)
         assert main(["report", str(run_dir)]) == 1
         assert "FAIL ratio_drift_ok" in capsys.readouterr().out
+
+    def test_forged_moser_record_fails_zero_violations(self, tmp_path, small_run, capsys):
+        run_dir = shutil.copytree(small_run("lemma_suite"), tmp_path / "run")
+        record = json.loads((run_dir / "moser.json").read_text())
+        record["violations"] = 1
+        _rewrite_record(run_dir, "moser.json", record)
+        assert main(["report", str(run_dir)]) == 1
+        assert "FAIL moser_zero_violations" in capsys.readouterr().out
 
     def test_large_recon_residual_fails_reconstruction(self, tmp_path, decomp_run):
         run_dir = shutil.copytree(decomp_run, tmp_path / "run")
@@ -472,12 +500,30 @@ seed = 5
         assert main(["report", str(run_dir)]) == 2
         assert "report error" in capsys.readouterr().err
 
-    def test_report_on_malformed_record_exits_two(self, tmp_path, capsys):
-        _, manifest = run_experiment(parse_config(
-            text=SMALL_MOLLIFICATION.format(out=tmp_path / "run")))
-        path = tmp_path / "run" / "distances.json"
-        record = json.loads(path.read_text())
-        record["pairwise_distances"][0] = None
-        path.write_text(json.dumps(record))
-        assert main(["report", str(tmp_path / "run")]) == 2
-        assert "report error" in capsys.readouterr().err
+    def test_report_on_malformed_record_exits_two(self, tmp_path, small_run, capsys):
+        """Each record is re-hashed, so the judge itself meets the malformed value."""
+        cases = [
+            ("mollification", "distances.json",
+             lambda r: dict(r, pairwise_distances=[None] + r["pairwise_distances"][1:])),
+            ("stability", "differences.json",
+             lambda r: {k: v for k, v in r.items() if k != "m_hat"}),
+            ("stability", "differences.json", lambda r: dict(r, m_hat=r["m_hat"][:-1])),
+        ]
+        for i, (kind, name, forge) in enumerate(cases):
+            run_dir = shutil.copytree(small_run(kind), tmp_path / str(i))
+            _rewrite_record(run_dir, name, forge(json.loads((run_dir / name).read_text())))
+            assert main(["report", str(run_dir)]) == 2, (kind, name)
+            assert "report error" in capsys.readouterr().err
+
+    def test_report_ignores_edited_manifest_metrics(self, tmp_path, small_run, capsys):
+        """Manifest metrics are output only: editing them changes no verdict."""
+        for kind, key, value in (("lemma_suite", "moser_violations", 1.0),
+                                 ("stability", "envelope_c", float("nan"))):
+            run_dir = shutil.copytree(small_run(kind), tmp_path / kind)
+            manifest = load_manifest(run_dir)
+            manifest["metrics"][key] = value
+            (run_dir / "manifest.json").write_text(json.dumps(manifest))
+            assert main(["report", str(run_dir)]) == 0, kind
+            out = capsys.readouterr().out
+            assert out.count("PASS ") == len(manifest["verdicts"]), kind
+            assert "FAIL" not in out and "NOTE" not in out, kind

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from hydrostat.errors import ConfigurationError
 from hydrostat.estimates import (BoundParams, IterationInstance,
-                                 certified_log_bounds, fit_constant,
-                                 fit_envelope, fit_l4_growth_c,
-                                 fit_sup_envelope_c0, growth_envelope,
+                                 certified_log_bounds, fit_sup_envelope_c0,
+                                 growth_envelope,
                                  iteration_base, iteration_weight,
                                  iteration_weight_integral,
                                  ladyzhenskaya_ratio, moser_bound_check,
@@ -243,12 +242,7 @@ class TestLadyzhenskayaRatio:
 
 
 class TestEnvelopeFitting:
-    def test_constant_form_returns_max(self):
-        assert fit_constant([1.0, 3.0, 2.0]) == 3.0
-
     def test_empty_series_rejected(self):
-        with pytest.raises(ConfigurationError):
-            fit_constant([])
         with pytest.raises(ConfigurationError):
             fit_sup_envelope_c0([], [], 1.0, 1.0)
 
@@ -261,14 +255,3 @@ class TestEnvelopeFitting:
         # and it is minimal: slightly smaller constant fails somewhere
         smaller = growth_envelope(t, 0.4, c0 * 0.95) * measured[0]
         assert np.any(smaller < measured)
-
-    def test_l4_growth_fit_finite(self):
-        t = np.linspace(0.0, 0.5, 20)
-        l4 = 2.0 * np.exp(-3.0 * t) + 0.5
-        c = fit_l4_growth_c(t, l4, v0_l2=1.0, v0_l4=l4[0])
-        assert np.isfinite(c) and c >= 0.0
-
-    def test_dispatcher(self):
-        assert fit_envelope("constant", None, [2.0, 5.0]) == 5.0
-        with pytest.raises(ConfigurationError):
-            fit_envelope("no-such-form", None, [1.0])
