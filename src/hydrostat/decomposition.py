@@ -306,7 +306,7 @@ def run_decomposition(v0bar: SpectralField, V0: SpectralField,
             recon_residual=l2_norm(v.v - (vbar.v + V.v)) / denom)
 
     t = series.array("t")
-    residual, _ = energy_residual_series(t, series.array("l2"), series.array("grad_l2"))
+    residual = energy_residual_series(t, series.array("l2"), series.array("grad_l2"))
     series.columns["energy_residual"] = list(residual)
     series.columns["dz_vbar_dissipation"] = list(
         integrate_series(t, series.array("grad_dz_vbar_sq")))

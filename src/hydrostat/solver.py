@@ -281,7 +281,7 @@ def integrate(state: SolverState, ctl: StepControl, t_end: float, hooks=()):
     except BlowUpError as err:
         err.series = series
         raise
-    residual, _ = energy_residual_series(
+    residual = energy_residual_series(
         series.array("t"), series.array("l2"), series.array("grad_l2"))
     series.columns["energy_residual"] = list(residual)
     return state, series

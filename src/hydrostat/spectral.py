@@ -29,7 +29,9 @@ field whose z Nyquist plane is populated is the exception, because zero
 padding places that mode on one side only and breaks the mirror.
 Untagged fields and ``to_physical`` use the whole lattice; ``oversample``
 returns the whole lattice too, mirroring the half planes of a
-parity-tagged field.
+parity-tagged field.  The norms never hold that lattice: it streams in
+slabs of y rows (``_oversampled_slabs``), and each slab is reduced to a
+max and sums of powers before the next one is made.
 
 Conventions (fixed for cross-run reproducibility):
 
@@ -587,8 +589,17 @@ def _blocked_matmul(a, b, out):
     return out
 
 
-def _oversampled_values(f: SpectralField, factor: int, half: bool = False) -> np.ndarray:
-    """Bare lattice values behind ``oversample``; the caller owns the array.
+# The record streams its lattice in slabs of at most this many bytes.  glibc
+# returns freed blocks to the OS and lifts its mmap and trim thresholds to
+# the largest block freed; smaller slabs leave them low, and the stepper's
+# 1-2 MB temporaries at 32x32x64 then fault their pages back in every stage
+# (split-32 ran 4-16 % slower with 256 KiB-4 MiB slabs).  At 16 MiB every
+# acceptance-scale lattice is one slab, allocated as before.
+_SLAB_BYTES = 16 * 2 ** 20
+
+
+def _oversampled_slabs(f: SpectralField, factor: int, half: bool, slabs=None):
+    """Lattice values of ``oversample`` as a stream of y-row slabs.
 
     Evaluates one axis at a time and only the lines that can be non-zero:
 
@@ -600,11 +611,14 @@ def _oversampled_values(f: SpectralField, factor: int, half: bool = False) -> np
       w_m = 2) on the interleaved [Re, Im] of the populated m; the row
       for Im at m = 0 is zero, as ``irfft`` ignores that part.
 
-    The y and x sums are matrix products, run as stacks of row blocks
-    (``_blocked_matmul``); their tables are built on every call.  The
-    result is a (ncomp, nx', ny', nz') view of a (ncomp, ny', nz', nx')
-    array, so the x product writes contiguous lines.  With ``half``, only
-    the planes j = 0..nz'/2 go through the y and x passes and come back.
+    The z pass and the tables run once per call.  The y and x sums are
+    matrix products, run as stacks of row blocks (``_blocked_matmul``),
+    once per slab of lattice rows k0..k0+rows-1 against that slab's table
+    columns.  Yields ``(k0, values)`` with ``values`` of shape
+    (ncomp, rows, nz', nx'), a buffer that the next slab overwrites.
+    There are ``slabs`` slabs (by default one per ``_SLAB_BYTES`` of the
+    lattice, rounded up); all but the last have the same row count.
+    With ``half``, only the planes j = 0..nz'/2 are evaluated.
     """
     g = f.grid
     ncomp = f.coeffs.shape[0]
@@ -627,20 +641,49 @@ def _oversampled_values(f: SpectralField, factor: int, half: bool = False) -> np
     cos, sin = _unit_circle(fny)
     nk = np.outer(np.where(rows <= g.ny // 2, rows, rows + fny - g.ny), np.arange(fny)) % fny
     y_table = cos[nk] + 1j * sin[nk]
-    width = nzp * len(cols)
-    planes = np.empty((ncomp, fny, width), dtype=complex)
-    for comp in range(ncomp):      # transposed, so the row blocks run along (j, m)
-        _blocked_matmul(lines[comp].reshape(len(rows), width).T, y_table, planes[comp].T)
-    del lines
-
     cos, sin = _unit_circle(fnx)
     mi = np.outer(cols, np.arange(fnx)) % fnx
     twice = np.where(cols > 0, 2.0, 1.0)[:, None]
     x_pair = np.stack((twice * cos[mi], -twice * sin[mi]), axis=1)
     x_pair[cols == 0, 1] = 0.0
-    values = np.empty((ncomp, fny, nzp, fnx))
-    _blocked_matmul(planes.view(float).reshape(ncomp * fny * nzp, 2 * len(cols)),
-                    x_pair.reshape(2 * len(cols), fnx), values.reshape(-1, fnx))
+    x_pair = x_pair.reshape(2 * len(cols), fnx)
+
+    if slabs is None:
+        slabs = -(-ncomp * fny * nzp * fnx * 8 // _SLAB_BYTES)
+    step = -(-fny // slabs)
+    width = nzp * len(cols)
+    planes = np.empty(ncomp * step * width, dtype=complex)
+    values = None
+    for k0 in range(0, fny, step):
+        n = min(step, fny - k0)
+        last = k0 + n == fny
+        slab = planes[: ncomp * n * width].reshape(ncomp, n, width)
+        for comp in range(ncomp):      # transposed, so the row blocks run along (j, m)
+            _blocked_matmul(lines[comp].reshape(len(rows), width).T,
+                            y_table[:, k0:k0 + n], slab[comp].T)
+        # The last slab frees the lines before the values are made and the
+        # planes before its consumer runs, so a single slab allocates and
+        # frees in the order a whole lattice did (fewer page faults).
+        if last:
+            del lines
+        if values is None:
+            values = np.empty(ncomp * step * nzp * fnx)
+        out = values[: ncomp * n * nzp * fnx].reshape(ncomp, n, nzp, fnx)
+        _blocked_matmul(slab.view(float).reshape(ncomp * n * nzp, 2 * len(cols)), x_pair,
+                        out.reshape(-1, fnx))
+        if last:
+            del planes, slab
+        yield k0, out
+
+
+def _oversampled_values(f: SpectralField, factor: int, half: bool = False) -> np.ndarray:
+    """Bare lattice values behind ``oversample``, as one slab; the caller owns the array.
+
+    The result is a (ncomp, nx', ny', nz') view of a (ncomp, ny', nz', nx')
+    array, so the x product writes contiguous lines.  With ``half``, only
+    the planes j = 0..nz'/2 come back.
+    """
+    (_, values), = _oversampled_slabs(f, factor, half, slabs=1)
     return np.moveaxis(values, 3, 1)
 
 
@@ -653,68 +696,81 @@ def _mirrored(f: SpectralField) -> bool:
     return f.symmetry != NONE and not np.any(f.coeffs[..., f.grid.nz // 2])
 
 
-def _mag_sq(vals):
-    """|v|^2 (Euclidean in components), squared in place in ``vals``."""
-    np.square(vals, out=vals)
-    mag_sq = vals[0]
-    for comp in vals[1:]:
-        mag_sq += comp
-    return mag_sq
-
-
-def _lattice_mean(a, half):
-    """Mean over the whole lattice of values held on all planes or, with
-    ``half``, on the planes j = 0..nz'/2 of a mirrored lattice.
-
-    The end planes j = 0 and j = nz'/2 are their own mirrors and count at
-    half weight.
-    """
-    if not half:
-        return np.mean(a)
-    ends = np.sum(a[..., 0]) + np.sum(a[..., -1])
-    return (np.sum(a) - 0.5 * ends) / (a.size - a[..., 0].size)
-
-
 _LOG_MAX = float(np.log(np.finfo(float).max))
 
 
-def _lattice_norms(f: SpectralField, qs, factor: int = 2):
-    """Sup norm and ``{q: L^q norm}`` of |f| from one oversampled evaluation.
+def _lattice_moments(f: SpectralField, qs, factor: int, half: bool, unit=None):
+    """One streamed pass: max |f|^2, the lattice size and ``{q: mean of |f|^q}``.
 
-    A mirrored lattice is evaluated and reduced on its planes
-    j = 0..nz'/2 only.  |f|^q is (|f|^2)^(q/2), except that |f|^6 is
-    |f|^4 * |f|^2, with |f|^4 shared with q = 4.
-    Only when |f|^2 or its largest power summed over the lattice would
-    overflow is |f| first divided by its max, so finite fields on the
-    edge of a blow-up keep finite norms and every other field keeps the
-    unscaled arithmetic.
+    Each slab is reduced before the next is made: |f|^2 is formed in
+    place (after dividing by ``unit``, if given), |f|^4 and |f|^6 =
+    |f|^4 * |f|^2 share one slab-sized buffer (a product is cheaper than
+    libm's pow), and other q are (|f|^2)^(q/2).  With ``half``, the
+    lattice holds the planes j = 0..nz'/2 of a mirrored lattice, whose end
+    planes j = 0 and j = nz'/2 are their own mirrors and count at half
+    weight in the means.
+    """
+    peak, size, plane, power = -np.inf, 0, 0, None
+    sums = dict.fromkeys(qs, 0.0)
+    ends = dict.fromkeys(qs, 0.0)
+
+    def add(q, a):
+        sums[q] += np.sum(a)
+        if half:
+            ends[q] += np.sum(a[:, 0]) + np.sum(a[:, -1])
+
+    for _, vals in _oversampled_slabs(f, factor, half):
+        if unit is not None:
+            vals /= unit
+        np.square(vals, out=vals)
+        mag_sq = vals[0]
+        for comp in vals[1:]:
+            mag_sq += comp
+        peak = np.maximum(peak, np.max(mag_sq))
+        size += mag_sq.size
+        plane += mag_sq[:, 0].size
+        if 4.0 in sums or 6.0 in sums:
+            if power is None:
+                power = np.empty(mag_sq.size)
+            p = np.multiply(mag_sq, mag_sq, out=power[: mag_sq.size].reshape(mag_sq.shape))
+            if 4.0 in sums:
+                add(4.0, p)
+            if 6.0 in sums:
+                p *= mag_sq
+                add(6.0, p)
+        for q in sums:
+            if q not in (4.0, 6.0):
+                add(q, mag_sq ** (q / 2.0))
+    if half:
+        means = {q: (sums[q] - 0.5 * ends[q]) / (size - plane) for q in qs}
+    else:
+        means = {q: sums[q] / size for q in qs}
+    return float(peak), size, means
+
+
+def _lattice_norms(f: SpectralField, qs, factor: int = 2):
+    """Sup norm and ``{q: L^q norm}`` of |f| from one streamed oversampled pass.
+
+    The lattice comes in y-row slabs (``_oversampled_slabs``) and each is
+    reduced before the next is made (``_lattice_moments``), so the whole
+    lattice is never held.  A mirrored lattice is evaluated and reduced on
+    its planes j = 0..nz'/2 only.  Only when |f|^2 or its largest power
+    summed over the lattice would overflow is the lattice streamed again,
+    once for the max |component| and once divided by it, so finite fields
+    on the edge of a blow-up keep finite norms and every other field keeps
+    the unscaled arithmetic.
     """
     half = _mirrored(f)
-    with np.errstate(over="ignore"):
-        mag_sq = _mag_sq(_oversampled_values(f, factor, half))
-    peak = float(np.max(mag_sq))
+    qs = [float(q) for q in qs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        peak, size, means = _lattice_moments(f, qs, factor, half)
     unit = 1.0
     if peak > 1.0 and (max(qs, default=2.0) / 2.0 * np.log(peak)
-                       + np.log(mag_sq.size) >= _LOG_MAX):
-        vals = _oversampled_values(f, factor, half)
-        unit = float(max(np.max(vals), -np.min(vals)))
-        vals /= unit
-        mag_sq = _mag_sq(vals)
-        peak = float(np.max(mag_sq))
-
-    qs = [float(q) for q in qs]
-    moments = {}
-    if 6.0 in qs:
-        # |f|^6 as |f|^4 * |f|^2: one product is cheaper than libm's pow
-        power = mag_sq * mag_sq
-        moments[4.0] = _lattice_mean(power, half)
-        power *= mag_sq
-        moments[6.0] = _lattice_mean(power, half)
-        del power
-    for q in qs:
-        if q not in moments:
-            moments[q] = _lattice_mean(mag_sq ** (q / 2.0), half)
-    lq = {q: unit * float((f.grid.volume * moments[q]) ** (1.0 / q)) for q in qs}
+                       + np.log(size) >= _LOG_MAX):
+        unit = max(float(max(np.max(vals), -np.min(vals)))
+                   for _, vals in _oversampled_slabs(f, factor, half))
+        peak, size, means = _lattice_moments(f, qs, factor, half, unit)
+    lq = {q: unit * float((f.grid.volume * means[q]) ** (1.0 / q)) for q in qs}
     return unit * float(np.sqrt(peak)), lq
 
 
@@ -726,8 +782,9 @@ def oversample(f: SpectralField, factor: int = 2) -> PhysicalField:
     ``to_physical(refine(f, fine))`` to round-off, but the zero padding is
     never summed.  A mirrored field (``_mirrored``) is evaluated on the
     planes j = 0..nz'/2, and the planes j > nz'/2 are exact copies of
-    planes nz' - j, negated for odd fields; so the norms, which reduce
-    those planes alone, see the same bytes.  ``values`` is a view whose
+    planes nz' - j, negated for odd fields.  The values are those of
+    ``_oversampled_slabs`` run as one slab, so when the norms' lattice is
+    one slab too they reduce the same bytes.  ``values`` is a view whose
     memory order is (ncomp, ny', nz', nx').
     """
     g = f.grid

@@ -84,9 +84,9 @@ class TestEnergyResiduals:
         lam = 2.0
         l2 = np.exp(-lam * t)                    # ||v||_2
         grad = np.sqrt(lam) * np.exp(-lam * t)   # ||grad v||_2 with balance
-        res, dissipation = energy_residual_series(t, l2, grad)
+        res = energy_residual_series(t, l2, grad)
         assert np.max(res) <= 1e-10
-        assert dissipation[-1] == pytest.approx(0.5 * (1 - np.exp(-2 * lam)), rel=1e-9)
+        assert integrate_series(t, grad ** 2)[-1] == pytest.approx(0.5 * (1 - np.exp(-2 * lam)), rel=1e-9)
 
     def test_stepwise_residual_shape(self):
         t = np.linspace(0.0, 1.0, 11)

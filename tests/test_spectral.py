@@ -1,5 +1,6 @@
 """Tests for the spectral substrate: transforms, parity, operators, masks."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,8 @@ from hydrostat.errors import ConfigurationError, DataError
 from hydrostat.estimates import ladyzhenskaya_ratio, norms
 from hydrostat.spectral import (EVEN, NONE, ODD, Grid, PhysicalField,
                                 SpectralField, _Band, _forward, _inverse,
-                                _mirrored, _oversampled_values, _pad_axis,
+                                _lattice_norms, _mirrored, _oversampled_slabs,
+                                _oversampled_values, _pad_axis,
                                 grad_h_norm_sq, grad_norm_sq,
                                 conjugate_symmetry_residual,
                                 dealias, derivative, div_h, field_from_function,
@@ -484,6 +486,115 @@ class TestHalfPlanes:
         f = random_field(grid, 20, ncomp=2, symmetry=tag)
         assert to_physical(f).values.shape == (2,) + grid.physical_shape
         assert oversample(f).values.shape == (2, 32, 32, 32)
+
+
+_LOG_MAX = float(np.log(np.finfo(float).max))
+
+
+def whole_lattice_norms(f, qs, factor=2):
+    """Reference for ``_lattice_norms``: the whole (half-plane) lattice, reduced in full-array passes."""
+    def mag_sq_of(vals):
+        np.square(vals, out=vals)
+        mag_sq = vals[0]
+        for comp in vals[1:]:
+            mag_sq += comp
+        return mag_sq
+
+    def lattice_mean(a, half):
+        if not half:
+            return np.mean(a)
+        ends = np.sum(a[..., 0]) + np.sum(a[..., -1])
+        return (np.sum(a) - 0.5 * ends) / (a.size - a[..., 0].size)
+
+    half = _mirrored(f)
+    with np.errstate(over="ignore"):
+        mag_sq = mag_sq_of(_oversampled_values(f, factor, half))
+    peak = float(np.max(mag_sq))
+    unit = 1.0
+    if peak > 1.0 and (max(qs, default=2.0) / 2.0 * np.log(peak)
+                       + np.log(mag_sq.size) >= _LOG_MAX):
+        vals = _oversampled_values(f, factor, half)
+        unit = float(max(np.max(vals), -np.min(vals)))
+        vals /= unit
+        mag_sq = mag_sq_of(vals)
+        peak = float(np.max(mag_sq))
+    qs = [float(q) for q in qs]
+    moments = {}
+    if 6.0 in qs:
+        power = mag_sq * mag_sq
+        moments[4.0] = lattice_mean(power, half)
+        power *= mag_sq
+        moments[6.0] = lattice_mean(power, half)
+    for q in qs:
+        if q not in moments:
+            moments[q] = lattice_mean(mag_sq ** (q / 2.0), half)
+    lq = {q: unit * float((f.grid.volume * moments[q]) ** (1.0 / q)) for q in qs}
+    return unit * float(np.sqrt(peak)), lq
+
+
+@pytest.fixture(scope="module")
+def grid64():
+    return Grid.make(64, 64, 128, H)
+
+
+class TestStreamedNorms:
+    """The record streams the oversampled lattice in y-row slabs and never holds it whole."""
+
+    QS = (3.0, 4.0, 5.0, 6.0)
+
+    @staticmethod
+    def assert_matches_whole_lattice(f, qs):
+        linf, lq = _lattice_norms(f, qs)
+        ref_linf, ref_lq = whole_lattice_norms(f, qs)
+        assert abs(linf - ref_linf) <= 1e-13 * ref_linf
+        for q in qs:
+            assert abs(lq[q] - ref_lq[q]) <= 1e-13 * ref_lq[q]
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e154])
+    def test_multi_slab_matches_the_whole_lattice(self, grid64, amplitude):
+        """A 2-component even field at 64x64x128 comes in 3 slabs; at 1e154 it is streamed again scaled."""
+        f = random_field(grid64, 31, ncomp=2, symmetry=EVEN) * amplitude
+        assert _mirrored(f)
+        assert sum(1 for _ in _oversampled_slabs(f, 2, True)) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            self.assert_matches_whole_lattice(f, self.QS)
+
+    @pytest.mark.parametrize("kind", ["odd", "untagged", "nyquist"])
+    def test_single_slab_matches_the_whole_lattice(self, grid, kind):
+        if kind == "nyquist":
+            f = parity_field(grid, 32, 2, EVEN)
+            assert not _mirrored(f)
+        else:
+            f = random_field(grid, 33, ncomp=2, symmetry=ODD if kind == "odd" else NONE)
+        assert sum(1 for _ in _oversampled_slabs(f, 2, _mirrored(f))) == 1
+        self.assert_matches_whole_lattice(f, self.QS)
+        for q in self.QS:
+            self.assert_matches_whole_lattice(f, (q,))
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_slabs_tile_the_whole_lattice(self, grid, half):
+        """Slabs of the same row count but the last, at the rows their k0 names."""
+        f = random_field(grid, 34, ncomp=2, symmetry=EVEN)
+        whole = np.moveaxis(_oversampled_values(f, 2, half), 1, 3)
+        counts = []
+        for k0, values in _oversampled_slabs(f, 2, half, slabs=3):
+            counts.append(values.shape[1])
+            expected = whole[:, k0:k0 + values.shape[1]]
+            assert np.max(np.abs(values - expected)) <= 1e-13 * np.max(np.abs(whole))
+        assert counts == [11, 11, 10]
+
+    def test_norms_never_hold_the_whole_lattice(self, grid64):
+        f = random_field(grid64, 35, ncomp=2, symmetry=EVEN)
+        assert _mirrored(f)
+        lattice_bytes = 2 * 128 * 128 * 129 * 8
+        tracemalloc.start()
+        try:
+            norms(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < lattice_bytes
 
 
 band_cases = dict(
