@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import (SpectralField, _lattice_norms, _oversampled_values,
-                       grad_h_norm_sq, grad_norm_sq, l2_norm)
+from .spectral import (_LADY_SLAB_BYTES, SpectralField, _lattice_norms,
+                       _oversampled_slabs, grad_h_norm_sq, grad_norm_sq, l2_norm)
 from .spectral import oversample  # noqa: F401  -- a name the benchmark's tracer rebinds
 
 
@@ -245,19 +245,35 @@ def ladyzhenskaya_ratio(phi: SpectralField, varphi: SpectralField,
     lhs = int_M (int |phi| dz)(int |varphi psi| dz) dx_H by oversampled
     lattice quadrature; both right-hand sides are returned without their
     constant, so lhs/rhs is the constant an inequality proof would need.
+    The lattices are never held whole: they stream in slabs of y rows
+    that hold the whole lattices' bytes, so lhs does not depend on the
+    slab size.
     """
     for f in (phi, varphi, psi):
         if f.ncomp != 1:
             raise ConfigurationError("ratio checker expects scalar fields")
+        if not f.grid.compatible(phi.grid):
+            raise ConfigurationError("ratio checker expects fields on one grid")
     g = phi.grid
-    # Each field is reduced to its column means before the next is
-    # evaluated; the bare arrays are reduced in place.
-    vals = _oversampled_values(phi, factor)[0]
-    col_phi = np.mean(np.abs(vals, out=vals), axis=2) * g.volume
-    del vals
-    mix = _oversampled_values(varphi, factor)[0]
-    mix *= _oversampled_values(psi, factor)[0]
-    col_mix = np.mean(np.abs(mix, out=mix), axis=2) * g.volume
+    # The lattices stream in slabs of y rows k0.., phi's alone and then
+    # varphi's and psi's in lockstep, and each slab is reduced to its z
+    # column means before the next is made.  The columns are stored
+    # (ny', nx'), the memory order of the whole lattice's, so lhs sums
+    # them in the same order.
+    col_phi = np.empty((factor * g.ny, factor * g.nx))
+    col_mix = np.empty_like(col_phi)
+
+    def stream(f):
+        return _oversampled_slabs(f, factor, False, slab_bytes=_LADY_SLAB_BYTES,
+                                  as_one_slab=True)
+
+    for k0, vals in stream(phi):
+        np.mean(np.abs(vals[0], out=vals[0]), axis=1, out=col_phi[k0:k0 + vals.shape[1]])
+    for (k0, mix), (_, other) in zip(stream(varphi), stream(psi), strict=True):
+        mix *= other
+        np.mean(np.abs(mix[0], out=mix[0]), axis=1, out=col_mix[k0:k0 + mix.shape[1]])
+    col_phi *= g.volume
+    col_mix *= g.volume
     lhs = float(np.mean(col_phi * col_mix))
 
     def _pair(f):

@@ -34,7 +34,10 @@ because only l >= 0 is computed and ``unpack`` mirrors it.
 Products are formed on half the lattice.  The driver velocity and the
 gradients of U are even or odd in z, so their values on the planes
 j = 0..nz/2 fix the rest (plane nz - j mirrors plane j), and the even
-products return to spectral space from those planes alone.
+products return to spectral space from those planes alone.  They are
+formed one derivative at a time: each gradient of U goes to the lattice,
+is multiplied by its driver component and added to the sum before the
+next is made, so a stage holds one gradient on the lattice, not three.
 
 Stepping is a pure state-to-state function: a single trajectory is
 sequential, but independent trajectories may run on separate threads.
@@ -143,12 +146,13 @@ def _rhs_core(u: np.ndarray, band: _Band, v: np.ndarray, w: np.ndarray,
     """-[(v . grad_H)U + w dz U + f0 k x U] on the band, even in z, pressure-free.
 
     ``u`` is the packed advected field; ``v`` and ``w`` are the driver's
-    half-plane values, as in ``DriverStage``.
+    half-plane values, as in ``DriverStage``.  The products are formed one
+    derivative at a time, so one gradient at a time is on the lattice, and
+    summed in the order v^1 dx U + v^2 dy U + w dz U.
     """
-    gradients = np.concatenate([1j * band.kx * u, 1j * band.ky * u,
-                                1j * band.kz * u])
-    dx, dy, dz = np.split(band.inverse(gradients, odd_from=2 * len(u)), 3)
-    adv = v[0] * dx + v[1] * dy + w[0] * dz
+    adv = v[0] * band.inverse(1j * band.kx * u)
+    adv += v[1] * band.inverse(1j * band.ky * u)
+    adv += w[0] * band.inverse(1j * band.kz * u, odd_from=0)
     return -band.forward(adv, f0 * _coriolis(u) if f0 != 0.0 else None)
 
 

@@ -31,7 +31,9 @@ Untagged fields and ``to_physical`` use the whole lattice; ``oversample``
 returns the whole lattice too, mirroring the half planes of a
 parity-tagged field.  The norms never hold that lattice: it streams in
 slabs of y rows (``_oversampled_slabs``), and each slab is reduced to a
-max and sums of powers before the next one is made.
+max and sums of powers before the next one is made.  The layer
+inequality's checker streams its lattices the same way, in smaller slabs
+that hold the bytes of the whole lattice.
 
 Conventions (fixed for cross-run reproducibility):
 
@@ -399,8 +401,13 @@ def to_spectral(f: PhysicalField, symmetry: str = NONE) -> SpectralField:
 
 
 def field_from_function(grid, fn, symmetry=NONE):
-    """Sample ``fn(X, Y, Z)`` (returning one array per component) and transform."""
-    X, Y, Z = grid.mesh()
+    """Sample ``fn(X, Y, Z)`` (returning one array per component) and transform.
+
+    X, Y and Z are broadcastable coordinate lines of shapes (nx, 1, 1),
+    (1, ny, 1) and (1, 1, nz), so a separable expression evaluates its
+    functions on lines; each component is broadcast to the lattice.
+    """
+    X, Y, Z = np.meshgrid(grid.x(), grid.y(), grid.z(), indexing="ij", sparse=True)
     vals = fn(X, Y, Z)
     if isinstance(vals, np.ndarray) and vals.ndim == 3:
         vals = (vals,)
@@ -578,10 +585,16 @@ def _pad_axis(dst, src, axis, n):
 _BLOCK_MADDS = 2 ** 18
 
 
-def _blocked_matmul(a, b, out):
+def _blocked_matmul(a, b, out, cols=None):
     """``out = a @ b`` for a 2-D ``a``, as a stack of row blocks small
-    enough for one thread each; returns ``out``."""
-    rows = max(1, _BLOCK_MADDS // max(a.shape[1] * b.shape[1], 1))
+    enough for one thread each; returns ``out``.
+
+    The blocks are sized for a ``b`` of ``cols`` columns (by default its
+    own).  BLAS rounds the last rows of a block apart from the rest, so
+    products against column slices of one table equal the slices of the
+    whole product bit for bit only when sized alike.
+    """
+    rows = max(1, _BLOCK_MADDS // max(a.shape[1] * (cols or b.shape[1]), 1))
     n = a.shape[0] // rows * rows
     np.matmul(a[:n].reshape(n // rows, rows, a.shape[1]), b,
               out=out[:n].reshape(n // rows, rows, b.shape[1]))
@@ -597,8 +610,17 @@ def _blocked_matmul(a, b, out):
 # acceptance-scale lattice is one slab, allocated as before.
 _SLAB_BYTES = 16 * 2 ** 20
 
+# ``estimates.ladyzhenskaya_ratio`` streams its lattices in slabs of at most
+# this many bytes each: a fine 32x32x128 call peaks at 4.0 MiB under
+# tracemalloc, against 18.8 MiB for whole lattices, and it never runs
+# beside the stepper.  The record keeps 16 MiB, because small slabs slow
+# it: ``_lattice_norms`` of a 2-component 64x64x128 field took 36-37 ms
+# with 16 MiB slabs and 44-52 ms with 512 KiB ones (median of 10, 3 runs).
+_LADY_SLAB_BYTES = 2 ** 19
 
-def _oversampled_slabs(f: SpectralField, factor: int, half: bool, slabs=None):
+
+def _oversampled_slabs(f: SpectralField, factor: int, half: bool, slabs=None,
+                       slab_bytes=_SLAB_BYTES, as_one_slab=False):
     """Lattice values of ``oversample`` as a stream of y-row slabs.
 
     Evaluates one axis at a time and only the lines that can be non-zero:
@@ -616,9 +638,11 @@ def _oversampled_slabs(f: SpectralField, factor: int, half: bool, slabs=None):
     once per slab of lattice rows k0..k0+rows-1 against that slab's table
     columns.  Yields ``(k0, values)`` with ``values`` of shape
     (ncomp, rows, nz', nx'), a buffer that the next slab overwrites.
-    There are ``slabs`` slabs (by default one per ``_SLAB_BYTES`` of the
+    There are ``slabs`` slabs (by default one per ``slab_bytes`` of the
     lattice, rounded up); all but the last have the same row count.
-    With ``half``, only the planes j = 0..nz'/2 are evaluated.
+    With ``half``, only the planes j = 0..nz'/2 are evaluated.  With
+    ``as_one_slab``, the y product's row blocks are sized as for a single
+    slab, so every slab holds the bytes of ``_oversampled_values``.
     """
     g = f.grid
     ncomp = f.coeffs.shape[0]
@@ -649,7 +673,7 @@ def _oversampled_slabs(f: SpectralField, factor: int, half: bool, slabs=None):
     x_pair = x_pair.reshape(2 * len(cols), fnx)
 
     if slabs is None:
-        slabs = -(-ncomp * fny * nzp * fnx * 8 // _SLAB_BYTES)
+        slabs = -(-ncomp * fny * nzp * fnx * 8 // slab_bytes)
     step = -(-fny // slabs)
     width = nzp * len(cols)
     planes = np.empty(ncomp * step * width, dtype=complex)
@@ -660,7 +684,8 @@ def _oversampled_slabs(f: SpectralField, factor: int, half: bool, slabs=None):
         slab = planes[: ncomp * n * width].reshape(ncomp, n, width)
         for comp in range(ncomp):      # transposed, so the row blocks run along (j, m)
             _blocked_matmul(lines[comp].reshape(len(rows), width).T,
-                            y_table[:, k0:k0 + n], slab[comp].T)
+                            y_table[:, k0:k0 + n], slab[comp].T,
+                            cols=fny if as_one_slab else None)
         # The last slab frees the lines before the values are made and the
         # planes before its consumer runs, so a single slab allocates and
         # frees in the order a whole lattice did (fewer page faults).

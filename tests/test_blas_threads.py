@@ -4,8 +4,9 @@ The band transforms of the stepper and the y and x passes of the
 oversampled evaluation are matrix products through numpy's BLAS.  A fresh
 interpreter takes one nonlinear step, one linear step and one norm record
 at each of three resolutions, one layer-inequality ratio at 32x32x128,
-the sup norm of an untagged field at 48x48x96 and one norm record at
-64x64x128, whose lattice comes in three slabs, with OPENBLAS_NUM_THREADS
+whose three lattices stream in lockstep in more than one slab, the sup
+norm of an untagged field at 48x48x96 and one norm record at 64x64x128,
+whose lattice comes in three slabs, with OPENBLAS_NUM_THREADS
 and OMP_NUM_THREADS set to 1 and then to 2, and prints a hash of every
 result's bytes.  At 48x48x96 the per-component x products of the band are
 large enough for BLAS to split them across threads.
@@ -24,8 +25,8 @@ import numpy as np
 from hydrostat import (EVEN, Grid, PhysicsParams, StepControl,
                        field_from_function, make_state, norms, step, step_linear)
 from hydrostat.estimates import ladyzhenskaya_ratio
-from hydrostat.spectral import (PhysicalField, _oversampled_slabs, dealias, linf_norm,
-                                to_spectral)
+from hydrostat.spectral import (_LADY_SLAB_BYTES, PhysicalField, _oversampled_slabs,
+                                dealias, linf_norm, to_spectral)
 digest = hashlib.sha256()
 for shape in ((16, 16, 32), (10, 14, 20), (48, 48, 96)):
     g = Grid.make(*shape, 0.5)
@@ -45,7 +46,10 @@ rng = np.random.default_rng(5)
 def scalar(shape):
     g = Grid.make(*shape, 0.5)
     return dealias(to_spectral(PhysicalField(g, rng.standard_normal((1,) + shape))))
-r = ladyzhenskaya_ratio(*(scalar((32, 32, 128)) for _ in range(3)))
+triple = [scalar((32, 32, 128)) for _ in range(3)]
+assert sum(1 for _ in _oversampled_slabs(triple[0], 2, False,
+                                         slab_bytes=_LADY_SLAB_BYTES)) > 1
+r = ladyzhenskaya_ratio(*triple)
 digest.update(np.array([r.lhs, r.rhs1, r.rhs2, r.ratio1, r.ratio2,
                         linf_norm(scalar((48, 48, 96)))]).tobytes())
 g = Grid.make(64, 64, 128, 0.5)

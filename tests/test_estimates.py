@@ -1,12 +1,14 @@
 """Tests for norms, bound evaluators, the iteration lemma and the
 layer-inequality ratio machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hydrostat.errors import ConfigurationError
-from hydrostat.estimates import (BoundParams, IterationInstance,
+from hydrostat.estimates import (BoundParams, IterationInstance, LadyzhenskayaRatios,
                                  certified_log_bounds, fit_sup_envelope_c0,
                                  growth_envelope,
                                  iteration_base, iteration_weight,
@@ -15,9 +17,10 @@ from hydrostat.estimates import (BoundParams, IterationInstance,
                                  norms, perturbation_response,
                                  random_instance, saturated_instance,
                                  sup_norm_envelope)
-from hydrostat.spectral import (Grid, PhysicalField, dealias,
-                                field_from_function, l2_lattice_norm, l2_norm,
-                                to_physical, to_spectral, zero_field)
+from hydrostat.spectral import (_LADY_SLAB_BYTES, Grid, PhysicalField,
+                                _oversampled_slabs, _oversampled_values, dealias,
+                                field_from_function, grad_h_norm_sq, l2_lattice_norm,
+                                l2_norm, refine, to_physical, to_spectral, zero_field)
 
 H = 0.5
 
@@ -239,6 +242,78 @@ class TestLadyzhenskayaRatio:
         one = field_from_function(grid, lambda X, Y, Z: 1.0 + 0 * X)
         with pytest.raises(ConfigurationError):
             ladyzhenskaya_ratio(v, one, one)
+
+    def test_fields_on_different_grids_rejected(self, grid):
+        one = field_from_function(grid, lambda X, Y, Z: 1.0 + 0 * X)
+        other = refine(one, Grid.make(16, 16, 32, H))
+        with pytest.raises(ConfigurationError):
+            ladyzhenskaya_ratio(one, one, other)
+
+
+def whole_lattice_ratio(phi, varphi, psi, factor=2):
+    """``ladyzhenskaya_ratio`` on whole oversampled lattices, one at a time."""
+    g = phi.grid
+    vals = _oversampled_values(phi, factor)[0]
+    col_phi = np.mean(np.abs(vals, out=vals), axis=2) * g.volume
+    del vals
+    mix = _oversampled_values(varphi, factor)[0]
+    mix *= _oversampled_values(psi, factor)[0]
+    col_mix = np.mean(np.abs(mix, out=mix), axis=2) * g.volume
+    lhs = float(np.mean(col_phi * col_mix))
+
+    def _pair(f):
+        n2 = l2_norm(f)
+        nh = np.sqrt(grad_h_norm_sq(f))
+        return n2, np.sqrt(n2 * (n2 + nh))
+
+    phi2, phi_mix = _pair(phi)
+    var2, var_mix = _pair(varphi)
+    psi2, psi_mix = _pair(psi)
+    rhs1 = phi2 * var_mix * psi_mix
+    rhs2 = phi_mix * var_mix * psi2
+    tiny = np.finfo(float).tiny
+    return LadyzhenskayaRatios(lhs, rhs1, rhs2,
+                               lhs / max(rhs1, tiny), lhs / max(rhs2, tiny))
+
+
+def lady_slabs(f):
+    return sum(1 for _ in _oversampled_slabs(f, 2, False, slab_bytes=_LADY_SLAB_BYTES))
+
+
+class TestStreamedLadyzhenskayaRatio:
+    """The streamed ratio holds a few y rows of each lattice, to the same bytes."""
+
+    @pytest.mark.parametrize("shape, h", [((32, 32, 64), 0.5), ((24, 20, 48), 0.37),
+                                          ((10, 14, 20), 0.5)])
+    def test_matches_the_whole_lattice(self, shape, h):
+        coarse = Grid.make(*shape, h)
+        fine = Grid.make(shape[0], shape[1], 2 * shape[2], h)
+        rng = np.random.default_rng(sum(shape))
+        triple = [dealias(to_spectral(PhysicalField(
+            coarse, rng.standard_normal((1,) + shape)))) for _ in range(3)]
+        for fields in (triple, [refine(f, fine) for f in triple]):
+            assert ladyzhenskaya_ratio(*fields) == whole_lattice_ratio(*fields)
+        if shape != (10, 14, 20):
+            assert lady_slabs(triple[0]) > 2
+
+    def test_constant_field_matches_the_whole_lattice(self):
+        one = field_from_function(Grid.make(32, 32, 64, 0.41), lambda X, Y, Z: 1.0 + 0 * X)
+        assert lady_slabs(one) > 2
+        assert ladyzhenskaya_ratio(one, one, one) == whole_lattice_ratio(one, one, one)
+
+    def test_fine_ratio_never_holds_a_fine_lattice(self):
+        g = Grid.make(32, 32, 128, H)
+        rng = np.random.default_rng(11)
+        triple = [dealias(to_spectral(PhysicalField(
+            g, rng.standard_normal((1,) + g.physical_shape)))) for _ in range(3)]
+        lattice_bytes = 64 * 64 * 256 * 8
+        tracemalloc.start()
+        try:
+            ladyzhenskaya_ratio(*triple)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < lattice_bytes
 
 
 class TestEnvelopeFitting:

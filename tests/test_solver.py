@@ -1,6 +1,7 @@
 """Tests for the RK3/integrating-factor stepper against exact solutions."""
 
 import gc
+import tracemalloc
 import warnings
 import weakref
 
@@ -11,7 +12,7 @@ from hydrostat.diagnostics import stepwise_energy_residuals
 from hydrostat.errors import (BlowUpError, ConfigurationError,
                               ConstraintViolationError, SchedulingError)
 from hydrostat.solver import (CFLWarning, PhysicsParams, SolverState,
-                              StepControl, _cleanup, _rhs_core, integrate,
+                              StepControl, _cleanup, _coriolis, _rhs_core, integrate,
                               make_state, rhs_nonlinear, step, step_linear)
 from hydrostat.spectral import (EVEN, Grid, SpectralField, _Band, dealias,
                                 field_from_function, l2_norm, symmetrize,
@@ -310,3 +311,71 @@ class TestPressureFreeStepper:
         assert err.value.last_good is state
         assert np.all(np.isfinite(state.v.coeffs))
         assert "RK stage" in str(err.value)
+
+
+def batched_rhs_core(u, band, v, w, f0):
+    """The stage tendency with all six gradients inverted in one band transform."""
+    gradients = np.concatenate([1j * band.kx * u, 1j * band.ky * u,
+                                1j * band.kz * u])
+    dx, dy, dz = np.split(band.inverse(gradients, odd_from=2 * len(u)), 3)
+    adv = v[0] * dx + v[1] * dy + w[0] * dz
+    return -band.forward(adv, f0 * _coriolis(u) if f0 != 0.0 else None)
+
+
+def smooth_state(grid, f0=1.0):
+    return make_state(field_from_function(grid, lambda X, Y, Z: (
+        np.cos(2 * np.pi * Y) * np.cos(2 * np.pi * Z) + np.sin(2 * np.pi * (X + 2 * Y)),
+        np.sin(2 * np.pi * X) * np.cos(4 * np.pi * Z)), symmetry=EVEN), 0.0,
+        PhysicsParams(f0, H))
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStageOneDerivativeAtATime:
+    """The stage forms its products one gradient at a time, to the same bytes."""
+
+    @pytest.mark.parametrize("shape", [(16, 16, 32), (10, 14, 20)])
+    @pytest.mark.parametrize("f0", [0.0, 1.3])
+    def test_nonlinear_tendency_matches_the_batched_one(self, shape, f0):
+        g = Grid.make(*shape, H)
+        v = structured_constrained(g)
+        band = _Band(g)
+        u, w = band.pack(v.coeffs), band.pack(recover_w(v).coeffs)
+        args = (u, band, band.inverse(u), band.inverse(w, odd_from=0), f0)
+        assert np.array_equal(_rhs_core(*args), batched_rhs_core(*args))
+
+    @pytest.mark.parametrize("shape", [(16, 16, 32), (10, 14, 20)])
+    def test_linear_tendency_matches_the_batched_one(self, shape):
+        g = Grid.make(*shape, H)
+        _, stages = step(smooth_state(g), StepControl(dt=1e-3), record_stages=True)
+        band = _Band(g)
+        u = band.pack(structured_constrained(g).coeffs)
+        for stage in stages:
+            args = (u, band, stage.v, stage.w, 1.0)
+            assert np.array_equal(_rhs_core(*args), batched_rhs_core(*args))
+
+
+class TestStepMemory:
+    """At 64x64x128 one step holds one gradient on the lattice, not six."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        state = smooth_state(Grid.make(64, 64, 128, H))
+        ctl = StepControl(dt=1e-3)
+        _, stages = step(state, ctl, record_stages=True)
+        return state, stages, ctl
+
+    def test_step_peak(self, case):
+        state, _, ctl = case
+        assert traced_peak(lambda: step(state, ctl)) < 36 * 2 ** 20
+
+    def test_step_linear_peak(self, case):
+        state, stages, ctl = case
+        assert traced_peak(lambda: step_linear(state, stages, ctl)) < 30 * 2 ** 20
