@@ -12,9 +12,8 @@ from .errors import (BlowUpError, ConfigError, ConfigurationError,
                      SchedulingError)
 from .spectral import (EVEN, NONE, ODD, Grid, PhysicalField, SpectralField,
                        dealias, derivative, div_h, field_from_function,
-                       grad_h, l2_norm, laplacian, linf_norm, lq_norm,
-                       pointwise_product, refine, symmetrize, to_physical,
-                       to_spectral, zero_field)
+                       l2_norm, linf_norm, lq_norm, refine, symmetrize,
+                       to_physical, to_spectral, zero_field)
 from .hydrostatics import (Pressure2D, PressureSplit, barotropic_residual,
                            boundary_trace_norm, project_barotropic,
                            recover_w, solve_pressure, vertical_integral)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import (_LADY_SLAB_BYTES, SpectralField, _lattice_norms,
+from .spectral import (_FACTOR, _LADY_SLAB_BYTES, SpectralField, _lattice_norms,
                        _oversampled_slabs, grad_h_norm_sq, grad_norm_sq, l2_norm)
 from .spectral import oversample  # noqa: F401  -- a name the benchmark's tracer rebinds
 
@@ -239,15 +239,14 @@ class LadyzhenskayaRatios:
 
 
 def ladyzhenskaya_ratio(phi: SpectralField, varphi: SpectralField,
-                        psi: SpectralField, factor: int = 2) -> LadyzhenskayaRatios:
+                        psi: SpectralField) -> LadyzhenskayaRatios:
     """Empirical constant demand of the layer interpolation inequality.
 
     lhs = int_M (int |phi| dz)(int |varphi psi| dz) dx_H by oversampled
     lattice quadrature; both right-hand sides are returned without their
     constant, so lhs/rhs is the constant an inequality proof would need.
-    The lattices are never held whole: they stream in slabs of y rows
-    that hold the whole lattices' bytes, so lhs does not depend on the
-    slab size.
+    The lattices are never held whole: they stream in slabs of y rows,
+    whose size changes lhs by round-off only.
     """
     for f in (phi, varphi, psi):
         if f.ncomp != 1:
@@ -257,19 +256,17 @@ def ladyzhenskaya_ratio(phi: SpectralField, varphi: SpectralField,
     g = phi.grid
     # The lattices stream in slabs of y rows k0.., phi's alone and then
     # varphi's and psi's in lockstep, and each slab is reduced to its z
-    # column means before the next is made.  The columns are stored
-    # (ny', nx'), the memory order of the whole lattice's, so lhs sums
-    # them in the same order.
-    col_phi = np.empty((factor * g.ny, factor * g.nx))
+    # column means before the next is made.  Untagged views stream every
+    # plane of a tagged field.  The columns are stored (ny', nx'), the
+    # memory order of the whole lattice's, so lhs sums them in that order.
+    col_phi = np.empty((_FACTOR * g.ny, _FACTOR * g.nx))
     col_mix = np.empty_like(col_phi)
-
-    def stream(f):
-        return _oversampled_slabs(f, factor, False, slab_bytes=_LADY_SLAB_BYTES,
-                                  as_one_slab=True)
-
-    for k0, vals in stream(phi):
+    phi_s, varphi_s, psi_s = (_oversampled_slabs(SpectralField(f.grid, f.coeffs),
+                                                 _LADY_SLAB_BYTES)
+                              for f in (phi, varphi, psi))
+    for k0, vals in phi_s:
         np.mean(np.abs(vals[0], out=vals[0]), axis=1, out=col_phi[k0:k0 + vals.shape[1]])
-    for (k0, mix), (_, other) in zip(stream(varphi), stream(psi), strict=True):
+    for (k0, mix), (_, other) in zip(varphi_s, psi_s, strict=True):
         mix *= other
         np.mean(np.abs(mix[0], out=mix[0]), axis=1, out=col_mix[k0:k0 + mix.shape[1]])
     col_phi *= g.volume

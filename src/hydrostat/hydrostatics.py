@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ConstraintViolationError
 from .spectral import (EVEN, ODD, Grid, PhysicalField, SpectralField,
-                       div_h, l2_norm, symmetrize, to_physical)
+                       _parseval, div_h, l2_norm, symmetrize, to_physical)
 
 CONSTRAINT_TOL = 1e-10
 
@@ -72,8 +72,7 @@ def barotropic_residual(v: SpectralField) -> float:
 def _mean_residual(u, kx, ky, weights, volume, norm):
     """L2 size of div_h of the z-mean plane ``u`` relative to max(norm, 1)."""
     d = 1j * kx * u[0] + 1j * ky * u[1]
-    res = np.sqrt(float(volume * np.sum(weights * np.abs(d) ** 2)))
-    return res / max(norm, 1.0)
+    return _parseval(d, weights, volume, root=True) / max(norm, 1.0)
 
 
 def project_barotropic(v: SpectralField) -> SpectralField:
@@ -111,8 +110,7 @@ def vertical_integral(f: SpectralField, require_periodic: bool = True) -> Spectr
     g = f.grid
     mean_plane = zmean_coeffs(f)
     if require_periodic:
-        res = np.sqrt(float(g.volume * np.sum(g.mode_weights[..., 0]
-                                              * np.abs(mean_plane) ** 2)))
+        res = _parseval(mean_plane, g.mode_weights[..., 0], g.volume, root=True)
         ref = max(l2_norm(f), 1.0)
         if res > CONSTRAINT_TOL * ref:
             raise ConstraintViolationError(
@@ -153,7 +151,7 @@ def _recover_w_band(u, band):
     result is the packed full w bit for bit.
     """
     g = band.grid
-    norm = np.sqrt(float(g.volume * np.sum(band.weights * np.abs(u) ** 2)))
+    norm = _parseval(u, band.weights, g.volume, root=True)
     res = _mean_residual(u[..., 0], band.kx[..., 0], band.ky[..., 0],
                          band.weights[..., 0], g.volume, norm)
     if res > CONSTRAINT_TOL:
@@ -172,7 +170,7 @@ def boundary_trace_norm(w: SpectralField) -> float:
     """
     g = w.grid
     trace = np.sum(w.coeffs, axis=-1)
-    return np.sqrt(float(np.sum(g.mode_weights[..., 0] * np.abs(trace) ** 2)))
+    return _parseval(trace, g.mode_weights[..., 0], 1.0, root=True)
 
 
 def poisson_h_solve(grid: Grid, rhs_coeffs: np.ndarray) -> Pressure2D:

@@ -57,8 +57,7 @@ from .estimates import norms
 from .hydrostatics import (_project_mean, _recover_w_band,
                            pressure_gradient_field, project_barotropic,
                            recover_w, solve_pressure)
-from .spectral import (EVEN, SpectralField, _Band, dealias, parity_flip,
-                       symmetrize)
+from .spectral import EVEN, SpectralField, _Band, dealias, symmetrize
 
 RK_A = (8.0 / 15.0, 5.0 / 12.0, 3.0 / 4.0)
 RK_B = (0.0, -17.0 / 60.0, -5.0 / 12.0)
@@ -130,12 +129,6 @@ def _stage_factors(band: _Band, dt: float):
     return tuple(np.exp(-band.k2 * ((RK_C[k + 1] - RK_C[k]) * dt)) for k in range(3))
 
 
-def _cleanup(coeffs, grid):
-    """Dealias + even-symmetrize at the coefficient level."""
-    masked = coeffs * grid.dealias_mask
-    return 0.5 * (masked + parity_flip(masked))
-
-
 def _coriolis(coeffs):
     """Coefficients of k x U = (-U^2, U^1)."""
     return np.concatenate([-coeffs[1:2], coeffs[0:1]])
@@ -170,7 +163,7 @@ def rhs_nonlinear(v: SpectralField, params: PhysicsParams) -> SpectralField:
     tendency = band.unpack(_rhs_core(u, band, band.inverse(u),
                                      band.inverse(w, odd_from=0), params.f0))
     grad_p = pressure_gradient_field(solve_pressure(v, params.f0).total)
-    return SpectralField(g, tendency - _cleanup(grad_p.coeffs, g), EVEN)
+    return SpectralField(g, tendency - symmetrize(dealias(grad_p), EVEN).coeffs, EVEN)
 
 
 def _advance_stages(state: SolverState, dt: float, driver_stages=None,

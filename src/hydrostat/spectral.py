@@ -19,21 +19,22 @@ as three small real matrix products (``np.matmul``, numpy's BLAS) rather
 than FFTs of mostly zero lines; the z tables are cosine and sine sums,
 so the forward result is even in l by construction.
 
-Sup and L^q norms evaluate a field on a finer, oversampled lattice
-(``oversample``).  There z is a zero-padded FFT of the populated (m, n)
-lines, and y and x are dense partial Fourier sums over the populated
-rows and x modes, again matrix products.  The oversampled norms of
-parity-tagged fields reduce over the planes j = 0..nz'/2 of the finer
-lattice, counting the two end planes at half weight in means; an even
-field whose z Nyquist plane is populated is the exception, because zero
-padding places that mode on one side only and breaks the mirror.
+Sup and L^q norms evaluate a field on an oversampled lattice, twice as
+fine along each axis (``oversample``).  There z is a zero-padded FFT of
+the populated (m, n) lines, and y and x are dense partial Fourier sums
+over the populated rows and x modes, again matrix products.  The
+oversampled norms of parity-tagged fields reduce over the planes
+j = 0..nz'/2 of the finer lattice, counting the two end planes at half
+weight in means; an even field whose z Nyquist plane is populated is the
+exception, because zero padding places that mode on one side only and
+breaks the mirror.
 Untagged fields and ``to_physical`` use the whole lattice; ``oversample``
 returns the whole lattice too, mirroring the half planes of a
 parity-tagged field.  The norms never hold that lattice: it streams in
 slabs of y rows (``_oversampled_slabs``), and each slab is reduced to a
 max and sums of powers before the next one is made.  The layer
-inequality's checker streams its lattices the same way, in smaller slabs
-that hold the bytes of the whole lattice.
+inequality's checker streams its lattices the same way, in smaller
+slabs.  The slab size changes memory and round-off only.
 
 Conventions (fixed for cross-run reproducibility):
 
@@ -339,9 +340,6 @@ class SpectralField:
         return SpectralField(self.grid, coeffs,
                              self.symmetry if symmetry is None else symmetry)
 
-    def component(self, i):
-        return SpectralField(self.grid, self.coeffs[i:i + 1], self.symmetry)
-
     def __add__(self, other):
         _check_same_grid(self, other)
         tag = self.symmetry if self.symmetry == other.symmetry else NONE
@@ -464,19 +462,6 @@ def derivative(f: SpectralField, axis: str) -> SpectralField:
     raise ConfigurationError(f"unknown axis {axis!r}")
 
 
-def laplacian(f: SpectralField) -> SpectralField:
-    return f.with_coeffs(-f.grid.k2 * f.coeffs)
-
-
-def grad_h(f: SpectralField) -> SpectralField:
-    """Horizontal gradient of a scalar field -> 2-component field."""
-    if f.ncomp != 1:
-        raise ConfigurationError(f"grad_h needs a scalar field, got {f.ncomp} components")
-    g = f.grid
-    out = np.concatenate([1j * g.kx_d * f.coeffs, 1j * g.ky_d * f.coeffs])
-    return SpectralField(g, out, f.symmetry)
-
-
 def div_h(f: SpectralField) -> SpectralField:
     """Horizontal divergence of a 2-component field -> scalar."""
     if f.ncomp != 2:
@@ -486,60 +471,48 @@ def div_h(f: SpectralField) -> SpectralField:
     return SpectralField(g, out, f.symmetry)
 
 
-def pointwise_product(f: PhysicalField, g: PhysicalField) -> PhysicalField:
-    """Lattice product; scalar factors broadcast against vector factors.
-
-    The caller is responsible for dealiasing after returning to spectral
-    space.
-    """
-    _check_same_grid(f, g)
-    if f.ncomp != g.ncomp and 1 not in (f.ncomp, g.ncomp):
-        raise ConfigurationError(
-            f"cannot broadcast {f.ncomp} against {g.ncomp} components")
-    return PhysicalField(f.grid, f.values * g.values)
-
-
 # ---------------------------------------------------------------------------
 # norms and oversampling
 # ---------------------------------------------------------------------------
 
-def _parseval(f: SpectralField, weights) -> float:
-    """volume * sum(weights * |c|^2) over the stored coefficients.
+def _parseval(coeffs, weights, volume, root=False) -> float:
+    """volume * sum(weights * |c|^2) over the coefficients ``coeffs``, or
+    with ``root`` its square root.
 
     Only when that sum overflows from finite coefficients is it taken
     again of c / max |c| and scaled back in Python floats, which give inf
-    without a warning when the true value is out of range; every other
-    field keeps the unscaled arithmetic.
+    without a warning when the true value is out of range; so a root is
+    finite whenever it is in range.  Every other array keeps the unscaled
+    arithmetic.
     """
-    g = f.grid
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(g.volume * np.sum(weights * np.abs(f.coeffs) ** 2))
-    if np.isfinite(total) or not np.all(np.isfinite(f.coeffs)):
-        return total
-    unit = float(np.max(np.abs(f.coeffs)))
-    scaled = float(g.volume * np.sum(weights * np.abs(f.coeffs / unit) ** 2))
-    return scaled * unit * unit
+        total = float(volume * np.sum(weights * np.abs(coeffs) ** 2))
+    if np.isfinite(total) or not np.all(np.isfinite(coeffs)):
+        return np.sqrt(total) if root else total
+    unit = float(np.max(np.abs(coeffs)))
+    scaled = float(volume * np.sum(weights * np.abs(coeffs / unit) ** 2))
+    return np.sqrt(scaled) * unit if root else scaled * unit * unit
 
 
 def l2_norm_sq(f: SpectralField) -> float:
     """Squared L2 norm over M x (-h,h), computed by Parseval."""
-    return _parseval(f, f.grid.mode_weights)
+    return _parseval(f.coeffs, f.grid.mode_weights, f.grid.volume)
 
 
 def l2_norm(f: SpectralField) -> float:
-    return np.sqrt(l2_norm_sq(f))
+    return _parseval(f.coeffs, f.grid.mode_weights, f.grid.volume, root=True)
 
 
 def grad_norm_sq(f: SpectralField) -> float:
     """Squared L2 norm of the full (3D) gradient, by Parseval."""
     g = f.grid
-    return _parseval(f, g.mode_weights * g.k2)
+    return _parseval(f.coeffs, g.mode_weights * g.k2, g.volume)
 
 
 def grad_h_norm_sq(f: SpectralField) -> float:
     """Squared L2 norm of the horizontal gradient."""
     g = f.grid
-    return _parseval(f, g.mode_weights * g.kh2[:, :, None])
+    return _parseval(f.coeffs, g.mode_weights * g.kh2[:, :, None], g.volume)
 
 
 def l2_lattice_norm(f: PhysicalField) -> float:
@@ -553,24 +526,18 @@ def refine(f: SpectralField, fine: Grid) -> SpectralField:
     if (fine.nx < g.nx or fine.ny < g.ny or fine.nz < g.nz
             or abs(fine.h - g.h) > 1e-15):
         raise ConfigurationError("refinement target must be at least as fine, same h")
-    src = f.coeffs
-    ncomp = src.shape[0]
+    ncomp, nxr = f.coeffs.shape[:2]
+    rows = np.zeros((ncomp, nxr, fine.ny, g.nz), dtype=complex)
+    _pad_axis(rows, f.coeffs, 2, g.ny)
     pad = np.zeros((ncomp,) + fine.spectral_shape, dtype=complex)
-    ny, nz = g.ny, g.nz
-    fny, fnz = fine.ny, fine.nz
-    ylo, zlo = ny // 2 + 1, nz // 2 + 1
-    pad[:, : g.nx // 2 + 1, :ylo, :zlo] = src[:, :, :ylo, :zlo]
-    pad[:, : g.nx // 2 + 1, :ylo, fnz - (nz - zlo):] = src[:, :, :ylo, zlo:]
-    pad[:, : g.nx // 2 + 1, fny - (ny - ylo):, :zlo] = src[:, :, ylo:, :zlo]
-    pad[:, : g.nx // 2 + 1, fny - (ny - ylo):, fnz - (nz - zlo):] = src[:, :, ylo:, zlo:]
+    _pad_axis(pad[:, :nxr], rows, 3, g.nz)
     return SpectralField(fine, pad, f.symmetry)
 
 
 def _pad_axis(dst, src, axis, n):
     """Copy ``src`` into the zeroed ``dst`` along ``axis``, keeping both signs.
 
-    Index n//2 (the coarse Nyquist) lands on the positive side, as in
-    ``refine``.
+    Index n//2 (the coarse Nyquist) lands on the positive side.
     """
     lo = n // 2 + 1
     hi = dst.shape[axis] - (n - lo)
@@ -585,22 +552,19 @@ def _pad_axis(dst, src, axis, n):
 _BLOCK_MADDS = 2 ** 18
 
 
-def _blocked_matmul(a, b, out, cols=None):
+def _blocked_matmul(a, b, out):
     """``out = a @ b`` for a 2-D ``a``, as a stack of row blocks small
-    enough for one thread each; returns ``out``.
-
-    The blocks are sized for a ``b`` of ``cols`` columns (by default its
-    own).  BLAS rounds the last rows of a block apart from the rest, so
-    products against column slices of one table equal the slices of the
-    whole product bit for bit only when sized alike.
-    """
-    rows = max(1, _BLOCK_MADDS // max(a.shape[1] * (cols or b.shape[1]), 1))
+    enough for one thread each; returns ``out``."""
+    rows = max(1, _BLOCK_MADDS // max(a.shape[1] * b.shape[1], 1))
     n = a.shape[0] // rows * rows
     np.matmul(a[:n].reshape(n // rows, rows, a.shape[1]), b,
               out=out[:n].reshape(n // rows, rows, b.shape[1]))
     np.matmul(a[n:], b, out=out[n:])
     return out
 
+
+# The oversampled lattice is twice as fine as the grid along each axis.
+_FACTOR = 2
 
 # The record streams its lattice in slabs of at most this many bytes.  glibc
 # returns freed blocks to the OS and lifts its mmap and trim thresholds to
@@ -616,11 +580,11 @@ _SLAB_BYTES = 16 * 2 ** 20
 # beside the stepper.  The record keeps 16 MiB, because small slabs slow
 # it: ``_lattice_norms`` of a 2-component 64x64x128 field took 36-37 ms
 # with 16 MiB slabs and 44-52 ms with 512 KiB ones (median of 10, 3 runs).
+# The slab size changes memory and round-off only.
 _LADY_SLAB_BYTES = 2 ** 19
 
 
-def _oversampled_slabs(f: SpectralField, factor: int, half: bool, slabs=None,
-                       slab_bytes=_SLAB_BYTES, as_one_slab=False):
+def _oversampled_slabs(f: SpectralField, slab_bytes=None):
     """Lattice values of ``oversample`` as a stream of y-row slabs.
 
     Evaluates one axis at a time and only the lines that can be non-zero:
@@ -638,21 +602,20 @@ def _oversampled_slabs(f: SpectralField, factor: int, half: bool, slabs=None,
     once per slab of lattice rows k0..k0+rows-1 against that slab's table
     columns.  Yields ``(k0, values)`` with ``values`` of shape
     (ncomp, rows, nz', nx'), a buffer that the next slab overwrites.
-    There are ``slabs`` slabs (by default one per ``slab_bytes`` of the
-    lattice, rounded up); all but the last have the same row count.
-    With ``half``, only the planes j = 0..nz'/2 are evaluated.  With
-    ``as_one_slab``, the y product's row blocks are sized as for a single
-    slab, so every slab holds the bytes of ``_oversampled_values``.
+    There is one slab per ``slab_bytes`` of the lattice, rounded up, or
+    one in all when ``slab_bytes`` is None; all but the last have the
+    same row count.  A mirrored field (``_mirrored``) is evaluated on the
+    planes j = 0..nz'/2 only.
     """
     g = f.grid
     ncomp = f.coeffs.shape[0]
-    fnx, fny, fnz = factor * g.nx, factor * g.ny, factor * g.nz
+    fnx, fny, fnz = _FACTOR * g.nx, _FACTOR * g.ny, _FACTOR * g.nz
     ms, ns = np.nonzero(np.any(f.coeffs, axis=(0, 3)))
 
     zpad = np.zeros((ncomp, len(ms), fnz), dtype=complex)
     _pad_axis(zpad, f.coeffs[:, ms, ns], 2, g.nz)
     np.fft.ifft(zpad, axis=2, norm="forward", out=zpad)
-    if half:
+    if _mirrored(f):
         zpad = zpad[..., : fnz // 2 + 1]
     nzp = zpad.shape[2]
 
@@ -672,8 +635,7 @@ def _oversampled_slabs(f: SpectralField, factor: int, half: bool, slabs=None,
     x_pair[cols == 0, 1] = 0.0
     x_pair = x_pair.reshape(2 * len(cols), fnx)
 
-    if slabs is None:
-        slabs = -(-ncomp * fny * nzp * fnx * 8 // slab_bytes)
+    slabs = 1 if slab_bytes is None else -(-ncomp * fny * nzp * fnx * 8 // slab_bytes)
     step = -(-fny // slabs)
     width = nzp * len(cols)
     planes = np.empty(ncomp * step * width, dtype=complex)
@@ -684,8 +646,7 @@ def _oversampled_slabs(f: SpectralField, factor: int, half: bool, slabs=None,
         slab = planes[: ncomp * n * width].reshape(ncomp, n, width)
         for comp in range(ncomp):      # transposed, so the row blocks run along (j, m)
             _blocked_matmul(lines[comp].reshape(len(rows), width).T,
-                            y_table[:, k0:k0 + n], slab[comp].T,
-                            cols=fny if as_one_slab else None)
+                            y_table[:, k0:k0 + n], slab[comp].T)
         # The last slab frees the lines before the values are made and the
         # planes before its consumer runs, so a single slab allocates and
         # frees in the order a whole lattice did (fewer page faults).
@@ -701,14 +662,14 @@ def _oversampled_slabs(f: SpectralField, factor: int, half: bool, slabs=None,
         yield k0, out
 
 
-def _oversampled_values(f: SpectralField, factor: int, half: bool = False) -> np.ndarray:
+def _oversampled_values(f: SpectralField) -> np.ndarray:
     """Bare lattice values behind ``oversample``, as one slab; the caller owns the array.
 
     The result is a (ncomp, nx', ny', nz') view of a (ncomp, ny', nz', nx')
-    array, so the x product writes contiguous lines.  With ``half``, only
-    the planes j = 0..nz'/2 come back.
+    array, so the x product writes contiguous lines.  For a mirrored
+    field only the planes j = 0..nz'/2 come back.
     """
-    (_, values), = _oversampled_slabs(f, factor, half, slabs=1)
+    (_, values), = _oversampled_slabs(f)
     return np.moveaxis(values, 3, 1)
 
 
@@ -724,17 +685,17 @@ def _mirrored(f: SpectralField) -> bool:
 _LOG_MAX = float(np.log(np.finfo(float).max))
 
 
-def _lattice_moments(f: SpectralField, qs, factor: int, half: bool, unit=None):
+def _lattice_moments(f: SpectralField, qs, unit=None):
     """One streamed pass: max |f|^2, the lattice size and ``{q: mean of |f|^q}``.
 
     Each slab is reduced before the next is made: |f|^2 is formed in
     place (after dividing by ``unit``, if given), |f|^4 and |f|^6 =
     |f|^4 * |f|^2 share one slab-sized buffer (a product is cheaper than
-    libm's pow), and other q are (|f|^2)^(q/2).  With ``half``, the
-    lattice holds the planes j = 0..nz'/2 of a mirrored lattice, whose end
-    planes j = 0 and j = nz'/2 are their own mirrors and count at half
-    weight in the means.
+    libm's pow), and other q are (|f|^2)^(q/2).  A mirrored lattice comes
+    as its planes j = 0..nz'/2, whose end planes j = 0 and j = nz'/2 are
+    their own mirrors and count at half weight in the means.
     """
+    half = _mirrored(f)
     peak, size, plane, power = -np.inf, 0, 0, None
     sums = dict.fromkeys(qs, 0.0)
     ends = dict.fromkeys(qs, 0.0)
@@ -744,7 +705,7 @@ def _lattice_moments(f: SpectralField, qs, factor: int, half: bool, unit=None):
         if half:
             ends[q] += np.sum(a[:, 0]) + np.sum(a[:, -1])
 
-    for _, vals in _oversampled_slabs(f, factor, half):
+    for _, vals in _oversampled_slabs(f, _SLAB_BYTES):
         if unit is not None:
             vals /= unit
         np.square(vals, out=vals)
@@ -773,7 +734,7 @@ def _lattice_moments(f: SpectralField, qs, factor: int, half: bool, unit=None):
     return float(peak), size, means
 
 
-def _lattice_norms(f: SpectralField, qs, factor: int = 2):
+def _lattice_norms(f: SpectralField, qs):
     """Sup norm and ``{q: L^q norm}`` of |f| from one streamed oversampled pass.
 
     The lattice comes in y-row slabs (``_oversampled_slabs``) and each is
@@ -785,22 +746,21 @@ def _lattice_norms(f: SpectralField, qs, factor: int = 2):
     on the edge of a blow-up keep finite norms and every other field keeps
     the unscaled arithmetic.
     """
-    half = _mirrored(f)
     qs = [float(q) for q in qs]
     with np.errstate(over="ignore", invalid="ignore"):
-        peak, size, means = _lattice_moments(f, qs, factor, half)
+        peak, size, means = _lattice_moments(f, qs)
     unit = 1.0
     if peak > 1.0 and (max(qs, default=2.0) / 2.0 * np.log(peak)
                        + np.log(size) >= _LOG_MAX):
         unit = max(float(max(np.max(vals), -np.min(vals)))
-                   for _, vals in _oversampled_slabs(f, factor, half))
-        peak, size, means = _lattice_moments(f, qs, factor, half, unit)
+                   for _, vals in _oversampled_slabs(f, _SLAB_BYTES))
+        peak, size, means = _lattice_moments(f, qs, unit)
     lq = {q: unit * float((f.grid.volume * means[q]) ** (1.0 / q)) for q in qs}
     return unit * float(np.sqrt(peak)), lq
 
 
-def oversample(f: SpectralField, factor: int = 2) -> PhysicalField:
-    """Evaluate on a ``factor``-times finer lattice by spectral zero-padding.
+def oversample(f: SpectralField) -> PhysicalField:
+    """Evaluate on a lattice twice as fine by spectral zero-padding.
 
     Exact for dealiased fields; used for sup-norm and L^q evaluation where
     the collocation lattice alone undersamples Gibbs extrema.  Agrees with
@@ -813,27 +773,29 @@ def oversample(f: SpectralField, factor: int = 2) -> PhysicalField:
     memory order is (ncomp, ny', nz', nx').
     """
     g = f.grid
-    fine = Grid.make(factor * g.nx, factor * g.ny, factor * g.nz, g.h)
-    if not _mirrored(f):
-        return PhysicalField(fine, _oversampled_values(f, factor))
-    planes = np.moveaxis(_oversampled_values(f, factor, half=True), 1, 3)
-    mirror = planes[:, :, -2:0:-1]
-    values = np.concatenate((planes, -mirror if f.symmetry == ODD else mirror), axis=2)
-    return PhysicalField(fine, np.moveaxis(values, 3, 1))
+    fine = Grid.make(_FACTOR * g.nx, _FACTOR * g.ny, _FACTOR * g.nz, g.h)
+    values = _oversampled_values(f)
+    if _mirrored(f):
+        planes = np.moveaxis(values, 1, 3)
+        mirror = planes[:, :, -2:0:-1]
+        values = np.moveaxis(np.concatenate(
+            (planes, -mirror if f.symmetry == ODD else mirror), axis=2), 3, 1)
+    return PhysicalField(fine, values)
 
 
-def lq_norm(f: SpectralField, q: float, factor: int = 2) -> float:
-    """L^q norm via oversampled lattice quadrature of |f| (Euclidean in components)."""
-    return _lattice_norms(f, (q,), factor)[1][float(q)]
+def lq_norm(f: SpectralField, q: float) -> float:
+    """L^q norm of |f| (Euclidean in components) by lattice quadrature on a
+    lattice twice as fine."""
+    return _lattice_norms(f, (q,))[1][float(q)]
 
 
-def linf_norm(f: SpectralField, factor: int = 2) -> float:
-    """Sup norm as the max of |f| over a ``factor``-times oversampled lattice.
+def linf_norm(f: SpectralField) -> float:
+    """Sup norm as the max of |f| over a lattice twice as fine.
 
     sqrt is monotone and correctly rounded, so sqrt(max |f|^2) is the max
     of sqrt(|f|^2) bit for bit.
     """
-    return _lattice_norms(f, (), factor)[0]
+    return _lattice_norms(f, ())[0]
 
 
 def conjugate_symmetry_residual(f: SpectralField) -> float:

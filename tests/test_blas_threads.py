@@ -25,8 +25,8 @@ import numpy as np
 from hydrostat import (EVEN, Grid, PhysicsParams, StepControl,
                        field_from_function, make_state, norms, step, step_linear)
 from hydrostat.estimates import ladyzhenskaya_ratio
-from hydrostat.spectral import (_LADY_SLAB_BYTES, PhysicalField, _oversampled_slabs,
-                                dealias, linf_norm, to_spectral)
+from hydrostat.spectral import (_LADY_SLAB_BYTES, _SLAB_BYTES, PhysicalField,
+                                _oversampled_slabs, dealias, linf_norm, to_spectral)
 digest = hashlib.sha256()
 for shape in ((16, 16, 32), (10, 14, 20), (48, 48, 96)):
     g = Grid.make(*shape, 0.5)
@@ -47,8 +47,7 @@ def scalar(shape):
     g = Grid.make(*shape, 0.5)
     return dealias(to_spectral(PhysicalField(g, rng.standard_normal((1,) + shape))))
 triple = [scalar((32, 32, 128)) for _ in range(3)]
-assert sum(1 for _ in _oversampled_slabs(triple[0], 2, False,
-                                         slab_bytes=_LADY_SLAB_BYTES)) > 1
+assert sum(1 for _ in _oversampled_slabs(triple[0], _LADY_SLAB_BYTES)) > 1
 r = ladyzhenskaya_ratio(*triple)
 digest.update(np.array([r.lhs, r.rhs1, r.rhs2, r.ratio1, r.ratio2,
                         linf_norm(scalar((48, 48, 96)))]).tobytes())
@@ -56,7 +55,7 @@ g = Grid.make(64, 64, 128, 0.5)
 v = dealias(field_from_function(g, lambda X, Y, Z: (
     np.cos(2 * np.pi * Y) * np.cos(2 * np.pi * Z) + np.sin(2 * np.pi * (X + 2 * Y)),
     np.sin(2 * np.pi * X) * np.cos(4 * np.pi * Z)), symmetry=EVEN))
-assert sum(1 for _ in _oversampled_slabs(v, 2, True)) == 3
+assert sum(1 for _ in _oversampled_slabs(v, _SLAB_BYTES)) == 3
 rec = norms(v)
 digest.update(np.array([rec.l2, rec.grad_l2, rec.l4, rec.l6, rec.linf]).tobytes())
 print(digest.hexdigest())

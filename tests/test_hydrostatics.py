@@ -51,6 +51,13 @@ class TestVerticalIntegral:
             vertical_integral(f)
         assert err.value.residual > 0
 
+    def test_huge_constant_integrand_violates_periodicity(self, grid):
+        """|c|^2 overflows at 1e160; the mean-plane check still sees the residual."""
+        f = field_from_function(grid, lambda X, Y, Z: 1e160 + 0 * X, symmetry=EVEN)
+        with pytest.raises(ConstraintViolationError) as err:
+            vertical_integral(f)
+        assert err.value.residual == pytest.approx(1.0, rel=1e-12)
+
     def test_odd_input_rejected(self, grid):
         f = field_from_function(grid, lambda X, Y, Z: np.sin(np.pi * Z / H),
                                 symmetry="odd")
@@ -126,6 +133,25 @@ class TestRecoverW:
         with pytest.raises(ConstraintViolationError) as err:
             _recover_w_band(band.pack(bad.coeffs), band)
         assert err.value.residual == pytest.approx(barotropic_residual(bad), rel=1e-12)
+
+    @pytest.mark.parametrize("amplitude", [1e160, 1e300])
+    def test_band_w_refuses_a_violated_constraint_when_squares_overflow(self, grid,
+                                                                        amplitude):
+        """|u|^2 overflows, so the residual comes from the rescaled Parseval sums.
+
+        Above unit norm the residual is relative, so any amplitude where
+        nothing overflows gives the reference.
+        """
+        bad = symmetrize(dealias(field_from_function(
+            grid, lambda X, Y, Z: (np.sin(2 * np.pi * X), 0 * X))), EVEN)
+        expected = barotropic_residual(bad * 1e10)
+        band = _Band(grid)
+        with pytest.raises(ConstraintViolationError) as err:
+            _recover_w_band(band.pack(bad.coeffs) * amplitude, band)
+        assert err.value.residual == pytest.approx(expected, rel=1e-12)
+        with pytest.raises(ConstraintViolationError) as err:
+            recover_w(bad * amplitude)
+        assert err.value.residual == pytest.approx(expected, rel=1e-12)
 
     def test_w_odd_coefficientwise(self, grid):
         v = constrained_random(grid, 22)

@@ -12,7 +12,7 @@ from hydrostat.diagnostics import stepwise_energy_residuals
 from hydrostat.errors import (BlowUpError, ConfigurationError,
                               ConstraintViolationError, SchedulingError)
 from hydrostat.solver import (CFLWarning, PhysicsParams, SolverState,
-                              StepControl, _cleanup, _coriolis, _rhs_core, integrate,
+                              StepControl, _coriolis, _rhs_core, integrate,
                               make_state, rhs_nonlinear, step, step_linear)
 from hydrostat.spectral import (EVEN, Grid, SpectralField, _Band, dealias,
                                 field_from_function, l2_norm, symmetrize,
@@ -127,7 +127,8 @@ class TestStep:
             v, stages = step(v, ctl, record_stages=True)
             parts = [step_linear(p, stages, ctl) for p in parts]
             for s in [v] + parts:
-                assert _cleanup(s.v.coeffs, grid).tobytes() == s.v.coeffs.tobytes()
+                clean = symmetrize(dealias(s.v), EVEN)
+                assert clean.coeffs.tobytes() == s.v.coeffs.tobytes()
 
     def test_constraint_violation_raises(self, grid):
         """A state off the barotropic constraint is refused, as recover_w refuses it."""
