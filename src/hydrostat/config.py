@@ -1,6 +1,9 @@
 """Run configuration: line-oriented ``key = value`` sections, strict schema.
 
-Unknown sections or keys are rejected, and every float must be finite.
+One table, ``_SCHEMA``, gives every key its caster and its default text.
+Each key fills the ``RunConfig`` field of its name or of its ``_FIELDS``
+entry; the ``[initial_data]`` keys fill an ``InitialDataSpec``.  Unknown
+sections or keys are rejected, and every float must be finite.
 The config hash is taken over the effective configuration (defaults
 merged with the file and any command line overrides), canonicalized as
 sorted ``section.key = value`` lines, so it is stable under key
@@ -52,35 +55,31 @@ def _bool(text):
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_SCHEMA = {
-    "grid": {"nx": int, "ny": int, "nz": int, "h": _finite},
-    "physics": {"f0": _finite},
-    "time": {"dt": _finite, "t_end": _finite, "cfl_target": _finite},
-    "initial_data": {"kind": str, "a": _pair, "delta": _finite, "eta": _finite,
-                     "sigma": _pair, "epsilon": _finite, "expression_u": str,
-                     "expression_v": str, "snapshot": str},
-    "experiment": {"kind": str, "sigma_perturbation": _finite,
-                   "eta_perturbation": _finite, "epsilons": _floats,
-                   "moser_count": int, "moser_kmax": int,
-                   "ladyzhenskaya_count": int, "sample_count": int},
-    "output": {"directory": str, "seed": int, "threads": int,
-               "snapshots": _bool},
+_SCHEMA = {    # section -> key -> (caster, default text)
+    "grid": {"nx": (int, "32"), "ny": (int, "32"), "nz": (int, "64"),
+             "h": (_finite, "0.5")},
+    "physics": {"f0": (_finite, "0.0")},
+    "time": {"dt": (_finite, "5e-4"), "t_end": (_finite, "0.1"),
+             "cfl_target": (_finite, "0.5")},
+    "initial_data": {"kind": (str, "cusp_step"), "a": (_pair, "1.0, 0.0"),
+                     "delta": (_finite, "1.0"), "eta": (_finite, "0.25"),
+                     "sigma": (_pair, "0.2, 0.0"), "epsilon": (_finite, "0.1"),
+                     "expression_u": (str, "0"), "expression_v": (str, "0"),
+                     "snapshot": (str, "")},
+    "experiment": {"kind": (str, "energy_identity"),
+                   "sigma_perturbation": (_finite, "0.01"),
+                   "eta_perturbation": (_finite, "0.25"),
+                   "epsilons": (_floats, "0.2, 0.1, 0.05"),
+                   "moser_count": (int, "10000"), "moser_kmax": (int, "40"),
+                   "ladyzhenskaya_count": (int, "200"), "sample_count": (int, "4")},
+    "output": {"directory": (str, "runs/out"), "seed": (int, "1234"),
+               "threads": (int, ""), "snapshots": (_bool, "false")},
 }
 
-_DEFAULTS = {
-    "grid": {"nx": "32", "ny": "32", "nz": "64", "h": "0.5"},
-    "physics": {"f0": "0.0"},
-    "time": {"dt": "5e-4", "t_end": "0.1", "cfl_target": "0.5"},
-    "initial_data": {"kind": "cusp_step", "a": "1.0, 0.0", "delta": "1.0",
-                     "eta": "0.25", "sigma": "0.2, 0.0", "epsilon": "0.1",
-                     "expression_u": "0", "expression_v": "0", "snapshot": ""},
-    "experiment": {"kind": "energy_identity", "sigma_perturbation": "0.01",
-                   "eta_perturbation": "0.25", "epsilons": "0.2, 0.1, 0.05",
-                   "moser_count": "10000", "moser_kmax": "40",
-                   "ladyzhenskaya_count": "200", "sample_count": "4"},
-    "output": {"directory": "runs/out", "seed": "1234", "threads": "",
-               "snapshots": "false"},
-}
+# ``RunConfig`` fields not named after their key
+_FIELDS = {("grid", "nx"): "grid_nx", ("grid", "ny"): "grid_ny",
+           ("grid", "nz"): "grid_nz", ("grid", "h"): "h",
+           ("experiment", "kind"): "experiment"}
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,8 @@ class RunConfig:
 
 
 def _merge(file_values, overrides):
-    merged = {s: dict(kv) for s, kv in _DEFAULTS.items()}
+    merged = {s: {k: default for k, (_, default) in keys.items()}
+              for s, keys in _SCHEMA.items()}
     for section, kv in file_values.items():
         merged[section].update(kv)
     for (section, key), value in overrides.items():
@@ -173,48 +173,23 @@ def parse_config(path=None, text=None, overrides=None) -> RunConfig:
     if not merged["output"]["threads"]:
         merged["output"]["threads"] = os.environ.get("HYDROSTAT_THREADS", "1")
 
-    typed = {}
+    fields, spec = {}, {}
     for section, keys in _SCHEMA.items():
-        for key, caster in keys.items():
+        for key, (caster, _) in keys.items():
             raw = merged[section][key]
             if raw == "" and caster is not str:
                 raise ConfigError(f"[{section}] {key}: empty value")
             try:
-                typed[(section, key)] = caster(raw)
+                value = caster(raw)
             except ValueError as err:
                 raise ConfigError(f"[{section}] {key} = {raw!r}: {err}") from err
+            if section == "initial_data":
+                spec[key] = value
+            else:
+                fields[_FIELDS.get((section, key), key)] = value
 
-    ids = InitialDataSpec(
-        kind=typed[("initial_data", "kind")],
-        a=typed[("initial_data", "a")],
-        delta=typed[("initial_data", "delta")],
-        eta=typed[("initial_data", "eta")],
-        sigma=typed[("initial_data", "sigma")],
-        epsilon=typed[("initial_data", "epsilon")],
-        expression_u=typed[("initial_data", "expression_u")],
-        expression_v=typed[("initial_data", "expression_v")],
-        snapshot=typed[("initial_data", "snapshot")])
-
-    cfg = RunConfig(
-        grid_nx=typed[("grid", "nx")], grid_ny=typed[("grid", "ny")],
-        grid_nz=typed[("grid", "nz")], h=typed[("grid", "h")],
-        f0=typed[("physics", "f0")],
-        dt=typed[("time", "dt")], t_end=typed[("time", "t_end")],
-        cfl_target=typed[("time", "cfl_target")],
-        initial_data=ids,
-        experiment=typed[("experiment", "kind")],
-        sigma_perturbation=typed[("experiment", "sigma_perturbation")],
-        eta_perturbation=typed[("experiment", "eta_perturbation")],
-        epsilons=typed[("experiment", "epsilons")],
-        moser_count=typed[("experiment", "moser_count")],
-        moser_kmax=typed[("experiment", "moser_kmax")],
-        ladyzhenskaya_count=typed[("experiment", "ladyzhenskaya_count")],
-        sample_count=typed[("experiment", "sample_count")],
-        directory=typed[("output", "directory")],
-        seed=typed[("output", "seed")],
-        threads=typed[("output", "threads")],
-        snapshots=typed[("output", "snapshots")],
-        canonical=_canonical(merged))
+    cfg = RunConfig(**fields, initial_data=InitialDataSpec(**spec),
+                    canonical=_canonical(merged))
     validate_config(cfg)
     return cfg
 

@@ -295,7 +295,7 @@ def run_decomposition(v0bar: SpectralField, V0: SpectralField,
     series = DiagnosticsSeries()
     for _, state in lockstep(v0bar, V0, params, ctl, t_end):
         v, vbar, V = state.driver, state.vbar, state.V
-        rec = norms(v.v, t=v.t)
+        rec = norms(v.v)
         dzbar = derivative(vbar.v, "z")
         denom = max(rec.l2, np.finfo(float).tiny)
         series.add_row(

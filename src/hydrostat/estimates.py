@@ -10,13 +10,13 @@ k = 40) are handled entirely in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .spectral import (_FACTOR, _LADY_SLAB_BYTES, SpectralField, _lattice_norms,
-                       _oversampled_slabs, grad_h_norm_sq, grad_norm_sq, l2_norm)
+                       _oversampled_slabs, _parseval, grad_h_norm_sq, l2_norm)
 from .spectral import oversample  # noqa: F401  -- a name the benchmark's tracer rebinds
 
 
@@ -24,13 +24,11 @@ from .spectral import oversample  # noqa: F401  -- a name the benchmark's tracer
 class NormRecord:
     """Norms of a velocity field at one instant (unnormalized L^q)."""
 
-    t: float
     l2: float
     grad_l2: float
     l4: float
     l6: float
     linf: float
-    lq: dict = field(default_factory=dict)    # extra q -> ||v||_q
 
 
 @dataclass(frozen=True)
@@ -46,20 +44,21 @@ class BoundParams:
             raise ConfigurationError("bound constants must be positive")
 
 
-def norms(v: SpectralField, qs=(), t: float = 0.0) -> NormRecord:
-    """L2 / gradient norms by Parseval, L^q and sup by oversampled quadrature.
+def norms(v: SpectralField) -> NormRecord:
+    """L2 / gradient norms by Parseval, L^4, L^6 and sup by oversampled quadrature.
 
     A single oversampled evaluation of |v|^2 feeds every lattice-quadrature
-    norm.
+    norm (``spectral.lq_norm`` gives any other q).  The gradient norm is
+    the root of its Parseval sum, finite whenever it is in range.
     """
-    linf, lq = _lattice_norms(v, (4.0, 6.0) + tuple(qs))
-    return NormRecord(t=t,
-                      l2=l2_norm(v),
-                      grad_l2=np.sqrt(grad_norm_sq(v)),
+    g = v.grid
+    linf, lq = _lattice_norms(v, (4.0, 6.0))
+    return NormRecord(l2=l2_norm(v),
+                      grad_l2=_parseval(v.coeffs, g.mode_weights * g.k2, g.volume,
+                                        root=True),
                       l4=lq[4.0],
                       l6=lq[6.0],
-                      linf=linf,
-                      lq={float(q): lq[float(q)] for q in qs})
+                      linf=linf)
 
 
 # ---------------------------------------------------------------------------

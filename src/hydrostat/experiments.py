@@ -124,7 +124,7 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
         v = split.driver
         diff_b.append(l2_norm(v.v - st_b.v))
         diff_c.append(l2_norm(v.v - st_c.v))
-        rec = norms(v.v, t=v.t)
+        rec = norms(v.v)
         dzbar = derivative(split.vbar.v, "z")
         ser.add_row(t=v.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4,
                     l6=rec.l6, linf_V=linf_norm(split.V.v),

@@ -141,12 +141,16 @@ def _rhs_core(u: np.ndarray, band: _Band, v: np.ndarray, w: np.ndarray,
     ``u`` is the packed advected field; ``v`` and ``w`` are the driver's
     half-plane values, as in ``DriverStage``.  The products are formed one
     derivative at a time, so one gradient at a time is on the lattice, and
-    summed in the order v^1 dx U + v^2 dy U + w dz U.
+    summed in the order v^1 dx U + v^2 dy U + w dz U.  Each band inverse
+    takes one parity: the even dx U and dy U, then the odd dz U.
     """
     adv = v[0] * band.inverse(1j * band.kx * u)
     adv += v[1] * band.inverse(1j * band.ky * u)
-    adv += w[0] * band.inverse(1j * band.kz * u, odd_from=0)
-    return -band.forward(adv, f0 * _coriolis(u) if f0 != 0.0 else None)
+    adv += w[0] * band.inverse(1j * band.kz * u, odd=True)
+    out = band.forward(adv)
+    if f0 != 0.0:
+        out += f0 * _coriolis(u)
+    return -out
 
 
 def rhs_nonlinear(v: SpectralField, params: PhysicsParams) -> SpectralField:
@@ -161,7 +165,7 @@ def rhs_nonlinear(v: SpectralField, params: PhysicsParams) -> SpectralField:
     u = band.pack(v.coeffs)
     w = band.pack(recover_w(v).coeffs)
     tendency = band.unpack(_rhs_core(u, band, band.inverse(u),
-                                     band.inverse(w, odd_from=0), params.f0))
+                                     band.inverse(w, odd=True), params.f0))
     grad_p = pressure_gradient_field(solve_pressure(v, params.f0).total)
     return SpectralField(g, tendency - symmetrize(dealias(grad_p), EVEN).coeffs, EVEN)
 
@@ -189,7 +193,7 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
             if driver_stages is None:
                 v = band.inverse(u)
                 stage = DriverStage(t + RK_C[k] * dt, v,
-                                    band.inverse(_recover_w_band(u, band), odd_from=0))
+                                    band.inverse(_recover_w_band(u, band), odd=True))
                 if collect:
                     collected.append(stage)
                 if k == 0:
@@ -264,8 +268,8 @@ def integrate(state: SolverState, ctl: StepControl, t_end: float, hooks=()):
     series = DiagnosticsSeries()
 
     def _record(s):
-        rec = norms(s.v, t=s.t)
-        series.add_row(t=rec.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4,
+        rec = norms(s.v)
+        series.add_row(t=s.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4,
                        l6=rec.l6)
 
     _record(state)

@@ -100,12 +100,13 @@ class _Band:
     the band (n = 0..N, then -N..-1).
 
     Each transform is three short partial Fourier sums, one real matrix
-    product per axis through ``np.matmul``.  Real and imaginary parts
-    travel as separate real blocks, [Re; Im]:
+    product per axis through ``np.matmul``, on a stack of one parity: all
+    its components even in z or, for the inverse with ``odd``, all odd.
+    Real and imaginary parts travel as separate real blocks, [Re; Im]:
 
     * z, on the planes j = 0..nz/2: an even line is c_0 + 2 sum c_l
       cos(2 pi l j / nz), an odd one 2i sum c_l sin(2 pi l j / nz), whose
-      factor i the x table of odd components applies; back,
+      factor i the odd x table applies; back,
       c_l = (v_0 + (-1)^l v_{nz/2} + 2 sum v_j cos(2 pi l j / nz)) / nz,
       which is even in l by construction;
     * y, on the folded rows c_0, c_n + c_-n and i(c_n - c_-n): the table
@@ -155,7 +156,7 @@ class _Band:
         im = np.outer(np.arange(grid.nx), np.arange(self.nm)) % grid.nx
         pair = np.stack((cos[im], -sin[im]), axis=2)
         self.x_pair = (twice[: self.nm, None] * pair).reshape(grid.nx, -1)
-        # i times [Re; Im] is [-Im; Re]: odd components carry that factor of 2i sin
+        # i times [Re; Im] is [-Im; Re]: odd stacks carry that factor of 2i sin
         self.x_odd = (twice[: self.nm, None] * np.stack((-sin[im], -cos[im]), axis=2)
                       ).reshape(grid.nx, -1)
         self.x_back = pair.reshape(grid.nx, -1).T / grid.nx
@@ -177,10 +178,10 @@ class _Band:
         lines[:, :, self.rows, g.nz - self.nl + 1:] = b[..., : 0: -1]
         return out
 
-    def inverse(self, b, odd_from=None):
+    def inverse(self, b, odd=False):
         """Lattice values on the planes j = 0..nz/2 of the packed ``b``.
 
-        Components ``odd_from`` onwards are odd in z, the others even.
+        Every component is even in z, or with ``odd`` every one is odd.
         Returns (ncomp, nx, ny, nz/2 + 1).
         """
         g = self.grid
@@ -194,21 +195,15 @@ class _Band:
         np.add(pos.imag, neg.imag, out=im[:, :, 1:n0])
         np.subtract(neg.imag, pos.imag, out=re[:, :, n0:])
         np.subtract(pos.real, neg.real, out=im[:, :, n0:])
-        odd = ncomp if odd_from is None else odd_from
-        lines = np.empty((ncomp, nm, 2, nr, g.nz // 2 + 1))
-        np.matmul(parts[:odd], self.z_even, out=lines[:odd])
-        np.matmul(parts[odd:], self.z_odd, out=lines[odd:])
+        lines = np.matmul(parts, self.z_odd if odd else self.z_even)
         planes = np.matmul(self.y_fold, lines).reshape(ncomp, 2 * nm, -1)
-        out = np.empty((ncomp, g.nx, planes.shape[2]))
-        np.matmul(self.x_pair, planes[:odd], out=out[:odd])
-        np.matmul(self.x_odd, planes[odd:], out=out[odd:])
+        out = np.matmul(self.x_odd if odd else self.x_pair, planes)
         return out.reshape(ncomp, g.nx, g.ny, -1)
 
-    def forward(self, values, add=None):
-        """Band coefficients of F(values) + ``add``.
+    def forward(self, values):
+        """Band coefficients of F(values).
 
-        ``values`` holds an even field on the planes j = 0..nz/2; ``add``
-        is packed.
+        ``values`` holds an even field on the planes j = 0..nz/2.
         """
         g = self.grid
         ncomp, nm, nl = values.shape[0], self.nm, self.nl
@@ -224,8 +219,6 @@ class _Band:
         np.subtract(c[:, :, 1, 1:], s[:, :, 0], out=pos.imag)
         np.subtract(c[:, :, 0, 1:], s[:, :, 1], out=neg.real)
         np.add(c[:, :, 1, 1:], s[:, :, 0], out=neg.imag)
-        if add is not None:
-            out += add
         return out
 
 

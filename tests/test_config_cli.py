@@ -1,6 +1,8 @@
 """Tests for the run-config parser, experiment persistence and the CLI."""
 
+import configparser
 import copy
+import dataclasses
 import hashlib
 import json
 import re
@@ -143,7 +145,64 @@ def _rewrite_record(run_dir, name, record):
     (run_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
+DEFAULT_CANONICAL = """\
+experiment.epsilons = 0.2, 0.1, 0.05
+experiment.eta_perturbation = 0.25
+experiment.kind = energy_identity
+experiment.ladyzhenskaya_count = 200
+experiment.moser_count = 10000
+experiment.moser_kmax = 40
+experiment.sample_count = 4
+experiment.sigma_perturbation = 0.01
+grid.h = 0.5
+grid.nx = 32
+grid.ny = 32
+grid.nz = 64
+initial_data.a = 1.0, 0.0
+initial_data.delta = 1.0
+initial_data.epsilon = 0.1
+initial_data.eta = 0.25
+initial_data.expression_u = 0
+initial_data.expression_v = 0
+initial_data.kind = cusp_step
+initial_data.sigma = 0.2, 0.0
+initial_data.snapshot =\x20
+output.seed = 1234
+output.snapshots = false
+physics.f0 = 0.0
+time.cfl_target = 0.5
+time.dt = 5e-4
+time.t_end = 0.1
+"""
+
+DEFAULT_FIELDS = dict(
+    grid_nx=32, grid_ny=32, grid_nz=64, h=0.5, f0=0.0,
+    dt=5e-4, t_end=0.1, cfl_target=0.5,
+    initial_data=dict(kind="cusp_step", a=(1.0, 0.0), delta=1.0, eta=0.25,
+                      sigma=(0.2, 0.0), epsilon=0.1, expression_u="0",
+                      expression_v="0", snapshot=""),
+    experiment="energy_identity", sigma_perturbation=0.01, eta_perturbation=0.25,
+    epsilons=(0.2, 0.1, 0.05), moser_count=10000, moser_kmax=40,
+    ladyzhenskaya_count=200, sample_count=4,
+    directory="runs/out", seed=1234, threads=1, snapshots=False,
+    canonical=DEFAULT_CANONICAL)
+
+
+def field_types(fields):
+    """Type of every field, nested one level for the initial data."""
+    return {k: field_types(v) if isinstance(v, dict) else type(v)
+            for k, v in fields.items()}
+
+
 class TestConfigParsing:
+    def test_empty_config_is_the_defaults(self, monkeypatch):
+        monkeypatch.delenv("HYDROSTAT_THREADS", raising=False)
+        cfg = parse_config(text="")
+        assert cfg.canonical == DEFAULT_CANONICAL
+        fields = dataclasses.asdict(cfg)
+        assert fields == DEFAULT_FIELDS
+        assert field_types(fields) == field_types(DEFAULT_FIELDS)
+
     def test_defaults_fill_missing_sections(self):
         cfg = parse_config(text="[experiment]\nkind = lemma_suite\n")
         assert cfg.grid_nx == 32 and cfg.h == 0.5
@@ -172,9 +231,15 @@ class TestConfigParsing:
     def test_readme_config_block_parses_and_covers_the_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
-        parse_config(text=block)
-        sections = set(re.findall(r"^\[(\w+)\]", block, re.M))
-        assert sections == set(_SCHEMA)
+        cfg = parse_config(text=block)
+        # the block shows the defaults, but for a decomposition run
+        assert set(cfg.canonical.splitlines()) - set(DEFAULT_CANONICAL.splitlines()) == {
+            "experiment.kind = decomposition", "initial_data.expression_v = cos(2*pi*x)"}
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                           interpolation=None)
+        parser.read_string(block)
+        listed = {(s, k) for s in parser.sections() for k in parser.options(s)}
+        assert listed == {(s, k) for s in _SCHEMA for k in _SCHEMA[s]}
 
     def test_module_invariants_checked_at_load(self):
         with pytest.raises(ConfigError):

@@ -281,7 +281,7 @@ class TestPressureFreeStepper:
         band = _Band(grid)
         u, w = band.pack(v.coeffs), band.pack(recover_w(v).coeffs)
         free = SpectralField(grid, band.unpack(_rhs_core(
-            u, band, band.inverse(u), band.inverse(w, odd_from=0), f0)), EVEN)
+            u, band, band.inverse(u), band.inverse(w, odd=True), f0)), EVEN)
         ref = rhs_nonlinear(v, PhysicsParams(f0, H))
         scale = np.max(np.abs(ref.coeffs))
         assert np.max(np.abs(free.coeffs - ref.coeffs)) > 1e-2 * scale
@@ -315,12 +315,13 @@ class TestPressureFreeStepper:
 
 
 def batched_rhs_core(u, band, v, w, f0):
-    """The stage tendency with all six gradients inverted in one band transform."""
-    gradients = np.concatenate([1j * band.kx * u, 1j * band.ky * u,
-                                1j * band.kz * u])
-    dx, dy, dz = np.split(band.inverse(gradients, odd_from=2 * len(u)), 3)
-    adv = v[0] * dx + v[1] * dy + w[0] * dz
-    return -band.forward(adv, f0 * _coriolis(u) if f0 != 0.0 else None)
+    """The stage tendency with the four even gradients inverted in one band transform."""
+    dx, dy = np.split(band.inverse(np.concatenate([1j * band.kx * u, 1j * band.ky * u])), 2)
+    dz = band.inverse(1j * band.kz * u, odd=True)
+    out = band.forward(v[0] * dx + v[1] * dy + w[0] * dz)
+    if f0 != 0.0:
+        out += f0 * _coriolis(u)
+    return -out
 
 
 def smooth_state(grid, f0=1.0):
@@ -349,7 +350,7 @@ class TestStageOneDerivativeAtATime:
         v = structured_constrained(g)
         band = _Band(g)
         u, w = band.pack(v.coeffs), band.pack(recover_w(v).coeffs)
-        args = (u, band, band.inverse(u), band.inverse(w, odd_from=0), f0)
+        args = (u, band, band.inverse(u), band.inverse(w, odd=True), f0)
         assert np.array_equal(_rhs_core(*args), batched_rhs_core(*args))
 
     @pytest.mark.parametrize("shape", [(16, 16, 32), (10, 14, 20)])
