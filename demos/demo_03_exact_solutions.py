@@ -26,7 +26,7 @@ A = 1.0
 # --- decay --------------------------------------------------------------------
 v0 = field_from_function(grid, lambda X, Y, Z: (0 * X, A * np.cos(2 * np.pi * X)),
                          symmetry=EVEN)
-state = make_state(v0, 0.0, PhysicsParams(f0=0.0, h=h))
+state = make_state(v0, 0.0, PhysicsParams(f0=0.0))
 final, series = integrate(state, ctl, 0.1)
 X, _, Z = grid.mesh()
 exact = A * np.exp(-4 * np.pi ** 2 * final.t) * np.cos(2 * np.pi * X)
@@ -39,7 +39,7 @@ print(f"  max energy-identity residual:  {np.max(series.array('energy_residual')
 f0 = 1.0
 v0 = field_from_function(grid, lambda X, Y, Z: (A * np.cos(np.pi * Z / h), 0 * X),
                          symmetry=EVEN)
-state = make_state(v0, 0.0, PhysicsParams(f0=f0, h=h))
+state = make_state(v0, 0.0, PhysicsParams(f0=f0))
 final, series = integrate(state, ctl, 0.1)
 amp = A * np.exp(-(np.pi / h) ** 2 * final.t)
 vals = to_physical(final.v).values
@@ -53,7 +53,7 @@ print(f"  relative error vs closed form: {err:.2e}")
 print("\nglobal error vs dt for fast rotation (f0 = 40), expect ~8x per halving:")
 prev = None
 for dt in (2e-3, 1e-3, 5e-4):
-    state = make_state(v0, 0.0, PhysicsParams(f0=40.0, h=h))
+    state = make_state(v0, 0.0, PhysicsParams(f0=40.0))
     final, _ = integrate(state, StepControl(dt=dt), 0.05)
     amp = A * np.exp(-(np.pi / h) ** 2 * final.t)
     vals = to_physical(final.v).values

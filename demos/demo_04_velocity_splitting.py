@@ -27,7 +27,7 @@ print(f"  a = {spec.a}, delta = {spec.delta}, eta = {spec.eta}, "
       f"sigma = {spec.sigma}, mollification radius eps = {spec.epsilon}")
 
 vbar0, V0 = prepare_initial_parts(grid, spec)
-run = run_decomposition(vbar0, V0, PhysicsParams(f0=1.0, h=h),
+run = run_decomposition(vbar0, V0, PhysicsParams(f0=1.0),
                         StepControl(dt=5e-4), 0.05)
 ser = run.series
 

@@ -33,7 +33,7 @@ print("every column is non-increasing in eps (Young's inequality),")
 print("and the sup at eps = 0 shows the Gibbs overshoot above sigma = 0.5")
 
 # --- trajectories form a Cauchy ladder as eps halves ---------------------------
-params = PhysicsParams(f0=1.0, h=h)
+params = PhysicsParams(f0=1.0)
 ctl = StepControl(dt=1e-3)
 finals = {}
 for eps in (0.2, 0.1, 0.05):

@@ -114,7 +114,7 @@ class RunConfig:
                          self.grid_nz if nz is None else nz, self.h)
 
     def physics(self):
-        return PhysicsParams(f0=self.f0, h=self.h)
+        return PhysicsParams(f0=self.f0)
 
     def step_control(self, dt=None):
         return StepControl(dt=self.dt if dt is None else dt,
@@ -198,7 +198,6 @@ def validate_config(cfg: RunConfig) -> None:
     """Cross-field checks; raises ConfigError with the first violation."""
     try:
         cfg.make_grid()
-        cfg.physics()
         cfg.step_control()
         cfg.initial_data.validate(cfg.h)
     except HydrostatError as err:

@@ -3,8 +3,6 @@
 The cumulative dissipation integral backing the energy-identity check uses
 a sliding 6-point Newton-Cotes rule (exact for quintics), so the reported
 residual is limited by the time stepper rather than by the quadrature.
-The per-step trapezoid residual is kept separately as the step-local
-energy-law check.
 """
 
 from __future__ import annotations
@@ -103,11 +101,3 @@ def energy_residual_series(t, l2, grad_l2):
     dissipation = integrate_series(t, np.asarray(grad_l2, dtype=float) ** 2)
     return np.abs(0.5 * l2 ** 2 + dissipation - 0.5 * l2[0] ** 2)
 
-
-def stepwise_energy_residuals(t, l2, grad_l2):
-    """Per-step trapezoid residual of the energy law, O(dt^3) for the scheme."""
-    t = np.asarray(t, dtype=float)
-    e = 0.5 * np.asarray(l2, dtype=float) ** 2
-    g = np.asarray(grad_l2, dtype=float) ** 2
-    dt = np.diff(t)
-    return np.diff(e) + 0.5 * dt * (g[1:] + g[:-1])

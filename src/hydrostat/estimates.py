@@ -134,14 +134,6 @@ class IterationInstance:
         if self.delta0 <= 0:
             raise ConfigurationError(f"delta0={self.delta0}: must be positive")
 
-    @classmethod
-    def from_values(cls, m0, delta0, terms):
-        terms = np.asarray(terms, dtype=float)
-        if np.any(terms < 0):
-            raise ConfigurationError("sequence terms must be nonnegative")
-        with np.errstate(divide="ignore"):
-            return cls(m0, delta0, np.log(terms))
-
 
 @dataclass(frozen=True)
 class MoserVerdict:

@@ -68,14 +68,9 @@ _STAGE_TIME_TOL = 1e-9
 
 @dataclass(frozen=True)
 class PhysicsParams:
-    """Coriolis parameter and half-height; viscosity is fixed at 1."""
+    """Coriolis parameter; viscosity is fixed at 1 and h is the grid's."""
 
     f0: float = 0.0
-    h: float = 0.5
-
-    def __post_init__(self):
-        if not self.h > 0:
-            raise ConfigurationError(f"h={self.h}: half-height must be positive")
 
 
 @dataclass(frozen=True)
@@ -118,8 +113,6 @@ def make_state(v: SpectralField, t: float, params: PhysicsParams) -> SolverState
     """Clean a velocity field into a valid solver state."""
     if v.ncomp != 2:
         raise ConfigurationError("solver state needs a 2-component velocity")
-    if abs(v.grid.h - params.h) > 1e-14:
-        raise ConfigurationError("params.h does not match the grid half-height")
     clean = project_barotropic(symmetrize(dealias(v), EVEN))
     return SolverState(clean, float(t), params)
 

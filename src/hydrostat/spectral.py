@@ -487,11 +487,6 @@ def _parseval(coeffs, weights, volume, root=False) -> float:
     return np.sqrt(scaled) * unit if root else scaled * unit * unit
 
 
-def l2_norm_sq(f: SpectralField) -> float:
-    """Squared L2 norm over M x (-h,h), computed by Parseval."""
-    return _parseval(f.coeffs, f.grid.mode_weights, f.grid.volume)
-
-
 def l2_norm(f: SpectralField) -> float:
     return _parseval(f.coeffs, f.grid.mode_weights, f.grid.volume, root=True)
 
@@ -506,11 +501,6 @@ def grad_h_norm_sq(f: SpectralField) -> float:
     """Squared L2 norm of the horizontal gradient."""
     g = f.grid
     return _parseval(f.coeffs, g.mode_weights * g.kh2[:, :, None], g.volume)
-
-
-def l2_lattice_norm(f: PhysicalField) -> float:
-    """Lattice-quadrature L2 norm (trapezoid == rectangle on the torus)."""
-    return np.sqrt(float(f.grid.volume * np.mean(np.sum(f.values ** 2, axis=0))))
 
 
 def refine(f: SpectralField, fine: Grid) -> SpectralField:
@@ -790,17 +780,3 @@ def linf_norm(f: SpectralField) -> float:
     """
     return _lattice_norms(f, ())[0]
 
-
-def conjugate_symmetry_residual(f: SpectralField) -> float:
-    """Max deviation from the real-field conjugate symmetry on the stored planes.
-
-    With half-spectrum storage along x, redundancy survives only on the
-    m = 0 and m = nx/2 planes, where c(m, -n, -l) must equal conj(c(m, n, l)).
-    """
-    g = f.grid
-    iy = (-np.arange(g.ny)) % g.ny
-    res = 0.0
-    for plane in (0, g.nx // 2):
-        c = f.coeffs[:, plane]
-        res = max(res, float(np.max(np.abs(c - np.conj(parity_flip(c[:, iy]))))))
-    return res

@@ -48,7 +48,7 @@ def decay_run(grid):
     """Shared decay-data run at the canonical dt, with wall-clock timing."""
     v0 = field_from_function(grid, lambda X, Y, Z: (0 * X, A * np.cos(2 * np.pi * X)),
                              symmetry=EVEN)
-    state = make_state(v0, 0.0, PhysicsParams(0.0, H))
+    state = make_state(v0, 0.0, PhysicsParams(0.0))
     start = time.monotonic()
     final, series = integrate(state, StepControl(dt=DT), T_END)
     elapsed = time.monotonic() - start
@@ -62,7 +62,7 @@ def decomposition_runs():
     for nz in (32, 64):
         g = Grid.make(32, 32, nz, H)
         vbar0, step0 = prepare_initial_parts(g, CUSP_SPEC)
-        out[nz] = run_decomposition(vbar0, step0, PhysicsParams(1.0, H),
+        out[nz] = run_decomposition(vbar0, step0, PhysicsParams(1.0),
                                     StepControl(dt=DT), T_END)
     return out
 
@@ -98,7 +98,7 @@ def test_02_rotation_decay(grid):
                   np.max(np.abs(vals[1] + amp * np.sin(f0 * state.t) * profile)))
         worst = max(worst, err / amp)
 
-    state = make_state(v0, 0.0, PhysicsParams(f0, H))
+    state = make_state(v0, 0.0, PhysicsParams(f0))
     integrate(state, StepControl(dt=DT), T_END, hooks=(compare,))
     ok = worst <= 1e-6
     _line(2, "rotation-decay", ok, f"max_rel_err={worst:.3e}")
@@ -111,7 +111,7 @@ def test_03_discrete_energy_identity(grid, decay_run):
     res = float(np.max(series.array("energy_residual")))
     v0 = field_from_function(grid, lambda X, Y, Z: (0 * X, A * np.cos(2 * np.pi * X)),
                              symmetry=EVEN)
-    state = make_state(v0, 0.0, PhysicsParams(0.0, H))
+    state = make_state(v0, 0.0, PhysicsParams(0.0))
     _, series_half = integrate(state, StepControl(dt=DT / 2), T_END)
     res_half = float(np.max(series_half.array("energy_residual")))
     shrink = res / max(res_half, 1e-300)
@@ -135,7 +135,7 @@ def test_04_divergence_and_w_reconstruction(grid):
                          0.4 * np.cos(2 * np.pi * X)
                          + 0.3 * np.sin(2 * np.pi * Y) * np.cos(2 * np.pi * Z / H)),
         symmetry=EVEN)
-    state = make_state(v0, 0.0, PhysicsParams(1.0, H))
+    state = make_state(v0, 0.0, PhysicsParams(1.0))
     worst_div = 0.0
     worst_wall = 0.0
 

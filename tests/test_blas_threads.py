@@ -33,7 +33,7 @@ for shape in ((16, 16, 32), (10, 14, 20), (48, 48, 96)):
     v = field_from_function(g, lambda X, Y, Z: (
         np.cos(2 * np.pi * Y) * np.cos(2 * np.pi * Z) + np.sin(2 * np.pi * (X + 2 * Y)),
         np.sin(2 * np.pi * X) * np.cos(4 * np.pi * Z)), symmetry=EVEN)
-    state = make_state(v, 0.0, PhysicsParams(1.0, 0.5))
+    state = make_state(v, 0.0, PhysicsParams(1.0))
     ctl = StepControl(dt=1e-3)
     new, stages = step(state, ctl, record_stages=True)
     part = step_linear(make_state(0.5 * v, 0.0, state.params), stages, ctl)

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hydrostat.decomposition import (_SAFE_NAMES, InitialDataSpec, lockstep,
                                      make_cusp_step_data, mollify,
                                      prepare_initial_parts, run_decomposition)
-from hydrostat.diagnostics import stepwise_energy_residuals
 from hydrostat.errors import ConfigurationError
 from hydrostat.hydrostatics import barotropic_residual, solve_pressure
 from hydrostat.solver import (PhysicsParams, StepControl, make_state, step,
@@ -23,6 +22,13 @@ H = 0.5
 @pytest.fixture(scope="module")
 def grid():
     return Grid.make(16, 16, 32, H)
+
+
+def stepwise_energy_residuals(t, l2, grad_l2):
+    """Per-step trapezoid residual of the energy law, O(dt^3) for the scheme."""
+    e = 0.5 * np.asarray(l2, dtype=float) ** 2
+    g = np.asarray(grad_l2, dtype=float) ** 2
+    return np.diff(e) + 0.5 * np.diff(t) * (g[1:] + g[:-1])
 
 
 def random_even(grid, seed, ncomp=2):
@@ -146,7 +152,7 @@ class TestCuspStepData:
 
 class TestLinearSystem:
     def test_zero_part_stays_zero(self, grid):
-        params = PhysicsParams(f0=1.0, h=H)
+        params = PhysicsParams(f0=1.0)
         ctl = StepControl(dt=1e-3)
         driver = make_state(random_even(grid, 3) * 0.3, 0.0, params)
         part = make_state(zero_field(grid, 2, EVEN), 0.0, params)
@@ -162,7 +168,7 @@ class TestLinearSystem:
         transport and the pressure all nonzero, so the agreement is not
         vacuous.
         """
-        params = PhysicsParams(f0=1.0, h=H)
+        params = PhysicsParams(f0=1.0)
         ctl = StepControl(dt=1e-3)
         v0 = field_from_function(
             grid,
@@ -179,7 +185,7 @@ class TestLinearSystem:
         assert l2_norm(part.v - full.v) <= 1e-9 * l2_norm(full.v)
 
     def test_superposition(self, grid):
-        params = PhysicsParams(f0=0.7, h=H)
+        params = PhysicsParams(f0=0.7)
         ctl = StepControl(dt=1e-3)
         driver = make_state(random_even(grid, 4) * 0.2, 0.0, params)
         p1 = make_state(random_even(grid, 5) * 0.1, 0.0, params)
@@ -199,7 +205,7 @@ class TestRunDecomposition:
     def test_zero_step_part_collapses(self, grid):
         spec = InitialDataSpec(kind="cusp_step", sigma=(0.0, 0.0), epsilon=0.1)
         vbar0, step0 = prepare_initial_parts(grid, spec)
-        run = run_decomposition(vbar0, step0, PhysicsParams(1.0, H),
+        run = run_decomposition(vbar0, step0, PhysicsParams(1.0),
                                 StepControl(dt=1e-3), 0.01)
         assert np.all(run.final.V.v.coeffs == 0.0)
         assert np.max(run.series.array("linf_V")) == 0.0
@@ -208,7 +214,7 @@ class TestRunDecomposition:
     def test_zero_cusp_part_collapses(self, grid):
         spec = InitialDataSpec(kind="cusp_step", a=(0.0, 0.0), epsilon=0.1)
         vbar0, step0 = prepare_initial_parts(grid, spec)
-        run = run_decomposition(vbar0, step0, PhysicsParams(1.0, H),
+        run = run_decomposition(vbar0, step0, PhysicsParams(1.0),
                                 StepControl(dt=1e-3), 0.01)
         assert np.all(run.final.vbar.v.coeffs == 0.0)
         assert l2_norm(run.final.V.v - run.final.driver.v) == 0.0
@@ -217,7 +223,7 @@ class TestRunDecomposition:
         spec = InitialDataSpec(kind="cusp_step", a=(1.0, 0.3), sigma=(0.2, -0.1),
                                epsilon=0.1)
         vbar0, step0 = prepare_initial_parts(grid, spec)
-        run = run_decomposition(vbar0, step0, PhysicsParams(1.0, H),
+        run = run_decomposition(vbar0, step0, PhysicsParams(1.0),
                                 StepControl(dt=1e-3), 0.02)
         assert np.nanmax(run.series.array("recon_residual")) <= 1e-8
 
@@ -239,7 +245,7 @@ class TestRunDecomposition:
         residuals = {}
         for dt in (2e-3, 1e-3):
             parts = [split.V for _, split in lockstep(
-                vbar0, step0, PhysicsParams(1.0, H), StepControl(dt=dt), 0.04)]
+                vbar0, step0, PhysicsParams(1.0), StepControl(dt=dt), 0.04)]
             res = stepwise_energy_residuals([V.t for V in parts],
                                             [l2_norm(V.v) for V in parts],
                                             [np.sqrt(grad_norm_sq(V.v)) for V in parts])
@@ -249,7 +255,7 @@ class TestRunDecomposition:
     def test_x_part_regularity_recorded(self, grid):
         spec = InitialDataSpec(kind="cusp_step", epsilon=0.1)
         vbar0, step0 = prepare_initial_parts(grid, spec)
-        run = run_decomposition(vbar0, step0, PhysicsParams(1.0, H),
+        run = run_decomposition(vbar0, step0, PhysicsParams(1.0),
                                 StepControl(dt=1e-3), 0.01)
         dz = run.series.array("dz_vbar_l2")
         dissip = run.series.array("dz_vbar_dissipation")
@@ -258,7 +264,7 @@ class TestRunDecomposition:
 
     def test_mollification_trajectories_get_closer(self, grid):
         """Trajectories for halving radii form a Cauchy-like ladder."""
-        params = PhysicsParams(1.0, H)
+        params = PhysicsParams(1.0)
         ctl = StepControl(dt=1e-3)
         finals = []
         for eps in (0.4, 0.2, 0.1):
@@ -285,7 +291,7 @@ class TestPartPressures:
             grid, lambda X, Y, Z: (0.2 * np.cos(2 * np.pi * (X + Y)) + 0 * Z,
                                    0.1 * np.sin(2 * np.pi * X) * np.cos(np.pi * Z / H)),
             symmetry=EVEN)
-        states = [s for _, s in lockstep(vbar0, V0, PhysicsParams(f0, H),
+        states = [s for _, s in lockstep(vbar0, V0, PhysicsParams(f0),
                                          StepControl(dt=1e-3), 3e-3)]
         assert len(states) == 4
         for state in states:

@@ -20,6 +20,9 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 @pytest.mark.parametrize("name", [
     "demo_01_spectral_playground.py",
     "demo_02_vertical_velocity_and_pressure.py",
+    "demo_03_exact_solutions.py",
+    "demo_04_velocity_splitting.py",
+    "demo_05_rough_data_and_mollification.py",
     "demo_06_quantitative_lemmas.py",
     "demo_07_experiment_harness.py",
 ])

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from hydrostat.diagnostics import (CSV_COLUMNS, DiagnosticsSeries,
-                                   energy_residual_series, integrate_series,
-                                   stepwise_energy_residuals)
+                                   energy_residual_series, integrate_series)
 from hydrostat.errors import DataError
 
 
@@ -87,9 +86,3 @@ class TestEnergyResiduals:
         res = energy_residual_series(t, l2, grad)
         assert np.max(res) <= 1e-10
         assert integrate_series(t, grad ** 2)[-1] == pytest.approx(0.5 * (1 - np.exp(-2 * lam)), rel=1e-9)
-
-    def test_stepwise_residual_shape(self):
-        t = np.linspace(0.0, 1.0, 11)
-        res = stepwise_energy_residuals(t, np.ones_like(t), np.zeros_like(t))
-        assert res.shape == (10,)
-        np.testing.assert_allclose(res, 0.0, atol=1e-15)

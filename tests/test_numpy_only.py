@@ -20,7 +20,7 @@ from hydrostat import (EVEN, Grid, PhysicsParams, StepControl,
 g = Grid.make(8, 8, 8, 0.5)
 v = field_from_function(g, lambda X, Y, Z: (np.cos(2 * np.pi * Y) * np.cos(2 * np.pi * Z),
                                             np.sin(2 * np.pi * X)), symmetry=EVEN)
-state = make_state(v, 0.0, PhysicsParams(1.0, 0.5))
+state = make_state(v, 0.0, PhysicsParams(1.0))
 ctl = StepControl(dt=1e-3)
 new, stages = step(state, ctl, record_stages=True)
 part = step_linear(state, stages, ctl)

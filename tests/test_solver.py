@@ -8,9 +8,8 @@ import weakref
 import numpy as np
 import pytest
 
-from hydrostat.diagnostics import stepwise_energy_residuals
-from hydrostat.errors import (BlowUpError, ConfigurationError,
-                              ConstraintViolationError, SchedulingError)
+from hydrostat.errors import (BlowUpError, ConstraintViolationError,
+                              SchedulingError)
 from hydrostat.solver import (CFLWarning, PhysicsParams, SolverState,
                               StepControl, _coriolis, _rhs_core, integrate,
                               make_state, rhs_nonlinear, step, step_linear)
@@ -35,32 +34,39 @@ def decay_data(grid, A=1.0):
 
 
 def rotation_data(grid, A=1.0):
-    return field_from_function(grid, lambda X, Y, Z: (A * np.cos(np.pi * Z / H), 0 * X),
+    return field_from_function(grid, lambda X, Y, Z: (A * np.cos(np.pi * Z / grid.h), 0 * X),
                                symmetry=EVEN)
+
+
+def stepwise_energy_residuals(t, l2, grad_l2):
+    """Per-step trapezoid residual of the energy law, O(dt^3) for the scheme."""
+    e = 0.5 * np.asarray(l2, dtype=float) ** 2
+    g = np.asarray(grad_l2, dtype=float) ** 2
+    return np.diff(e) + 0.5 * np.diff(t) * (g[1:] + g[:-1])
 
 
 def cusp_state(grid, f0=1.0):
     spec = InitialDataSpec(kind="cusp_step", a=(1.0, 0.0), delta=1.0, eta=0.25,
                            sigma=(0.2, 0.1), epsilon=0.1)
     vbar0, step0 = prepare_initial_parts(grid, spec)
-    return make_state(vbar0 + step0, 0.0, PhysicsParams(f0=f0, h=grid.h))
+    return make_state(vbar0 + step0, 0.0, PhysicsParams(f0=f0))
 
 
 class TestTendency:
     def test_zero_state(self, grid):
         v = zero_field(grid, 2, EVEN)
-        out = rhs_nonlinear(v, PhysicsParams(0.0, H))
+        out = rhs_nonlinear(v, PhysicsParams(0.0))
         assert np.all(out.coeffs == 0.0)
 
     def test_pure_shear_has_no_tendency(self, grid):
-        out = rhs_nonlinear(decay_data(grid), PhysicsParams(0.0, H))
+        out = rhs_nonlinear(decay_data(grid), PhysicsParams(0.0))
         assert np.max(np.abs(out.coeffs)) < 1e-14
 
     def test_rotation_of_constant_flow(self, grid):
         c1, c2 = 0.4, -1.1
         v = field_from_function(grid, lambda X, Y, Z: (c1 + 0 * X, c2 + 0 * X),
                                 symmetry=EVEN)
-        out = rhs_nonlinear(v, PhysicsParams(1.0, H))
+        out = rhs_nonlinear(v, PhysicsParams(1.0))
         vals = to_physical(out).values
         np.testing.assert_allclose(vals[0], c2, atol=1e-14)
         np.testing.assert_allclose(vals[1], -c1, atol=1e-14)
@@ -70,13 +76,13 @@ class TestTendency:
         bad = field_from_function(grid, lambda X, Y, Z: (np.sin(2 * np.pi * X), 0 * X),
                                   symmetry=EVEN)
         with pytest.raises(ConstraintViolationError):
-            rhs_nonlinear(bad, PhysicsParams(0.0, H))
+            rhs_nonlinear(bad, PhysicsParams(0.0))
 
 
 class TestStep:
     def test_decay_single_step(self, grid):
         A, dt = 1.0, 1e-3
-        state = make_state(decay_data(grid, A), 0.0, PhysicsParams(0.0, H))
+        state = make_state(decay_data(grid, A), 0.0, PhysicsParams(0.0))
         new = step(state, StepControl(dt=dt))
         X, _, _ = grid.mesh()
         exact = A * np.exp(-4 * np.pi ** 2 * dt) * np.cos(2 * np.pi * X)
@@ -84,23 +90,25 @@ class TestStep:
         assert np.max(np.abs(vals[1] - exact)) <= 1e-9 * A
         assert np.max(np.abs(vals[0])) <= 1e-14
 
-    def test_rotation_decay_hundred_steps(self, grid):
+    @pytest.mark.parametrize("h", [0.5, 0.25, 1.0])
+    def test_rotation_decay_hundred_steps(self, h):
+        grid = Grid.make(16, 16, 16, h)
         A, f0, dt = 1.0, 1.0, 1e-3
-        state = make_state(rotation_data(grid, A), 0.0, PhysicsParams(f0, H))
+        state = make_state(rotation_data(grid, A), 0.0, PhysicsParams(f0))
         ctl = StepControl(dt=dt)
         for _ in range(100):
             state = step(state, ctl)
         t = state.t
         _, _, Z = grid.mesh()
-        amp = A * np.exp(-(np.pi / H) ** 2 * t)
-        exact_u = amp * np.cos(f0 * t) * np.cos(np.pi * Z / H)
-        exact_v = -amp * np.sin(f0 * t) * np.cos(np.pi * Z / H)
+        amp = A * np.exp(-(np.pi / h) ** 2 * t)
+        exact_u = amp * np.cos(f0 * t) * np.cos(np.pi * Z / h)
+        exact_v = -amp * np.sin(f0 * t) * np.cos(np.pi * Z / h)
         vals = to_physical(state.v).values
         err = max(np.max(np.abs(vals[0] - exact_u)), np.max(np.abs(vals[1] - exact_v)))
         assert err <= 1e-8 * amp
 
     def test_zero_stays_zero(self, grid):
-        state = make_state(zero_field(grid, 2, EVEN), 0.0, PhysicsParams(1.0, H))
+        state = make_state(zero_field(grid, 2, EVEN), 0.0, PhysicsParams(1.0))
         new = step(state, StepControl(dt=1e-3))
         assert np.all(new.v.coeffs == 0.0)
 
@@ -119,7 +127,7 @@ class TestStep:
         vbar, V = prepare_initial_parts(grid, InitialDataSpec(
             kind="cusp_step", a=(1.0, 0.5), delta=0.5, eta=0.25,
             sigma=(0.3, 0.2), epsilon=0.1))
-        params = PhysicsParams(1.0, H)
+        params = PhysicsParams(1.0)
         ctl = StepControl(dt=1e-3)
         v = make_state(vbar + V, 0.0, params)
         parts = [make_state(vbar, 0.0, params), make_state(V, 0.0, params)]
@@ -137,14 +145,14 @@ class TestStep:
         with pytest.raises(ConstraintViolationError):
             recover_w(bad)
         with pytest.raises(ConstraintViolationError):
-            step(SolverState(bad, 0.0, PhysicsParams(1.0, H)), StepControl(dt=1e-3))
+            step(SolverState(bad, 0.0, PhysicsParams(1.0)), StepControl(dt=1e-3))
 
     def test_temporal_order_three(self, grid):
         """Error against the rotating-decay solution shrinks ~8x per halving."""
         f0 = 40.0
         errors = []
         for dt in (2e-3, 1e-3, 5e-4):
-            state = make_state(rotation_data(grid), 0.0, PhysicsParams(f0, H))
+            state = make_state(rotation_data(grid), 0.0, PhysicsParams(f0))
             state, _ = integrate(state, StepControl(dt=dt), 0.05)
             _, _, Z = grid.mesh()
             amp = np.exp(-(np.pi / H) ** 2 * state.t)
@@ -170,7 +178,7 @@ class TestStep:
         big = field_from_function(
             grid, lambda X, Y, Z: (1e6 * np.sin(2 * np.pi * Y), 1e6 * np.sin(2 * np.pi * X)),
             symmetry=EVEN)
-        state = make_state(big, 0.0, PhysicsParams(0.0, H))
+        state = make_state(big, 0.0, PhysicsParams(0.0))
         ctl = StepControl(dt=0.02)
         with pytest.warns(CFLWarning):
             with pytest.raises(BlowUpError) as err:
@@ -183,20 +191,16 @@ class TestStep:
         with pytest.warns(CFLWarning):
             step(state, StepControl(dt=1.0, cfl_target=1e-6))
 
-    def test_h_mismatch_rejected(self, grid):
-        with pytest.raises(ConfigurationError):
-            make_state(decay_data(grid), 0.0, PhysicsParams(0.0, h=1.0))
-
 
 class TestIntegrate:
     def test_identity_when_span_empty(self, grid):
-        state = make_state(decay_data(grid), 0.0, PhysicsParams(0.0, H))
+        state = make_state(decay_data(grid), 0.0, PhysicsParams(0.0))
         final, series = integrate(state, StepControl(dt=1e-3), 0.0)
         assert final is state
         assert series.length == 1
 
     def test_energy_follows_analytic_decay(self, grid):
-        state = make_state(decay_data(grid), 0.0, PhysicsParams(0.0, H))
+        state = make_state(decay_data(grid), 0.0, PhysicsParams(0.0))
         final, series = integrate(state, StepControl(dt=1e-3), 0.1)
         t = series.array("t")
         l2 = series.array("l2")
@@ -204,7 +208,7 @@ class TestIntegrate:
                                    rtol=1e-7)
 
     def test_hook_count_rounds_up(self, grid):
-        state = make_state(decay_data(grid), 0.0, PhysicsParams(0.0, H))
+        state = make_state(decay_data(grid), 0.0, PhysicsParams(0.0))
         calls = []
         integrate(state, StepControl(dt=1e-3), 0.0105,
                   hooks=(lambda s, ser: calls.append(s.t),))
@@ -217,7 +221,7 @@ class TestIntegrate:
             grid, lambda X, Y, Z: (1e6 * np.sin(2 * np.pi * Y),
                                    1e6 * np.sin(2 * np.pi * X)),
             symmetry=EVEN)
-        state = make_state(big, 0.0, PhysicsParams(0.0, H))
+        state = make_state(big, 0.0, PhysicsParams(0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", CFLWarning)
             with pytest.raises(BlowUpError) as err:
@@ -238,7 +242,7 @@ class TestIntegrate:
             symmetry=EVEN)
         residuals = {}
         for dt in (2e-3, 1e-3):
-            state = make_state(v0, 0.0, PhysicsParams(0.0, H))
+            state = make_state(v0, 0.0, PhysicsParams(0.0))
             _, series = integrate(state, StepControl(dt=dt), 0.04)
             res = stepwise_energy_residuals(series.array("t"), series.array("l2"),
                                             series.array("grad_l2"))
@@ -251,7 +255,7 @@ class TestLinearStepScheduling:
         state = cusp_state(grid)
         ctl = StepControl(dt=1e-3)
         _, stages = step(state, ctl, record_stages=True)
-        part = make_state(decay_data(grid), 0.5, PhysicsParams(1.0, H))
+        part = make_state(decay_data(grid), 0.5, PhysicsParams(1.0))
         with pytest.raises(SchedulingError):
             step_linear(part, stages, ctl)
 
@@ -282,7 +286,7 @@ class TestPressureFreeStepper:
         u, w = band.pack(v.coeffs), band.pack(recover_w(v).coeffs)
         free = SpectralField(grid, band.unpack(_rhs_core(
             u, band, band.inverse(u), band.inverse(w, odd=True), f0)), EVEN)
-        ref = rhs_nonlinear(v, PhysicsParams(f0, H))
+        ref = rhs_nonlinear(v, PhysicsParams(f0))
         scale = np.max(np.abs(ref.coeffs))
         assert np.max(np.abs(free.coeffs - ref.coeffs)) > 1e-2 * scale
         gap = np.max(np.abs(project_barotropic(free).coeffs - ref.coeffs))
@@ -290,7 +294,7 @@ class TestPressureFreeStepper:
 
     def test_step_does_not_pin_the_grid(self):
         g = Grid.make(8, 8, 8, H)
-        state = make_state(decay_data(g), 0.0, PhysicsParams(0.0, H))
+        state = make_state(decay_data(g), 0.0, PhysicsParams(0.0))
         step(state, StepControl(dt=1e-3))
         ref = weakref.ref(g)
         del g, state
@@ -301,7 +305,7 @@ class TestPressureFreeStepper:
         big = field_from_function(
             grid, lambda X, Y, Z: (1e6 * np.sin(2 * np.pi * Y), 1e6 * np.sin(2 * np.pi * X)),
             symmetry=EVEN)
-        state = make_state(big, 0.0, PhysicsParams(0.0, H))
+        state = make_state(big, 0.0, PhysicsParams(0.0))
         ctl = StepControl(dt=0.02)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -328,7 +332,7 @@ def smooth_state(grid, f0=1.0):
     return make_state(field_from_function(grid, lambda X, Y, Z: (
         np.cos(2 * np.pi * Y) * np.cos(2 * np.pi * Z) + np.sin(2 * np.pi * (X + 2 * Y)),
         np.sin(2 * np.pi * X) * np.cos(4 * np.pi * Z)), symmetry=EVEN), 0.0,
-        PhysicsParams(f0, H))
+        PhysicsParams(f0))
 
 
 def traced_peak(fn):
