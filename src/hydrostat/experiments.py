@@ -21,8 +21,9 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .decomposition import (InitialDataSpec, lockstep, make_cusp_step_data,
-                            mollify, prepare_initial_parts, run_decomposition)
+from .decomposition import (InitialDataSpec, _split_sums, lockstep,
+                            make_cusp_step_data, mollify, prepare_initial_parts,
+                            run_decomposition)
 from .diagnostics import DiagnosticsSeries, integrate_series
 from .errors import ConfigError, DataError
 from .estimates import (fit_sup_envelope_c0, ladyzhenskaya_ratio,
@@ -30,9 +31,9 @@ from .estimates import (fit_sup_envelope_c0, ladyzhenskaya_ratio,
                         saturated_instance)
 from .io import write_snapshot
 from .solver import _plan_steps, integrate, make_state, step
-from .spectral import (PhysicalField, SpectralField, dealias, derivative,
-                       field_from_function, grad_h_norm_sq, grad_norm_sq,
-                       l2_norm, linf_norm, refine, to_spectral)
+from .spectral import (PhysicalField, SpectralField, dealias,
+                       field_from_function, l2_norm, linf_norm, refine,
+                       to_spectral)
 
 ENERGY_RESIDUAL_TOL = 1e-7
 ENERGY_SHRINK_MIN = 6.0
@@ -125,12 +126,12 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
         diff_b.append(l2_norm(v.v - st_b.v))
         diff_c.append(l2_norm(v.v - st_c.v))
         rec = norms(v.v)
-        dzbar = derivative(split.vbar.v, "z")
+        sums = _split_sums(split)
         ser.add_row(t=v.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4,
                     l6=rec.l6, linf_V=linf_norm(split.V.v),
-                    dz_vbar_l2=l2_norm(dzbar))
-        grad_vbar.append(np.sqrt(grad_norm_sq(split.vbar.v)))
-        grad_h_dz_vbar_sq.append(grad_h_norm_sq(dzbar))
+                    dz_vbar_l2=sums.dz_vbar_l2)
+        grad_vbar.append(sums.grad_vbar_l2)
+        grad_h_dz_vbar_sq.append(sums.grad_h_dz_vbar_sq)
 
     m_hat = ((1.0 + ser.array("dz_vbar_l2") ** 2)
              * (1.0 + np.asarray(grad_vbar) ** 2 + np.asarray(grad_h_dz_vbar_sq)))
@@ -473,15 +474,26 @@ def load_manifest(run_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 def reconstruct_verdicts(manifest: dict, run_dir) -> dict:
-    """Recompute every verdict from the persisted files, with the run's judge."""
+    """Recompute every verdict from the persisted files, with the run's judge.
+
+    Each file the manifest lists must be a bare file name inside
+    ``run_dir``.  It is read once, and the bytes read are checked against
+    its sha256 before the judge gets them.
+    """
     judge = _JUDGES.get(manifest["experiment"])
     if judge is None:
         raise ConfigError(f"unknown experiment kind {manifest['experiment']!r}")
     files = {}
     for entry in manifest["files"]:
-        path = Path(run_dir) / entry["name"]
+        name = entry["name"]
+        if not isinstance(name, str) or name in ("", ".", "..") or Path(name).name != name:
+            raise DataError(f"manifest file name {name!r} is not a bare file name")
+        path = Path(run_dir) / name
         if not path.exists():
-            raise ConfigError(f"missing file {entry['name']} in {run_dir}")
-        files[entry["name"]] = path.read_bytes()
+            raise ConfigError(f"missing file {name} in {run_dir}")
+        payload = path.read_bytes()
+        if hashlib.sha256(payload).hexdigest() != entry["sha256"]:
+            raise DataError(f"{name} does not match its sha256 in the manifest")
+        files[name] = payload
     config = dict(line.partition(" = ")[::2] for line in manifest["config"].splitlines())
     return judge(files, float(config["grid.h"]))[1]

@@ -23,21 +23,25 @@ in l, is masked and exactly even again.
 
 A step runs on the dealiased band.  Such a state is fixed by its
 coefficients at m <= nx/3, |n| <= ny/3 and 0 <= l <= nz/3, so the step
-packs it once (``spectral._Band``), runs the three stages on the packed
-array (gradients, w and its constraint check, products, RK update,
-integrating factors, projection, finiteness check) and unpacks once.
-The band transforms are partial Fourier sums, one small matrix product
-per axis (``spectral._Band``), so states agree with a
-full-storage FFT step to round-off; they stay masked and exactly even,
-because only l >= 0 is computed and ``unpack`` mirrors it.
+packs it once (``spectral._Band``, built once per grid as
+``Grid.band``), runs the three stages on the packed array (gradients, w
+and its constraint check, products, RK update, integrating factors,
+projection, finiteness check) and unpacks once.  The band transforms are
+partial Fourier sums, one small matrix product per axis, so states agree
+with a full-storage FFT step to round-off; they stay masked and exactly
+even, because only l >= 0 is computed and ``unpack`` mirrors it.
 
 Products are formed on half the lattice.  The driver velocity and the
 gradients of U are even or odd in z, so their values on the planes
 j = 0..nz/2 fix the rest (plane nz - j mirrors plane j), and the even
-products return to spectral space from those planes alone.  They are
-formed one derivative at a time: each gradient of U goes to the lattice,
-is multiplied by its driver component and added to the sum before the
-next is made, so a stage holds one gradient on the lattice, not three.
+products return to spectral space from those planes alone.  U is
+transformed once for all its gradients (``_Band.gradient``): one fold,
+one even z pass for U, dx U and dy U, one y pass for U and dx U, and a
+derivative is one more table on those partial sums.  The nonlinear
+stage takes its driver v from the same passes.  The gradients come one
+at a time, each multiplied by its driver component and added to the sum
+before the next is made, so a stage holds one gradient on the lattice,
+not three.
 
 Stepping is a pure state-to-state function: a single trajectory is
 sequential, but independent trajectories may run on separate threads.
@@ -96,8 +100,9 @@ class DriverStage:
 
     Bare lattice values on the planes j = 0..nz/2, shapes
     (2, nx, ny, nz/2 + 1) and (1, nx, ny, nz/2 + 1); v is even and w odd
-    in z, so these planes determine the whole lattice.  Both come from the
-    band inverse of the packed stage state (``spectral._Band.inverse``).
+    in z, so these planes determine the whole lattice.  v comes from the
+    stage's gradient passes (``spectral._Band.gradient``) and w from the
+    band inverse of its packed w (``spectral._Band.inverse``).
     """
 
     t: float
@@ -128,18 +133,24 @@ def _coriolis(coeffs):
 
 
 def _rhs_core(u: np.ndarray, band: _Band, v: np.ndarray, w: np.ndarray,
-              f0: float) -> np.ndarray:
+              f0: float, grads=None) -> np.ndarray:
     """-[(v . grad_H)U + w dz U + f0 k x U] on the band, even in z, pressure-free.
 
     ``u`` is the packed advected field; ``v`` and ``w`` are the driver's
-    half-plane values, as in ``DriverStage``.  The products are formed one
-    derivative at a time, so one gradient at a time is on the lattice, and
-    summed in the order v^1 dx U + v^2 dy U + w dz U.  Each band inverse
-    takes one parity: the even dx U and dy U, then the odd dz U.
+    half-plane values, as in ``DriverStage``.  The gradients of U come one
+    at a time from ``band.gradient(u)``, or from ``grads``, such a stream
+    whose values of U the caller has already taken, and are summed in the
+    order v^1 dx U + v^2 dy U + w dz U, so one gradient at a time is on
+    the lattice.
     """
-    adv = v[0] * band.inverse(1j * band.kx * u)
-    adv += v[1] * band.inverse(1j * band.ky * u)
-    adv += w[0] * band.inverse(1j * band.kz * u, odd=True)
+    grads = band.gradient(u) if grads is None else grads
+    adv = next(grads)
+    adv *= v[0]
+    for drv in (v[1], w[0]):
+        term = next(grads)
+        term *= drv
+        adv += term
+        del term            # freed before the next gradient is made
     out = band.forward(adv)
     if f0 != 0.0:
         out += f0 * _coriolis(u)
@@ -154,7 +165,7 @@ def rhs_nonlinear(v: SpectralField, params: PhysicsParams) -> SpectralField:
     leaves it to ``project_barotropic``.
     """
     g = v.grid
-    band = _Band(g)
+    band = g.band
     u = band.pack(v.coeffs)
     w = band.pack(recover_w(v).coeffs)
     tendency = band.unpack(_rhs_core(u, band, band.inverse(u),
@@ -175,7 +186,7 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
     first stage that leaves non-finite values.
     """
     t = state.t
-    band = _Band(state.v.grid)
+    band = state.v.grid.band
     u = band.pack(state.v.coeffs)
     factors = _stage_factors(band, dt)
     collected = [] if collect else None
@@ -184,20 +195,21 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(3):
             if driver_stages is None:
-                v = band.inverse(u)
-                stage = DriverStage(t + RK_C[k] * dt, v,
-                                    band.inverse(_recover_w_band(u, band), odd=True))
+                w = band.inverse(_recover_w_band(u, band), odd=True)
+                grads = band.gradient(u, values=True)
+                stage = DriverStage(t + RK_C[k] * dt, next(grads), w)
                 if collect:
                     collected.append(stage)
                 if k == 0:
-                    vmax0 = float(np.max(np.abs(v)))
+                    vmax0 = float(np.max(np.abs(stage.v)))
             else:
+                grads = None
                 stage = driver_stages[k]
                 expected = t + RK_C[k] * dt
                 if abs(stage.t - expected) > _STAGE_TIME_TOL * max(1.0, abs(expected)):
                     raise SchedulingError(
                         f"driver stage at t={stage.t} but stage {k} needs t={expected}")
-            n_k = _rhs_core(u, band, stage.v, stage.w, state.params.f0)
+            n_k = _rhs_core(u, band, stage.v, stage.w, state.params.f0, grads)
             incr = dt * RK_A[k] * n_k
             if k:
                 incr = incr + dt * RK_B[k] * n_prev

@@ -17,7 +17,7 @@ from hydrostat.cli import main
 from hydrostat.config import _SCHEMA, parse_config, with_overrides
 from hydrostat.decomposition import prepare_initial_parts, run_decomposition
 from hydrostat.diagnostics import DiagnosticsSeries
-from hydrostat.errors import ConfigError
+from hydrostat.errors import ConfigError, DataError
 from hydrostat.experiments import (exp_stability, load_manifest,
                                    manifest_core_bytes, reconstruct_verdicts,
                                    run_experiment)
@@ -134,14 +134,18 @@ def decomp_run(small_run):
     return small_run("decomposition")
 
 
-def _rewrite_record(run_dir, name, record):
-    """Write a JSON record and its new sha256 into the manifest, as a consistent forgery would."""
-    payload = json.dumps(record).encode()
+def _forge(manifest, run_dir, name, payload):
+    """Write ``payload`` as ``name`` and its sha256 into ``manifest``, as a consistent forgery would."""
     (run_dir / name).write_bytes(payload)
-    manifest = load_manifest(run_dir)
     for entry in manifest["files"]:
         if entry["name"] == name:
             entry["sha256"] = hashlib.sha256(payload).hexdigest()
+
+
+def _rewrite_record(run_dir, name, record):
+    """Forge a JSON record and save the manifest with its new sha256."""
+    manifest = load_manifest(run_dir)
+    _forge(manifest, run_dir, name, json.dumps(record).encode())
     (run_dir / "manifest.json").write_text(json.dumps(manifest))
 
 
@@ -297,16 +301,15 @@ class TestRunPersistence:
         cfg = parse_config(text=SMALL_LEMMAS.format(out=tmp_path / "run"))
         _, manifest = run_experiment(cfg)
         assert reconstruct_verdicts(manifest, tmp_path / "run") == manifest["verdicts"]
-        path = tmp_path / "run" / "ratios.json"
-        original = path.read_text()
+        original = (tmp_path / "run" / "ratios.json").read_bytes()
         for lattice in ("coarse", "fine"):
             for i in (0, 1):
                 record = json.loads(original)
                 record["samples"][-1][lattice][i] = float("nan")
-                path.write_text(json.dumps(record))
+                _forge(manifest, tmp_path / "run", "ratios.json", json.dumps(record).encode())
                 verdicts = reconstruct_verdicts(manifest, tmp_path / "run")
                 assert not verdicts["ratios_finite"], (lattice, i)
-        path.write_text(original)
+        _forge(manifest, tmp_path / "run", "ratios.json", original)
         stale = copy.deepcopy(manifest)
         stale["verdicts"]["exponent_inequality"] = False
         assert reconstruct_verdicts(stale, tmp_path / "run")["exponent_inequality"] is True
@@ -375,10 +378,9 @@ class TestReport:
         cfg = parse_config(text=SMALL_STABILITY.format(out=tmp_path / "run"))
         _, manifest = run_experiment(cfg)
         assert manifest["verdicts"]["difference_bounded"]
-        path = tmp_path / "run" / "differences.json"
-        record = json.loads(path.read_text())
+        record = json.loads((tmp_path / "run" / "differences.json").read_text())
         record["diff_sigma"][2] = float("nan")
-        path.write_text(json.dumps(record))
+        _forge(manifest, tmp_path / "run", "differences.json", json.dumps(record).encode())
         assert reconstruct_verdicts(manifest, tmp_path / "run")["difference_bounded"] is False
 
     def test_forged_ratio_sample_fails_drift(self, tmp_path, capsys):
@@ -413,7 +415,7 @@ class TestReport:
         row = lines[3].split(",")
         row[col] = "2e-08"
         lines[3] = ",".join(row)
-        path.write_text("\n".join(lines) + "\n")
+        _forge(manifest, run_dir, "series.csv", ("\n".join(lines) + "\n").encode())
         assert reconstruct_verdicts(manifest, run_dir)["reconstruction_ok"] is False
 
     def test_stability_base_columns_match_the_split_run(self, tmp_path):
@@ -467,6 +469,39 @@ class TestCli:
         assert main(["report", str(run_dir)]) == 2
         err = capsys.readouterr().err
         assert "report error" in err and "series.csv" in err
+
+    @pytest.mark.parametrize("where", ["parent", "absolute"])
+    def test_report_refuses_names_outside_the_run(self, tmp_path, decomp_run, where,
+                                                  capsys):
+        """A listed file outside the run directory is refused, digest or not."""
+        run_dir = shutil.copytree(decomp_run, tmp_path / "run")
+        outside = tmp_path / "outside.txt"
+        outside.write_bytes(b"not a run artifact\n")
+        name = "../outside.txt" if where == "parent" else str(outside)
+        manifest = load_manifest(run_dir)
+        manifest["files"].append({"name": name, "sha256": hashlib.sha256(
+            outside.read_bytes()).hexdigest()})
+        (run_dir / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["report", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "report error" in err and "not a bare file name" in err
+        with pytest.raises(DataError):
+            reconstruct_verdicts(manifest, run_dir)
+
+    def test_report_reads_each_file_once(self, tmp_path, small_run, monkeypatch, capsys):
+        """The digest is checked on the bytes the judge gets."""
+        run_dir = shutil.copytree(small_run("stability"), tmp_path / "run")
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting(path):
+            reads.append(path.name)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting)
+        assert main(["report", str(run_dir)]) == 0
+        listed = [entry["name"] for entry in load_manifest(run_dir)["files"]]
+        assert sorted(reads) == sorted(listed)
 
     @pytest.mark.parametrize("section, line", [
         ("initial_data", "epsilon = nan"),

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hydrostat.decomposition import (_SAFE_NAMES, InitialDataSpec, lockstep,
-                                     make_cusp_step_data, mollify,
+from hydrostat.decomposition import (_SAFE_NAMES, InitialDataSpec, _split_sums,
+                                     lockstep, make_cusp_step_data, mollify,
                                      prepare_initial_parts, run_decomposition)
 from hydrostat.errors import ConfigurationError
 from hydrostat.hydrostatics import barotropic_residual, solve_pressure
 from hydrostat.solver import (PhysicsParams, StepControl, make_state, step,
                               step_linear)
-from hydrostat.spectral import (EVEN, Grid, PhysicalField, dealias,
-                                field_from_function, grad_norm_sq, l2_norm,
-                                linf_norm, lq_norm, symmetrize, to_physical,
-                                to_spectral, zero_field)
+from hydrostat.spectral import (EVEN, Grid, PhysicalField, _parseval, dealias,
+                                derivative, field_from_function, grad_h_norm_sq,
+                                l2_norm, linf_norm, lq_norm, symmetrize,
+                                to_physical, to_spectral, zero_field)
 
 H = 0.5
 
@@ -29,6 +29,12 @@ def stepwise_energy_residuals(t, l2, grad_l2):
     e = 0.5 * np.asarray(l2, dtype=float) ** 2
     g = np.asarray(grad_l2, dtype=float) ** 2
     return np.diff(e) + 0.5 * np.diff(t) * (g[1:] + g[:-1])
+
+
+def grad_norm_sq(f):
+    """Squared L2 norm of the full (3D) gradient, by Parseval."""
+    g = f.grid
+    return _parseval(f.coeffs, g.mode_weights * g.k2, g.volume)
 
 
 def random_even(grid, seed, ncomp=2):
@@ -226,6 +232,29 @@ class TestRunDecomposition:
         run = run_decomposition(vbar0, step0, PhysicsParams(1.0),
                                 StepControl(dt=1e-3), 0.02)
         assert np.nanmax(run.series.array("recon_residual")) <= 1e-8
+
+    def test_split_sums_match_the_full_spectrum(self, grid):
+        """The record's band sums, against the full-spectrum formulas on
+        x-y dependent data."""
+        vbar0 = field_from_function(
+            grid,
+            lambda X, Y, Z: (0.4 * np.sin(2 * np.pi * X) * np.cos(np.pi * Z / H)
+                             + 0.3 * np.abs(Z) * np.cos(2 * np.pi * Y),
+                             0.5 * np.cos(2 * np.pi * (X + Y)) * np.cos(2 * np.pi * Z / H)),
+            symmetry=EVEN)
+        V0 = random_even(grid, 8) * 0.1
+        for _, split in lockstep(dealias(vbar0), V0, PhysicsParams(1.0),
+                                 StepControl(dt=1e-3), 3e-3):
+            vbar = split.vbar.v
+            dz = derivative(vbar, "z")
+            expected = dict(dz_vbar_l2=l2_norm(dz), grad_dz_vbar_sq=grad_norm_sq(dz),
+                            grad_h_dz_vbar_sq=grad_h_norm_sq(dz),
+                            grad_vbar_l2=np.sqrt(grad_norm_sq(vbar)),
+                            recon_l2=l2_norm(split.driver.v - (vbar + split.V.v)))
+            got = _split_sums(split)
+            for name, ref in expected.items():
+                assert abs(getattr(got, name) - ref) <= 1e-13 * abs(ref), name
+            assert expected["grad_h_dz_vbar_sq"] > 0 and expected["recon_l2"] > 0
 
     def test_linear_part_energy_law(self, grid):
         """The small part dissipates like a free heat flow: transport,

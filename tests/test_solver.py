@@ -18,7 +18,8 @@ from hydrostat.spectral import (EVEN, Grid, SpectralField, _Band, dealias,
                                 to_physical, zero_field)
 from hydrostat.hydrostatics import (barotropic_residual, project_barotropic,
                                     recover_w)
-from hydrostat.decomposition import InitialDataSpec, prepare_initial_parts
+from hydrostat.decomposition import (InitialDataSpec, lockstep,
+                                     prepare_initial_parts)
 
 H = 0.5
 
@@ -292,6 +293,27 @@ class TestPressureFreeStepper:
         gap = np.max(np.abs(project_barotropic(free).coeffs - ref.coeffs))
         assert gap <= 1e-12 * scale
 
+    def test_one_band_per_grid(self, monkeypatch):
+        """A 3-step lockstep and a 3-step integrate each build one band."""
+        built = []
+        init = _Band.__init__
+
+        def counting(self, grid):
+            built.append(grid)
+            init(self, grid)
+
+        monkeypatch.setattr(_Band, "__init__", counting)
+        ctl = StepControl(dt=1e-3)
+        g = Grid.make(16, 16, 32, H)
+        vbar, V = prepare_initial_parts(g, InitialDataSpec(
+            kind="cusp_step", a=(1.0, 0.5), delta=0.5, eta=0.25,
+            sigma=(0.3, 0.2), epsilon=0.1))
+        states = list(lockstep(vbar, V, PhysicsParams(1.0), ctl, 3e-3))
+        assert len(states) == 4 and built == [g]
+        other = Grid.make(16, 16, 16, H)
+        _, series = integrate(smooth_state(other), ctl, 3e-3)
+        assert series.length == 4 and built == [g, other]
+
     def test_step_does_not_pin_the_grid(self):
         g = Grid.make(8, 8, 8, H)
         state = make_state(decay_data(g), 0.0, PhysicsParams(0.0))
@@ -344,8 +366,14 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def assert_matches_batched(args):
+    ref = batched_rhs_core(*args)
+    assert np.max(np.abs(_rhs_core(*args) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestStageOneDerivativeAtATime:
-    """The stage forms its products one gradient at a time, to the same bytes."""
+    """The stage forms its products one gradient at a time from shared
+    passes, to round-off of one band inverse per gradient."""
 
     @pytest.mark.parametrize("shape", [(16, 16, 32), (10, 14, 20)])
     @pytest.mark.parametrize("f0", [0.0, 1.3])
@@ -354,8 +382,7 @@ class TestStageOneDerivativeAtATime:
         v = structured_constrained(g)
         band = _Band(g)
         u, w = band.pack(v.coeffs), band.pack(recover_w(v).coeffs)
-        args = (u, band, band.inverse(u), band.inverse(w, odd=True), f0)
-        assert np.array_equal(_rhs_core(*args), batched_rhs_core(*args))
+        assert_matches_batched((u, band, band.inverse(u), band.inverse(w, odd=True), f0))
 
     @pytest.mark.parametrize("shape", [(16, 16, 32), (10, 14, 20)])
     def test_linear_tendency_matches_the_batched_one(self, shape):
@@ -364,8 +391,7 @@ class TestStageOneDerivativeAtATime:
         band = _Band(g)
         u = band.pack(structured_constrained(g).coeffs)
         for stage in stages:
-            args = (u, band, stage.v, stage.w, 1.0)
-            assert np.array_equal(_rhs_core(*args), batched_rhs_core(*args))
+            assert_matches_batched((u, band, stage.v, stage.w, 1.0))
 
 
 class TestStepMemory:

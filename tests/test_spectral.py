@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hydrostat.errors import ConfigurationError, DataError
 from hydrostat.estimates import ladyzhenskaya_ratio, norms
@@ -13,7 +13,7 @@ from hydrostat.spectral import (EVEN, NONE, ODD, Grid, PhysicalField,
                                 SpectralField, _Band, _forward, _inverse,
                                 _SLAB_BYTES, _lattice_norms, _mirrored, _oversampled_slabs,
                                 _oversampled_values, _pad_axis, _parseval,
-                                grad_h_norm_sq, grad_norm_sq,
+                                grad_h_norm_sq,
                                 dealias, derivative, div_h, field_from_function,
                                 l2_norm, linf_norm, lq_norm, oversample,
                                 parity_flip, refine, symmetrize,
@@ -39,6 +39,12 @@ def random_field(grid, seed, ncomp=1, symmetry=NONE):
 def l2_norm_sq(f):
     """Squared L2 norm by Parseval; unrooted, so an overflow rescale is squared back."""
     return _parseval(f.coeffs, f.grid.mode_weights, f.grid.volume)
+
+
+def grad_norm_sq(f):
+    """Squared L2 norm of the full (3D) gradient, by Parseval."""
+    g = f.grid
+    return _parseval(f.coeffs, g.mode_weights * g.k2, g.volume)
 
 
 def oversampling_input(grid, kind, seed, ncomp):
@@ -594,6 +600,29 @@ class TestBand:
         f = dealias(parity_field(grid, seed, ncomp, EVEN))
         band = _Band(grid)
         assert np.array_equal(band.unpack(band.pack(f.coeffs)), f.coeffs)
+
+    @given(nx=st.integers(4, 16), ny=st.integers(4, 16), nz=st.integers(4, 16),
+           ncomp=st.integers(1, 3), seed=st.integers(0, 10_000))
+    @example(nx=5, ny=7, nz=10, ncomp=2, seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_gradient_passes_match_one_inverse_each(self, nx, ny, nz, ncomp, seed):
+        """U, dx U, dy U and dz U from the shared passes, against one band
+        inverse of each packed derivative, on x-y dependent data."""
+        grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
+        f = dealias(parity_field(grid, seed, ncomp, EVEN))
+        band = _Band(grid)
+        u = band.pack(f.coeffs)
+        assert np.any(u[:, 1:]) and np.any(u[:, :, 1:])
+        expected = [band.inverse(u), band.inverse(1j * band.kx * u),
+                    band.inverse(1j * band.ky * u), band.inverse(1j * band.kz * u, odd=True)]
+        got = list(band.gradient(u, values=True))
+        assert len(got) == 4
+        for name, value, ref in zip(("U", "dx U", "dy U", "dz U"), got, expected):
+            assert value.shape == ref.shape, name
+            assert np.max(np.abs(value - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+        without = list(band.gradient(u))
+        assert len(without) == 3
+        assert all(np.array_equal(a, b) for a, b in zip(without, got[1:]))
 
 
 @pytest.mark.parametrize("nz", range(8, 65, 2))
