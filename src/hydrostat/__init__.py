@@ -18,7 +18,7 @@ from .hydrostatics import (Pressure2D, PressureSplit, barotropic_residual,
                            boundary_trace_norm, project_barotropic,
                            recover_w, solve_pressure, vertical_integral)
 from .solver import (PhysicsParams, SolverState, StepControl, integrate,
-                     make_state, rhs_nonlinear, step, step_linear)
+                     make_state, step, step_linear)
 from .decomposition import (DecompositionRun, DecompositionState,
                             InitialDataSpec, make_cusp_step_data, mollify,
                             prepare_initial_parts, run_decomposition)

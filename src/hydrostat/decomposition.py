@@ -106,11 +106,20 @@ def _bump_transform(s):
 
 def mollify(v0: SpectralField, epsilon: float) -> SpectralField:
     """Periodic convolution with a smooth unit-mass bump of radius ``epsilon``."""
+    return _mollify_parts((v0,), epsilon)[0]
+
+
+def _mollify_parts(fields, epsilon):
+    """``mollify`` of each of ``fields``, all on one grid.
+
+    The separable multiplier is built once for all of them: each of its
+    three factors is a ``_bump_transform`` over one wavenumber line.
+    """
     if epsilon < 0:
         raise ConfigurationError(f"epsilon={epsilon}: radius must be >= 0")
     if epsilon == 0:
-        return v0
-    g = v0.grid
+        return fields
+    g = fields[0].grid
     if epsilon >= min(1.0, 2.0 * g.h):
         raise ConfigurationError(
             f"epsilon={epsilon}: radius must stay below min(1, 2h)")
@@ -118,7 +127,7 @@ def mollify(v0: SpectralField, epsilon: float) -> SpectralField:
     py = _bump_transform(epsilon * g.ky[0, :, 0])
     pz = _bump_transform(epsilon * g.kz[0, 0, :])
     mult = px[:, None, None] * py[None, :, None] * pz[None, None, :]
-    return v0.with_coeffs(v0.coeffs * mult)
+    return tuple(f.with_coeffs(f.coeffs * mult) for f in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +227,7 @@ def prepare_initial_parts(grid: Grid, spec: InitialDataSpec):
     """Resolve the spec into mollified (v0bar, V0) on the grid."""
     spec.validate(grid.h)
     if spec.kind == "cusp_step":
-        vbar, v_step = make_cusp_step_data(grid, spec)
-        return mollify(vbar, spec.epsilon), mollify(v_step, spec.epsilon)
+        return _mollify_parts(make_cusp_step_data(grid, spec), spec.epsilon)
     if spec.kind == "analytic":
         return mollify(_analytic_field(grid, spec), spec.epsilon), zero_field(grid, 2, EVEN)
     if spec.kind == "snapshot":

@@ -228,12 +228,3 @@ def solve_pressure(v: SpectralField, f0: float,
     p1 = poisson_h_solve(g, _advection_tensor_zmean(g, v_phys, drv_phys))
     p2 = poisson_h_solve(g, f0 * 1j * (ky * vm[0] - kx * vm[1]))
     return PressureSplit(p1 + p2, p1, p2)
-
-
-def pressure_gradient_field(p: Pressure2D) -> SpectralField:
-    """grad_H p embedded as a 2-component, z-independent (even) field."""
-    g = p.grid
-    out = np.zeros((2,) + g.spectral_shape, dtype=complex)
-    out[0, :, :, 0] = 1j * g.kx_d[..., 0] * p.coeffs
-    out[1, :, :, 0] = 1j * g.ky_d[..., 0] * p.coeffs
-    return SpectralField(g, out, EVEN)

@@ -9,9 +9,9 @@ the full system solve their own linearization bit for bit.
 The pressure is not computed while stepping.  It depends on (x, y) only,
 so its gradient lies in the z-mean plane, and it is the Lagrange
 multiplier of the barotropic constraint: ``project_barotropic``, applied
-after every stage, removes exactly that gradient part.  ``rhs_nonlinear``
-applies the pressure explicitly through ``solve_pressure`` and is the
-reference the projected tendency is checked against.
+after every stage, removes exactly that gradient part.  The tests check
+the projected tendency against one that applies the pressure from
+``solve_pressure`` explicitly.
 
 Scheme: three-stage low-storage Runge-Kutta (order 3) for the transport /
 rotation terms with the unit-viscosity diffusion handled by the exact
@@ -43,6 +43,18 @@ at a time, each multiplied by its driver component and added to the sum
 before the next is made, so a stage holds one gradient on the lattice,
 not three.
 
+A z-only state steps without band transforms.  Its packed array is a
+column (``spectral._is_column``: zero off the mean line m = n = 0), so
+dx U, dy U and w vanish identically and its tendency is -f0 k x U alone.
+The driver values such a stage hands on are the z pass of the mean line,
+broadcast over (nx, ny) as a read-only view (``_Band.column_inverse``),
+with w a broadcast zero: driver values may be read-only broadcast views,
+and nothing writes to them.  The full sums give the same values up to
+the sign of zeros, so no state or artifact depends on the path taken.
+Any state with a non-zero entry off the mean line, however small, takes
+the full path.  This is the paper's discontinuous data: the cusp a|z|^delta
+and the step sigma chi(-eta, eta)(z) are both z-only.
+
 Stepping is a pure state-to-state function: a single trajectory is
 sequential, but independent trajectories may run on separate threads.
 """
@@ -58,10 +70,11 @@ import numpy as np
 from .diagnostics import DiagnosticsSeries, energy_residual_series
 from .errors import BlowUpError, ConfigurationError, SchedulingError
 from .estimates import norms
-from .hydrostatics import (_project_mean, _recover_w_band,
-                           pressure_gradient_field, project_barotropic,
-                           recover_w, solve_pressure)
-from .spectral import EVEN, SpectralField, _Band, dealias, symmetrize
+from .hydrostatics import _project_mean, _recover_w_band, project_barotropic
+# Not called here: the benchmark's tracer (bench/tracing.py) rebinds these
+# two names on this module, so they stay importable from it.
+from .hydrostatics import recover_w, solve_pressure  # noqa: F401
+from .spectral import EVEN, SpectralField, _Band, _is_column, dealias, symmetrize
 
 RK_A = (8.0 / 15.0, 5.0 / 12.0, 3.0 / 4.0)
 RK_B = (0.0, -17.0 / 60.0, -5.0 / 12.0)
@@ -102,7 +115,10 @@ class DriverStage:
     (2, nx, ny, nz/2 + 1) and (1, nx, ny, nz/2 + 1); v is even and w odd
     in z, so these planes determine the whole lattice.  v comes from the
     stage's gradient passes (``spectral._Band.gradient``) and w from the
-    band inverse of its packed w (``spectral._Band.inverse``).
+    band inverse of its packed w (``spectral._Band.inverse``).  For a
+    z-only driver, v is one z line per component broadcast over (nx, ny)
+    (``spectral._Band.column_inverse``) and w broadcast zeros: both are
+    then read-only views.
     """
 
     t: float
@@ -142,7 +158,15 @@ def _rhs_core(u: np.ndarray, band: _Band, v: np.ndarray, w: np.ndarray,
     whose values of U the caller has already taken, and are summed in the
     order v^1 dx U + v^2 dy U + w dz U, so one gradient at a time is on
     the lattice.
+
+    Without ``grads``, a column U (``spectral._is_column``: it depends on
+    z alone) under a driver with w = 0 has no advection: dx U and dy U
+    vanish identically, because the x and y derivative tables are zero at
+    m = n = 0, and w dz U = 0.  The tendency is then -f0 k x U with no
+    transform, which is what the full sums give up to the sign of zeros.
     """
+    if grads is None and _is_column(u) and not np.any(w):
+        return -(f0 * _coriolis(u))
     grads = band.gradient(u) if grads is None else grads
     adv = next(grads)
     adv *= v[0]
@@ -157,23 +181,6 @@ def _rhs_core(u: np.ndarray, band: _Band, v: np.ndarray, w: np.ndarray,
     return -out
 
 
-def rhs_nonlinear(v: SpectralField, params: PhysicsParams) -> SpectralField:
-    """Full nonlinear tendency of the horizontal velocity (diffusion excluded).
-
-    ``v`` is taken as a solver state: dealiased and exactly even in z.
-    Applies grad_H p from ``solve_pressure`` explicitly, where the stepper
-    leaves it to ``project_barotropic``.
-    """
-    g = v.grid
-    band = g.band
-    u = band.pack(v.coeffs)
-    w = band.pack(recover_w(v).coeffs)
-    tendency = band.unpack(_rhs_core(u, band, band.inverse(u),
-                                     band.inverse(w, odd=True), params.f0))
-    grad_p = pressure_gradient_field(solve_pressure(v, params.f0).total)
-    return SpectralField(g, tendency - symmetrize(dealias(grad_p), EVEN).coeffs, EVEN)
-
-
 def _advance_stages(state: SolverState, dt: float, driver_stages=None,
                     collect=False):
     """Shared RK3/integrating-factor stage loop, on the packed band.
@@ -182,7 +189,8 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
     band and unpacked once.  With ``driver_stages`` given, it is advected
     by the frozen driver (linear systems); otherwise the field drives
     itself (nonlinear system) and, with ``collect``, the stage fields are
-    returned for reuse.  Raises ``BlowUpError`` carrying ``state`` at the
+    returned for reuse.  A z-only stage takes no band transform (see the
+    module docstring).  Raises ``BlowUpError`` carrying ``state`` at the
     first stage that leaves non-finite values.
     """
     t = state.t
@@ -195,13 +203,23 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(3):
             if driver_stages is None:
-                w = band.inverse(_recover_w_band(u, band), odd=True)
-                grads = band.gradient(u, values=True)
-                stage = DriverStage(t + RK_C[k] * dt, next(grads), w)
+                w = _recover_w_band(u, band)    # packed; checks the constraint
+                if _is_column(u):
+                    # z-only: w is zero and _rhs_core forms no gradient;
+                    # v is one line per component, so is its max
+                    grads = None
+                    v = band.column_inverse(u)
+                    w = np.broadcast_to(0.0, (1,) + v.shape[1:])
+                    vmax = v[:, :1, :1]
+                else:
+                    w = band.inverse(w, odd=True)
+                    grads = band.gradient(u, values=True)
+                    v = vmax = next(grads)
+                stage = DriverStage(t + RK_C[k] * dt, v, w)
                 if collect:
                     collected.append(stage)
                 if k == 0:
-                    vmax0 = float(np.max(np.abs(stage.v)))
+                    vmax0 = float(np.max(np.abs(vmax)))
             else:
                 grads = None
                 stage = driver_stages[k]

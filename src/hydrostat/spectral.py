@@ -94,6 +94,16 @@ def _unit_circle(n):
     return np.concatenate((c, c[-2:0:-1])), np.concatenate((s, -s[-2:0:-1]))
 
 
+def _is_column(b):
+    """Whether the packed band array ``b`` is a column: every entry off its
+    horizontal-mean line ``b[:, 0, 0, :]`` is exactly zero.
+
+    A column field depends on z alone.  The test is exact: any non-zero
+    entry, however small (or NaN), makes ``b`` not a column.
+    """
+    return not (np.any(b[:, 1:]) or np.any(b[:, 0, 1:]))
+
+
 class _Band:
     """The dealiased band of an even field, and its transforms as matrix products.
 
@@ -231,6 +241,24 @@ class _Band:
         """
         lines = np.matmul(self._fold(b), self.z_odd if odd else self.z_even)
         return self._x(self.x_odd if odd else self.x_pair, np.matmul(self.y_fold, lines))
+
+    def column_inverse(self, b):
+        """``inverse(b)`` of a column ``b`` (``_is_column``), as a read-only view.
+
+        A column depends on z alone, so its values are the even z pass of
+        the real part of its mean line, broadcast over (nx, ny): the y and
+        x tables are 1 at n = 0 and m = 0 and the imaginary part meets a
+        -sin(0) = -0.0.  The z pass runs on the same stack of
+        (len(rows), nl) blocks as in ``inverse``, so the values are bit for
+        bit those of ``inverse(b)``, up to the sign of zeros; a one-row
+        product rounds differently.
+        """
+        g = self.grid
+        ncomp = b.shape[0]
+        parts = np.zeros((ncomp, len(self.rows), self.nl))
+        parts[:, 0] = b[:, 0, 0].real
+        line = np.matmul(parts, self.z_even)[:, None, :1]
+        return np.broadcast_to(line, (ncomp, g.nx, g.ny, line.shape[-1]))
 
     def gradient(self, u, values=False):
         """U (with ``values``), then dx U, dy U and dz U of the packed even ``u``.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hydrostat import decomposition
 from hydrostat.decomposition import (_SAFE_NAMES, InitialDataSpec, _split_sums,
                                      lockstep, make_cusp_step_data, mollify,
                                      prepare_initial_parts, run_decomposition)
@@ -81,6 +82,21 @@ class TestMollify:
         assert g.coeffs[0, 0, 0, 0] == pytest.approx(f.coeffs[0, 0, 0, 0].real)
         assert np.max(np.abs(symmetrize(g, EVEN).coeffs - g.coeffs)) == 0.0
         assert barotropic_residual(g) <= 1e-12
+
+    def test_cusp_step_parts_share_one_multiplier(self, grid, monkeypatch):
+        """Three bump transforms, one per axis, for both parts; the bytes
+        are those of mollifying each part on its own."""
+        spec = InitialDataSpec(kind="cusp_step", a=(1.0, 0.4), delta=0.8,
+                               eta=0.25, sigma=(0.2, -0.1), epsilon=0.1)
+        raw = make_cusp_step_data(grid, spec)
+        expected = [mollify(f, spec.epsilon).coeffs.tobytes() for f in raw]
+        calls = []
+        transform = decomposition._bump_transform
+        monkeypatch.setattr(decomposition, "_bump_transform",
+                            lambda s: calls.append(len(s)) or transform(s))
+        parts = prepare_initial_parts(grid, spec)
+        assert calls == [grid.nx // 2 + 1, grid.ny, grid.nz]
+        assert [f.coeffs.tobytes() for f in parts] == expected
 
 
 class TestCuspStepData:

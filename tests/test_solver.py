@@ -10,14 +10,15 @@ import pytest
 
 from hydrostat.errors import (BlowUpError, ConstraintViolationError,
                               SchedulingError)
+from hydrostat import solver
 from hydrostat.solver import (CFLWarning, PhysicsParams, SolverState,
                               StepControl, _coriolis, _rhs_core, integrate,
-                              make_state, rhs_nonlinear, step, step_linear)
-from hydrostat.spectral import (EVEN, Grid, SpectralField, _Band, dealias,
-                                field_from_function, l2_norm, symmetrize,
-                                to_physical, zero_field)
+                              make_state, step, step_linear)
+from hydrostat.spectral import (EVEN, Grid, SpectralField, _Band, _is_column,
+                                dealias, field_from_function, l2_norm,
+                                symmetrize, to_physical, zero_field)
 from hydrostat.hydrostatics import (barotropic_residual, project_barotropic,
-                                    recover_w)
+                                    recover_w, solve_pressure)
 from hydrostat.decomposition import (InitialDataSpec, lockstep,
                                      prepare_initial_parts)
 
@@ -51,6 +52,33 @@ def cusp_state(grid, f0=1.0):
                            sigma=(0.2, 0.1), epsilon=0.1)
     vbar0, step0 = prepare_initial_parts(grid, spec)
     return make_state(vbar0 + step0, 0.0, PhysicsParams(f0=f0))
+
+
+def pressure_gradient_field(p):
+    """grad_H p embedded as a 2-component, z-independent (even) field."""
+    g = p.grid
+    out = np.zeros((2,) + g.spectral_shape, dtype=complex)
+    out[0, :, :, 0] = 1j * g.kx_d[..., 0] * p.coeffs
+    out[1, :, :, 0] = 1j * g.ky_d[..., 0] * p.coeffs
+    return SpectralField(g, out, EVEN)
+
+
+def rhs_nonlinear(v, params):
+    """Full nonlinear tendency of the horizontal velocity (diffusion excluded).
+
+    The reference the stepper's projected tendency is checked against:
+    ``v`` is taken as a solver state, dealiased and exactly even in z, and
+    grad_H p from ``solve_pressure`` is applied explicitly, where the
+    stepper leaves it to ``project_barotropic``.
+    """
+    g = v.grid
+    band = g.band
+    u = band.pack(v.coeffs)
+    w = band.pack(recover_w(v).coeffs)
+    tendency = band.unpack(_rhs_core(u, band, band.inverse(u),
+                                     band.inverse(w, odd=True), params.f0))
+    grad_p = pressure_gradient_field(solve_pressure(v, params.f0).total)
+    return SpectralField(g, tendency - symmetrize(dealias(grad_p), EVEN).coeffs, EVEN)
 
 
 class TestTendency:
@@ -411,3 +439,121 @@ class TestStepMemory:
     def test_step_linear_peak(self, case):
         state, stages, ctl = case
         assert traced_peak(lambda: step_linear(state, stages, ctl)) < 30 * 2 ** 20
+
+
+def z_only_parts(grid):
+    """The paper's z-only data: a mollified cusp v0bar and step V0."""
+    return prepare_initial_parts(grid, InitialDataSpec(
+        kind="cusp_step", a=(1.1, 0.3), delta=0.7, eta=0.27,
+        sigma=(0.2, -0.05), epsilon=0.1))
+
+
+def counting_gradients(monkeypatch):
+    """Count ``_Band.gradient`` calls: the dense path makes one per stage."""
+    calls = []
+    gradient = _Band.gradient
+
+    def counted(self, u, values=False):
+        calls.append(values)
+        return gradient(self, u, values)
+
+    monkeypatch.setattr(_Band, "gradient", counted)
+    return calls
+
+
+class TestColumnPath:
+    """A z-only state steps without band transforms, to the same bits."""
+
+    def test_column_and_dense_lockstep_agree(self, monkeypatch):
+        g = Grid.make(16, 16, 32, H)
+        vbar, V = z_only_parts(g)
+        args = (vbar, V, PhysicsParams(1.3), StepControl(dt=1e-3), 6e-3)
+        calls = counting_gradients(monkeypatch)
+        column = list(lockstep(*args))
+        assert calls == []
+        monkeypatch.setattr(solver, "_is_column", lambda b: False)
+        dense = list(lockstep(*args))
+        assert len(calls) == 9 * (len(dense) - 1)
+        assert len(column) == len(dense) == 7
+        for (_, a), (_, b) in zip(column, dense):
+            for part in ("driver", "vbar", "V"):
+                assert np.array_equal(getattr(a, part).v.coeffs,
+                                      getattr(b, part).v.coeffs)
+
+    def test_predicate_is_exact(self, monkeypatch):
+        g = Grid.make(16, 16, 32, H)
+        band = g.band
+        vbar, V = z_only_parts(g)
+        u = band.pack((vbar + V).coeffs)
+        assert _is_column(u) and _is_column(np.zeros_like(u))
+        for index in [(0, 1, 0, 1), (1, 0, 2, 0), (0, 0, 1, 3)]:
+            tiny = u.copy()
+            tiny[index] = 1e-300
+            assert not _is_column(tiny)
+        tiny = u.copy()
+        tiny[1, 2, 0, 1] = 1e-300
+        state = SolverState(SpectralField(g, band.unpack(tiny), EVEN), 0.0,
+                            PhysicsParams(1.3))
+        calls = counting_gradients(monkeypatch)
+        new = step(state, StepControl(dt=1e-3))
+        assert calls == [True] * 3
+        monkeypatch.setattr(solver, "_is_column", lambda b: False)
+        assert np.array_equal(step(state, StepControl(dt=1e-3)).v.coeffs,
+                              new.v.coeffs)
+
+    @pytest.mark.parametrize("shape", [(16, 16, 32), (10, 14, 20), (32, 32, 64)])
+    def test_driver_values_are_the_band_inverse(self, shape):
+        g = Grid.make(*shape, H)
+        band = g.band
+        vbar, V = z_only_parts(g)
+        # sampled z-only data keep FFT round-off off the mean line at some sizes
+        u = np.zeros_like(band.pack(vbar.coeffs))
+        u[:, 0, 0] = band.pack((vbar + V).coeffs)[:, 0, 0]
+        state = make_state(SpectralField(g, band.unpack(u), EVEN), 0.0,
+                           PhysicsParams(1.3))
+        assert np.array_equal(band.pack(state.v.coeffs), u)
+        values = band.column_inverse(u)
+        assert not values.flags.writeable
+        assert np.array_equal(values, band.inverse(u))
+        _, stages = step(state, StepControl(dt=1e-3), record_stages=True)
+        assert np.array_equal(stages[0].v, band.inverse(u))
+        assert stages[0].w.shape == (1,) + values.shape[1:]
+        assert not np.any(stages[0].w)
+
+    def test_column_under_a_moving_driver_goes_dense(self, monkeypatch):
+        g = Grid.make(16, 16, 32, H)
+        band = g.band
+        driver = make_state(field_from_function(g, lambda X, Y, Z: (
+            np.cos(2 * np.pi * X) * np.cos(np.pi * Z / H),
+            np.sin(2 * np.pi * Y) * np.cos(2 * np.pi * Z / H)), symmetry=EVEN),
+            0.0, PhysicsParams(1.0))
+        _, stages = step(driver, StepControl(dt=1e-3), record_stages=True)
+        vbar, _ = z_only_parts(g)
+        u = band.pack(vbar.coeffs)
+        assert _is_column(u)
+        calls = counting_gradients(monkeypatch)
+        for stage in stages:
+            assert np.max(np.abs(stage.w)) > 0.1
+            assert_matches_batched((u, band, stage.v, stage.w, 1.0))
+            rotation_only = -(1.0 * _coriolis(u))
+            assert np.max(np.abs(_rhs_core(u, band, stage.v, stage.w, 1.0)
+                                 - rotation_only)) > 1e-3 * np.max(np.abs(u))
+        assert len(calls) == 2 * len(stages)
+
+    def test_cfl_warning_at_the_same_dt(self, monkeypatch):
+        g = Grid.make(16, 16, 32, H)
+        vbar, V = z_only_parts(g)
+        state = make_state(vbar + V, 0.0, PhysicsParams(1.3))
+        vmax = np.max(np.abs(g.band.inverse(g.band.pack(state.v.coeffs))))
+        dt = 1e-3
+        target = vmax * dt * 2.0 * np.pi * 32 / 3.0
+
+        def warns(dt):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", CFLWarning)
+                step(state, StepControl(dt=1.0, cfl_target=target), dt=dt)
+            return any(issubclass(w.category, CFLWarning) for w in caught)
+
+        column = [warns(dt), warns(dt * (1 + 1e-12))]
+        monkeypatch.setattr(solver, "_is_column", lambda b: False)
+        assert column == [warns(dt), warns(dt * (1 + 1e-12))] == [False, True]
