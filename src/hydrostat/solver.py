@@ -139,13 +139,33 @@ def make_state(v: SpectralField, t: float, params: PhysicsParams) -> SolverState
 
 
 def _stage_factors(band: _Band, dt: float):
-    """Integrating factors exp(-|k|^2 (c_{k+1} - c_k) dt) for the 3 stages."""
-    return tuple(np.exp(-band.k2 * ((RK_C[k + 1] - RK_C[k]) * dt)) for k in range(3))
+    """Integrating factors exp(-|k|^2 (c_{k+1} - c_k) dt) for the 3 stages.
+
+    The factors of the last dt are kept on the band as one ``(dt,
+    factors)`` tuple, read-only, and reused while dt repeats: one entry,
+    so the cache stays bounded, and one tuple, so a thread never pairs
+    one dt with another's factors.
+    """
+    last = band.stage_factors
+    if last is not None and last[0] == dt:
+        return last[1]
+    factors = tuple(np.exp(-band.k2 * ((RK_C[k + 1] - RK_C[k]) * dt)) for k in range(3))
+    for a in factors:
+        a.flags.writeable = False
+    band.stage_factors = (dt, factors)
+    return factors
 
 
 def _coriolis(coeffs):
     """Coefficients of k x U = (-U^2, U^1)."""
     return np.concatenate([-coeffs[1:2], coeffs[0:1]])
+
+
+def _any_stored(a) -> bool:
+    """``np.any(a)``, reading each stored element once: a broadcast axis
+    (stride 0) repeats its one element, so only index 0 of it is read."""
+    return bool(np.any(a[tuple(slice(0, 1) if s == 0 else slice(None)
+                                for s in a.strides)]))
 
 
 def _rhs_core(u: np.ndarray, band: _Band, v: np.ndarray, w: np.ndarray,
@@ -165,7 +185,7 @@ def _rhs_core(u: np.ndarray, band: _Band, v: np.ndarray, w: np.ndarray,
     m = n = 0, and w dz U = 0.  The tendency is then -f0 k x U with no
     transform, which is what the full sums give up to the sign of zeros.
     """
-    if grads is None and _is_column(u) and not np.any(w):
+    if grads is None and _is_column(u) and not _any_stored(w):
         return -(f0 * _coriolis(u))
     grads = band.gradient(u) if grads is None else grads
     adv = next(grads)

@@ -35,7 +35,10 @@ Untagged fields and ``to_physical`` use the whole lattice; ``oversample``
 returns the whole lattice too, mirroring the half planes of a
 parity-tagged field.  The norms never hold that lattice: it streams in
 slabs of y rows (``_oversampled_slabs``), and each slab is reduced to a
-max and sums of powers before the next one is made.  The layer
+max and sums of powers before the next one is made.  A column, a field
+whose only populated (m, n) line is m = n = 0, depends on z alone, so
+its norms reduce that one z line (``_record_slabs``): the sup norm is
+the lattice's to the byte, the L^q norms move at round-off.  The layer
 inequality's checker streams its lattices the same way, in smaller
 slabs.  The slab size changes memory and round-off only.
 
@@ -95,9 +98,11 @@ def _unit_circle(n):
 
 
 def _is_column(b):
-    """Whether the packed band array ``b`` is a column: every entry off its
-    horizontal-mean line ``b[:, 0, 0, :]`` is exactly zero.
+    """Whether ``b`` is a column: every entry off its horizontal-mean line
+    ``b[:, 0, 0, :]`` is exactly zero.
 
+    ``b`` indexes the (m, n) modes along its axes 1 and 2, with m = 0 and
+    n = 0 first: a packed band array, or the line mask of ``_populated``.
     A column field depends on z alone.  The test is exact: any non-zero
     entry, however small (or NaN), makes ``b`` not a column.
     """
@@ -160,6 +165,9 @@ class _Band:
         # l > 0 stands for l and -l, and m > 0 for m and -m
         twice = np.where(np.arange(max(self.nl, self.nm)) > 0, 2.0, 1.0)
         self.weights = grid.mode_weights[: self.nm] * twice[: self.nl]
+        # the stepper's integrating factors of its last dt, as one
+        # (dt, factors) tuple (``solver._stage_factors``)
+        self.stage_factors = None
 
         half = grid.nz // 2 + 1
         cos, sin = _unit_circle(grid.nz)
@@ -654,13 +662,34 @@ _SLAB_BYTES = 16 * 2 ** 20
 _LADY_SLAB_BYTES = 2 ** 19
 
 
-def _oversampled_slabs(f: SpectralField, slab_bytes=None):
+def _populated(f: SpectralField) -> np.ndarray:
+    """Which stored (m, n) lines of ``f`` hold a non-zero coefficient, as a
+    (1, nx/2 + 1, ny, 1) mask, the shape ``_is_column`` reads."""
+    return np.any(f.coeffs, axis=(0, 3), keepdims=True)
+
+
+def _z_lines(f: SpectralField, ms, ns) -> np.ndarray:
+    """Zero-padded z ``ifft`` of the stored lines (ms, ns) of ``f``, placed as
+    ``_pad_axis`` places them: (ncomp, len(ms), nz'), or only the planes
+    j = 0..nz'/2 of a mirrored field (``_mirrored``)."""
+    g = f.grid
+    fnz = _FACTOR * g.nz
+    zpad = np.zeros((f.coeffs.shape[0], len(ms), fnz), dtype=complex)
+    _pad_axis(zpad, f.coeffs[:, ms, ns], 2, g.nz)
+    np.fft.ifft(zpad, axis=2, norm="forward", out=zpad)
+    if _mirrored(f):
+        zpad = zpad[..., : fnz // 2 + 1]
+    return zpad
+
+
+def _oversampled_slabs(f: SpectralField, slab_bytes=None, populated=None):
     """Lattice values of ``oversample`` as a stream of y-row slabs.
 
     Evaluates one axis at a time and only the lines that can be non-zero:
 
-    * z: a zero-padded ``ifft`` on the stored (m, n) lines that hold a
-      non-zero coefficient, placed as ``_pad_axis`` places them;
+    * z: a zero-padded ``ifft`` (``_z_lines``) on the stored (m, n)
+      lines that hold a non-zero coefficient, the ``populated`` mask of
+      ``_populated``, which a caller that has scanned ``f`` passes;
     * y: those lines go onto the populated rows n only, and one complex
       table exp(2 pi i n k / ny') sums them;
     * x: the real pair [w_m cos, -w_m sin](2 pi m i / nx') (w_0 = 1,
@@ -679,14 +708,10 @@ def _oversampled_slabs(f: SpectralField, slab_bytes=None):
     """
     g = f.grid
     ncomp = f.coeffs.shape[0]
-    fnx, fny, fnz = _FACTOR * g.nx, _FACTOR * g.ny, _FACTOR * g.nz
-    ms, ns = np.nonzero(np.any(f.coeffs, axis=(0, 3)))
+    fnx, fny = _FACTOR * g.nx, _FACTOR * g.ny
+    ms, ns = np.nonzero((_populated(f) if populated is None else populated)[0, ..., 0])
 
-    zpad = np.zeros((ncomp, len(ms), fnz), dtype=complex)
-    _pad_axis(zpad, f.coeffs[:, ms, ns], 2, g.nz)
-    np.fft.ifft(zpad, axis=2, norm="forward", out=zpad)
-    if _mirrored(f):
-        zpad = zpad[..., : fnz // 2 + 1]
+    zpad = _z_lines(f, ms, ns)
     nzp = zpad.shape[2]
 
     rows, row_of = np.unique(ns, return_inverse=True)
@@ -755,15 +780,35 @@ def _mirrored(f: SpectralField) -> bool:
 _LOG_MAX = float(np.log(np.finfo(float).max))
 
 
-def _lattice_moments(f: SpectralField, qs, unit=None):
-    """One streamed pass: max |f|^2, the lattice size and ``{q: mean of |f|^q}``.
+def _record_slabs(f: SpectralField, populated):
+    """The oversampled lattice that the record reduces, as a stream of
+    (ncomp, rows, nz', cols) value slabs that the caller may overwrite.
 
-    Each slab is reduced before the next is made: |f|^2 is formed in
-    place (after dividing by ``unit``, if given), |f|^4 and |f|^6 =
-    |f|^4 * |f|^2 share one slab-sized buffer (a product is cheaper than
-    libm's pow), and other q are (|f|^2)^(q/2).  A mirrored lattice comes
-    as its planes j = 0..nz'/2, whose end planes j = 0 and j = nz'/2 are
-    their own mirrors and count at half weight in the means.
+    A column (``_is_column`` of the ``populated`` mask: only the mean
+    line m = n = 0 may be non-zero) depends on z alone, and every value
+    of its lattice is the real part of its ``_z_lines`` bit for bit: the
+    y table at n = 0 is 1 + 0i and the x pair at m = 0 is [1, 0].  So it
+    comes as that one line, one slab of shape (ncomp, 1, nz', 1).  Any
+    other field streams ``_oversampled_slabs`` in slabs of at most
+    ``_SLAB_BYTES``.
+    """
+    if _is_column(populated):
+        yield _z_lines(f, [0], [0]).real[..., None].copy()
+    else:
+        for _, vals in _oversampled_slabs(f, _SLAB_BYTES, populated):
+            yield vals
+
+
+def _lattice_moments(f: SpectralField, populated, qs, unit=None):
+    """One streamed pass: max |f|^2, the number of values and ``{q: mean of |f|^q}``.
+
+    Each slab of ``_record_slabs`` is reduced before the next is made:
+    |f|^2 is formed in place (after dividing by ``unit``, if given),
+    |f|^4 and |f|^6 = |f|^4 * |f|^2 share one slab-sized buffer (a
+    product is cheaper than libm's pow), and other q are (|f|^2)^(q/2).
+    A mirrored lattice comes as its planes j = 0..nz'/2, whose end planes
+    j = 0 and j = nz'/2 are their own mirrors and count at half weight in
+    the means.  A column's means are taken over its one z line.
     """
     half = _mirrored(f)
     peak, size, plane, power = -np.inf, 0, 0, None
@@ -775,7 +820,7 @@ def _lattice_moments(f: SpectralField, qs, unit=None):
         if half:
             ends[q] += np.sum(a[:, 0]) + np.sum(a[:, -1])
 
-    for _, vals in _oversampled_slabs(f, _SLAB_BYTES):
+    for vals in _record_slabs(f, populated):
         if unit is not None:
             vals /= unit
         np.square(vals, out=vals)
@@ -810,21 +855,26 @@ def _lattice_norms(f: SpectralField, qs):
     The lattice comes in y-row slabs (``_oversampled_slabs``) and each is
     reduced before the next is made (``_lattice_moments``), so the whole
     lattice is never held.  A mirrored lattice is evaluated and reduced on
-    its planes j = 0..nz'/2 only.  Only when |f|^2 or its largest power
-    summed over the lattice would overflow is the lattice streamed again,
-    once for the max |component| and once divided by it, so finite fields
-    on the edge of a blow-up keep finite norms and every other field keeps
-    the unscaled arithmetic.
+    its planes j = 0..nz'/2 only, and a column on its one z line
+    (``_record_slabs``): its sup norm is the lattice's to the byte, its
+    L^q norms move at round-off, because one line is summed instead of
+    (2 nx)(2 ny) copies of it.  The lines are scanned once per call
+    (``_populated``), for that choice and for the stream.  Only when |f|^2
+    or its largest power summed over the values reduced would overflow
+    are they streamed again, once for the max |component| and once
+    divided by it, so finite fields on the edge of a blow-up keep finite
+    norms and every other field keeps the unscaled arithmetic.
     """
     qs = [float(q) for q in qs]
+    populated = _populated(f)
     with np.errstate(over="ignore", invalid="ignore"):
-        peak, size, means = _lattice_moments(f, qs)
+        peak, size, means = _lattice_moments(f, populated, qs)
     unit = 1.0
     if peak > 1.0 and (max(qs, default=2.0) / 2.0 * np.log(peak)
                        + np.log(size) >= _LOG_MAX):
         unit = max(float(max(np.max(vals), -np.min(vals)))
-                   for _, vals in _oversampled_slabs(f, _SLAB_BYTES))
-        peak, size, means = _lattice_moments(f, qs, unit)
+                   for vals in _record_slabs(f, populated))
+        peak, size, means = _lattice_moments(f, populated, qs, unit)
     lq = {q: unit * float((f.grid.volume * means[q]) ** (1.0 / q)) for q in qs}
     return unit * float(np.sqrt(peak)), lq
 

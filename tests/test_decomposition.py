@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hydrostat import decomposition
+from hydrostat import decomposition, spectral
 from hydrostat.decomposition import (_SAFE_NAMES, InitialDataSpec, _split_sums,
                                      lockstep, make_cusp_step_data, mollify,
                                      prepare_initial_parts, run_decomposition)
@@ -322,6 +322,31 @@ class TestRunDecomposition:
         d01 = l2_norm(finals[0] - finals[1])
         d12 = l2_norm(finals[1] - finals[2])
         assert d01 > d12 > 0
+
+    def test_column_record_matches_the_streamed_record(self, grid, monkeypatch):
+        """z-only states record their norms on one z line; streaming their
+        whole lattice gives the same series, l4 and l6 to round-off."""
+        spec = InitialDataSpec(kind="cusp_step", a=(1.0, 0.3), sigma=(0.2, -0.1),
+                               epsilon=0.1)
+        vbar0, step0 = prepare_initial_parts(grid, spec)
+        args = (vbar0, step0, PhysicsParams(1.0), StepControl(dt=1e-3), 0.01)
+        calls = []
+        stream = spectral._oversampled_slabs
+        monkeypatch.setattr(spectral, "_oversampled_slabs",
+                            lambda *a: calls.append(1) or stream(*a))
+        column = run_decomposition(*args).series.columns
+        assert calls == []
+        # off in the record only: the stepper holds its own binding
+        monkeypatch.setattr(spectral, "_is_column", lambda b: False)
+        streamed = run_decomposition(*args).series.columns
+        assert len(calls) == 2 * len(streamed["t"]) == 22
+        assert column.keys() == streamed.keys()
+        for name, ref in streamed.items():
+            got, ref = np.asarray(column[name]), np.asarray(ref)
+            if name in ("l4", "l6"):
+                assert np.all(np.abs(got - ref) <= 1e-15 * ref), name
+            else:
+                assert got.tobytes() == ref.tobytes(), name
 
 
 class TestPartPressures:

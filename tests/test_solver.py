@@ -557,3 +557,78 @@ class TestColumnPath:
         column = [warns(dt), warns(dt * (1 + 1e-12))]
         monkeypatch.setattr(solver, "_is_column", lambda b: False)
         assert column == [warns(dt), warns(dt * (1 + 1e-12))] == [False, True]
+
+
+class TestStageFactors:
+    """The integrating factors of the last dt are kept on the band, once."""
+
+    def test_one_entry_reused_while_dt_repeats(self):
+        band = Grid.make(16, 16, 32, H).band
+        first = solver._stage_factors(band, 1e-3)
+        assert solver._stage_factors(band, 1e-3) is first
+        second = solver._stage_factors(band, 4e-4)
+        assert band.stage_factors[0] == 4e-4 and band.stage_factors[1] is second
+        for dt, factors in ((1e-3, first), (4e-4, second)):
+            for k, a in enumerate(factors):
+                assert not a.flags.writeable
+                fresh = np.exp(-band.k2 * ((solver.RK_C[k + 1] - solver.RK_C[k]) * dt))
+                assert np.array_equal(a, fresh)
+
+    def test_entry_is_read_once(self):
+        """Another thread may replace the entry right after it is read (as
+        a threaded mollification run can); the factors returned are still
+        those of the dt that matched."""
+        band = Grid.make(16, 16, 32, H).band
+        mine = (1e-3, solver._stage_factors(band, 1e-3))
+        theirs = (4e-4, solver._stage_factors(band, 4e-4))
+
+        class Contended:
+            k2 = band.k2
+            reads = 0
+
+            @property
+            def stage_factors(self):
+                self.reads += 1
+                return mine if self.reads == 1 else theirs
+
+            @stage_factors.setter
+            def stage_factors(self, entry):
+                pass
+
+        assert solver._stage_factors(Contended(), 1e-3) is mine[1]
+
+    def test_steps_match_fresh_factors(self):
+        g = Grid.make(16, 16, 32, H)
+        state = smooth_state(g)
+        part = make_state(field_from_function(g, lambda X, Y, Z: (
+            np.cos(2 * np.pi * X) * np.cos(np.pi * Z / H), 0.3 + 0 * X), symmetry=EVEN),
+            0.0, PhysicsParams(1.0))
+        ctl = StepControl(dt=1e-3)
+        runs = []
+        for fresh in (False, True):
+            s, p, out = state, part, []
+            for dt in (1e-3, 1e-3, 4e-4, 1e-3):
+                if fresh:
+                    g.band.stage_factors = None
+                s, stages = step(s, ctl, dt=dt, record_stages=True)
+                if fresh:
+                    g.band.stage_factors = None
+                p = step_linear(p, stages, ctl, dt=dt)
+                out += [s.v.coeffs, p.v.coeffs]
+            runs.append(out)
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+
+def test_any_stored_reads_the_stored_elements():
+    """The z-only driver's w is broadcast zeros; testing its one stored
+    element answers as ``np.any`` does, for any layout."""
+    line = np.zeros((2, 1, 1, 5))
+    hit = line.copy()
+    hit[1, 0, 0, 3] = 1e-300
+    dense = np.zeros((1, 8, 8, 5))
+    dense[0, 7, 2, 4] = 1e-300
+    cases = [np.broadcast_to(0.0, (1, 8, 8, 5)), np.broadcast_to(line, (2, 8, 8, 5)),
+             np.broadcast_to(hit, (2, 8, 8, 5)), np.broadcast_to(np.nan, (1, 8, 8, 5)),
+             np.zeros((1, 8, 8, 5)), dense, np.broadcast_to(1.0, (1, 0, 8, 5))]
+    assert [solver._any_stored(a) for a in cases] == [bool(np.any(a)) for a in cases]
+    assert [bool(np.any(a)) for a in cases] == [False, False, True, True, False, True, False]

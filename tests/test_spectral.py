@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hydrostat import spectral
+from hydrostat.decomposition import InitialDataSpec, make_cusp_step_data
 from hydrostat.errors import ConfigurationError, DataError
 from hydrostat.estimates import ladyzhenskaya_ratio, norms
 from hydrostat.spectral import (EVEN, NONE, ODD, Grid, PhysicalField,
                                 SpectralField, _Band, _forward, _inverse,
-                                _SLAB_BYTES, _lattice_norms, _mirrored, _oversampled_slabs,
-                                _oversampled_values, _pad_axis, _parseval,
+                                _SLAB_BYTES, _is_column, _lattice_norms, _mirrored,
+                                _oversampled_slabs, _oversampled_values, _pad_axis,
+                                _parseval, _populated, _record_slabs,
                                 grad_h_norm_sq,
                                 dealias, derivative, div_h, field_from_function,
                                 l2_norm, linf_norm, lq_norm, oversample,
@@ -573,6 +576,80 @@ class TestStreamedNorms:
         finally:
             tracemalloc.stop()
         assert peak < lattice_bytes
+
+
+def column_of(f):
+    """``f`` with every line but the mean line m = n = 0 zeroed: a column."""
+    coeffs = np.zeros_like(f.coeffs)
+    coeffs[:, 0, 0] = f.coeffs[:, 0, 0]
+    return f.with_coeffs(coeffs)
+
+
+def column_case(kind):
+    """Column fields whose record reduces one z line."""
+    if kind in ("cusp", "step"):
+        g = Grid.make(16, 16, 32, H)
+        parts = make_cusp_step_data(g, InitialDataSpec(
+            kind="cusp_step", a=(1.1, 0.3), delta=0.7, eta=0.27, sigma=(0.2, -0.05)))
+        return parts[kind == "step"]
+    g = Grid.make(16, 16, 16, H)
+    if kind == "zero":
+        return zero_field(g, 2)
+    if kind == "nyquist":
+        f = column_of(oversampling_input(g, "raw", 41, 2))
+        assert f.symmetry == NONE and np.all(f.coeffs[:, 0, 0, g.nz // 2] != 0)
+        return f
+    f = column_of(random_field(g, 42, ncomp=2, symmetry=ODD if kind == "odd" else EVEN))
+    return f * 1e154 if kind == "huge" else f
+
+
+class TestColumnRecord:
+    """A column (z-only) field's record reduces its one z line, not the lattice."""
+
+    QS = (3.0, 4.0, 5.0, 6.0)
+
+    @pytest.mark.parametrize("kind", ["cusp", "step", "odd", "nyquist", "zero", "huge"])
+    def test_column_matches_the_whole_lattice(self, kind):
+        f = column_case(kind)
+        populated = _populated(f)
+        assert _is_column(populated)
+        assert _mirrored(f) == (kind not in ("nyquist", "zero"))
+        line, = _record_slabs(f, populated)
+        whole = np.moveaxis(_oversampled_values(f), 1, 3)
+        assert line.shape == (2, 1, whole.shape[2], 1)
+        assert np.array_equal(whole, np.broadcast_to(line, whole.shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            linf, lq = _lattice_norms(f, self.QS)
+            singles = {q: lq_norm(f, q) for q in self.QS}
+            rec = norms(f)
+            assert linf_norm(f) == float(np.sqrt(np.max(np.sum(whole ** 2, axis=0))))
+        # at 1e154 every q takes the rescale branch, as the whole lattice does
+        ref_linf, ref_lq = whole_lattice_norms(f, self.QS)
+        assert linf == ref_linf
+        assert rec.linf == whole_lattice_norms(f, (4.0, 6.0))[0]
+        for got in (lq, singles, {4.0: rec.l4, 6.0: rec.l6}):
+            for q, value in got.items():
+                assert abs(value - ref_lq[q]) <= 1e-15 * ref_lq[q], q
+
+    def test_only_columns_skip_the_stream(self, monkeypatch):
+        f = column_case("cusp")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("streamed the lattice")
+
+        monkeypatch.setattr(spectral, "_oversampled_slabs", refuse)
+        for column in (f, f * 1e154):     # at 1e154 the rescale passes run too
+            norms(column)
+            linf_norm(column)
+            lq_norm(column, 3.0)
+        for index in [(1, 0, 2, 1), (0, 1, 0, 0)]:
+            coeffs = f.coeffs.copy()
+            coeffs[index] = 1e-300
+            off_line = f.with_coeffs(coeffs)
+            for fn in (norms, linf_norm, lambda g: lq_norm(g, 3.0)):
+                with pytest.raises(AssertionError, match="streamed"):
+                    fn(off_line)
 
 
 band_cases = dict(
