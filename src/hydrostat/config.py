@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .decomposition import InitialDataSpec
 from .errors import ConfigError, HydrostatError
-from .solver import PhysicsParams, StepControl
+from .solver import PhysicsParams, StepControl, _step_count
 from .spectral import Grid
 
 EXPERIMENTS = ("energy_identity", "decomposition", "stability",
@@ -199,6 +199,7 @@ def validate_config(cfg: RunConfig) -> None:
     try:
         cfg.make_grid()
         cfg.step_control()
+        _step_count(0.0, cfg.t_end, cfg.dt)
         cfg.initial_data.validate(cfg.h)
     except HydrostatError as err:
         raise ConfigError(str(err)) from err

@@ -289,61 +289,48 @@ def lockstep(v0bar: SpectralField, V0: SpectralField, params: PhysicsParams,
         yield dt, DecompositionState(vbar, V, v)
 
 
-@dataclass(frozen=True)
-class _SplitSums:
-    """The split record's Parseval sums at one instant (``_split_sums``)."""
+def _split_record(state: DecompositionState) -> dict:
+    """One row of the split run's series: the ``CSV_COLUMNS`` but
+    ``energy_residual``, with recon_residual = ||v - (vbar + V)||_2 / ||v||_2,
+    plus ||grad dz vbar||_2^2 and stability's envelope terms ||grad vbar||_2
+    and ||grad_H dz vbar||_2^2.
 
-    dz_vbar_l2: float          # ||dz vbar||_2
-    grad_dz_vbar_sq: float     # ||grad dz vbar||_2^2
-    grad_h_dz_vbar_sq: float   # ||grad_H dz vbar||_2^2
-    grad_vbar_l2: float        # ||grad vbar||_2
-    recon_l2: float            # ||v - (vbar + V)||_2
-
-
-def _split_sums(state: DecompositionState) -> _SplitSums:
-    """Parseval sums of the split record on the packed band.
-
-    v, vbar and V are solver states, masked and exactly even, so each is
-    fixed by its band coefficients (``spectral._Band``): the three are
-    packed once and every sum is ``_parseval`` with ``band.weights``, as
-    ``_recover_w_band`` takes its norm.  dz vbar is packed too; its
-    factor i drops out of |i kz c|^2.
+    v, vbar and V are solver states, so each is fixed by its band
+    (``spectral._Band``): they are packed once, and every sum that
+    ``norms(v)`` does not give is ``_parseval`` with ``band.weights``.
+    dz vbar is packed too; its factor i drops out of |i kz c|^2.
     """
+    rec = norms(state.driver.v)
     g = state.driver.v.grid
     band = g.band
     v, vbar, V = (band.pack(s.v.coeffs) for s in (state.driver, state.vbar, state.V))
     dz = band.kz * vbar
     w, vol = band.weights, g.volume
-    return _SplitSums(
+    recon_l2 = _parseval(v - (vbar + V), w, vol, root=True)
+    return dict(
+        t=state.driver.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4, l6=rec.l6,
+        linf_V=linf_norm(state.V.v),
         dz_vbar_l2=_parseval(dz, w, vol, root=True),
         grad_dz_vbar_sq=_parseval(dz, w * band.k2, vol),
-        grad_h_dz_vbar_sq=_parseval(dz, w * band.kh2[..., None], vol),
+        recon_residual=recon_l2 / max(rec.l2, np.finfo(float).tiny),
         grad_vbar_l2=_parseval(vbar, w * band.k2, vol, root=True),
-        recon_l2=_parseval(v - (vbar + V), w, vol, root=True))
+        grad_h_dz_vbar_sq=_parseval(dz, w * band.kh2[..., None], vol))
 
 
 def run_decomposition(v0bar: SpectralField, V0: SpectralField,
                       params: PhysicsParams, ctl: StepControl,
-                      t_end: float) -> DecompositionRun:
-    """Split run with a per-step record.
+                      t_end: float, hooks=()) -> DecompositionRun:
+    """The coupled run: one ``_split_record`` row per ``lockstep`` state.
 
-    Per step the series records the ``CSV_COLUMNS`` values -- the norms of
-    v, ||V||_inf, ||dz vbar||_2 and the reconstruction residual
-    ||v - (vbar + V)||_2 / ||v||_2 -- plus ``dz_vbar_dissipation``, the
-    running integral of ||grad dz vbar||_2^2.  Nothing else is computed.
+    Hooks are called as ``hook(dt, state)`` after each row, with dt = 0.0
+    at t = 0.  The series then gains ``energy_residual`` and
+    ``dz_vbar_dissipation``, the running integral of ||grad dz vbar||_2^2.
     """
     series = DiagnosticsSeries()
-    for _, state in lockstep(v0bar, V0, params, ctl, t_end):
-        v, vbar, V = state.driver, state.vbar, state.V
-        rec = norms(v.v)
-        sums = _split_sums(state)
-        denom = max(rec.l2, np.finfo(float).tiny)
-        series.add_row(
-            t=v.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4, l6=rec.l6,
-            linf_V=linf_norm(V.v),
-            dz_vbar_l2=sums.dz_vbar_l2,
-            grad_dz_vbar_sq=sums.grad_dz_vbar_sq,
-            recon_residual=sums.recon_l2 / denom)
+    for dt, state in lockstep(v0bar, V0, params, ctl, t_end):
+        series.add_row(**_split_record(state))
+        for hook in hooks:
+            hook(dt, state)
 
     t = series.array("t")
     residual = energy_residual_series(t, series.array("l2"), series.array("grad_l2"))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import (_FACTOR, _LADY_SLAB_BYTES, SpectralField, _lattice_norms,
-                       _oversampled_slabs, _parseval, grad_h_norm_sq, l2_norm)
+from .spectral import (_FACTOR, _LADY_SLAB_BYTES, SpectralField, _band_l2,
+                       _lattice_norms, _oversampled_slabs, grad_h_norm_sq, l2_norm)
 from .spectral import oversample  # noqa: F401  -- a name the benchmark's tracer rebinds
 
 
@@ -45,20 +45,17 @@ class BoundParams:
 
 
 def norms(v: SpectralField) -> NormRecord:
-    """L2 / gradient norms by Parseval, L^4, L^6 and sup by oversampled quadrature.
+    """Norms of a solver state: L2 and gradient by Parseval on its band
+    (``spectral._band_l2``, which refuses a field not tagged ``EVEN``), L^4,
+    L^6 and sup by oversampled quadrature.
 
     A single oversampled evaluation of |v|^2 feeds every lattice-quadrature
     norm (``spectral.lq_norm`` gives any other q).  The gradient norm is
     the root of its Parseval sum, finite whenever it is in range.
     """
-    g = v.grid
+    l2, grad_l2 = _band_l2(v), _band_l2(v, grad=True)
     linf, lq = _lattice_norms(v, (4.0, 6.0))
-    return NormRecord(l2=l2_norm(v),
-                      grad_l2=_parseval(v.coeffs, g.mode_weights * g.k2, g.volume,
-                                        root=True),
-                      l4=lq[4.0],
-                      l6=lq[6.0],
-                      linf=linf)
+    return NormRecord(l2=l2, grad_l2=grad_l2, l4=lq[4.0], l6=lq[6.0], linf=linf)
 
 
 # ---------------------------------------------------------------------------

@@ -61,8 +61,10 @@ sequential, but independent trajectories may run on separate threads.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 from math import ceil
 
 import numpy as np
@@ -291,14 +293,21 @@ def step_linear(part: SolverState, stages, ctl: StepControl,
     return SolverState(u, part.t + dt, part.params)
 
 
+def _step_count(t0: float, t_end: float, dt: float) -> int:
+    """Steps from t0 to t_end, all dt but a shorter last one.  A count past
+    ``sys.maxsize``, an index-sized integer, raises ``ConfigurationError``."""
+    n = (t_end - t0) / dt - 1e-9
+    if not n < sys.maxsize:
+        raise ConfigurationError(
+            f"[time] t_end={t_end!r} and dt={dt!r}: {n:.3g} steps do not fit an index")
+    return max(1, ceil(n)) if t_end > t0 else 0
+
+
 def _plan_steps(t0: float, t_end: float, dt: float):
-    span = t_end - t0
-    if span <= 0:
-        return []
-    n = max(1, ceil(span / dt - 1e-9))
-    steps = [dt] * (n - 1)
-    steps.append(span - dt * (n - 1))
-    return steps
+    n = _step_count(t0, t_end, dt)
+    yield from repeat(dt, n - 1)
+    if n:
+        yield t_end - t0 - dt * (n - 1)
 
 
 def integrate(state: SolverState, ctl: StepControl, t_end: float, hooks=()):

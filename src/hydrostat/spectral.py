@@ -592,6 +592,18 @@ def l2_norm(f: SpectralField) -> float:
     return _parseval(f.coeffs, f.grid.mode_weights, f.grid.volume, root=True)
 
 
+def _band_l2(f: SpectralField, grad=False) -> float:
+    """||f||_2, or with ``grad`` ||grad f||_2, of a solver state or the
+    difference of two, by Parseval on its band, which holds it whole
+    (``_Band``).  A field not tagged ``EVEN`` raises ``ConfigurationError``."""
+    if f.symmetry != EVEN:
+        raise ConfigurationError(
+            f"band norms take a solver state, tagged {EVEN!r}; got {f.symmetry!r}")
+    band = f.grid.band
+    weights = band.weights * band.k2 if grad else band.weights
+    return _parseval(band.pack(f.coeffs), weights, f.grid.volume, root=True)
+
+
 def grad_h_norm_sq(f: SpectralField) -> float:
     """Squared L2 norm of the horizontal gradient."""
     g = f.grid

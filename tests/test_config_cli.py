@@ -9,7 +9,6 @@ import re
 import shutil
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from hydrostat import experiments
@@ -419,15 +418,14 @@ class TestReport:
         assert reconstruct_verdicts(manifest, run_dir)["reconstruction_ok"] is False
 
     def test_stability_base_columns_match_the_split_run(self, tmp_path):
-        """Both experiments advance the base data in the same lockstep loop."""
+        """Stability's series is the split run's, to the byte."""
         cfg = parse_config(text=SMALL_STABILITY.format(out=tmp_path / "run"))
-        stab = DiagnosticsSeries.from_csv(exp_stability(cfg).files["series.csv"].decode())
+        stab = exp_stability(cfg).files["series.csv"]
         vbar0, step0 = prepare_initial_parts(cfg.make_grid(), cfg.initial_data)
         split = run_decomposition(vbar0, step0, cfg.physics(), cfg.step_control(),
                                   cfg.t_end).series
-        assert stab.length == split.length == 6
-        for name in ("t", "l2", "l4", "linf_V", "dz_vbar_l2"):
-            np.testing.assert_array_equal(stab.array(name), split.array(name), err_msg=name)
+        assert split.length == 6
+        assert stab == split.to_csv().encode()
 
 
 class TestCli:
@@ -560,6 +558,18 @@ class TestCli:
         path = tmp_path / "c.ini"
         path.write_text("[grid]\nnx = 6\n")
         assert main(["run", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_step_count_beyond_an_index_exits_two(self, tmp_path, command, capsys):
+        """t_end / dt = 1e303 steps: refused by name, not an OverflowError."""
+        path = tmp_path / "c.ini"
+        path.write_text("[grid]\nnx = 8\nny = 8\nnz = 8\n"
+                        "[time]\ndt = 1e-3\nt_end = 1e300\n"
+                        f"[output]\ndirectory = {tmp_path / 'run'}\n")
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [time] t_end=1e+300 and dt=0.001")
+        assert not (tmp_path / "run").exists()
 
     def test_failing_verdict_exits_one(self, tmp_path):
         """A reversed mollification ladder cannot be Cauchy-decreasing."""

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import grad_norm_sq, stepwise_energy_residuals
 
 from hydrostat import decomposition, spectral
-from hydrostat.decomposition import (_SAFE_NAMES, InitialDataSpec, _split_sums,
+from hydrostat.decomposition import (_SAFE_NAMES, InitialDataSpec, _split_record,
                                      lockstep, make_cusp_step_data, mollify,
                                      prepare_initial_parts, run_decomposition)
 from hydrostat.errors import ConfigurationError
 from hydrostat.hydrostatics import barotropic_residual, solve_pressure
 from hydrostat.solver import (PhysicsParams, StepControl, make_state, step,
                               step_linear)
-from hydrostat.spectral import (EVEN, Grid, PhysicalField, _parseval, dealias,
+from hydrostat.spectral import (EVEN, Grid, PhysicalField, dealias,
                                 derivative, field_from_function, grad_h_norm_sq,
                                 l2_norm, linf_norm, lq_norm, symmetrize,
                                 to_physical, to_spectral, zero_field)
@@ -23,19 +24,6 @@ H = 0.5
 @pytest.fixture(scope="module")
 def grid():
     return Grid.make(16, 16, 32, H)
-
-
-def stepwise_energy_residuals(t, l2, grad_l2):
-    """Per-step trapezoid residual of the energy law, O(dt^3) for the scheme."""
-    e = 0.5 * np.asarray(l2, dtype=float) ** 2
-    g = np.asarray(grad_l2, dtype=float) ** 2
-    return np.diff(e) + 0.5 * np.diff(t) * (g[1:] + g[:-1])
-
-
-def grad_norm_sq(f):
-    """Squared L2 norm of the full (3D) gradient, by Parseval."""
-    g = f.grid
-    return _parseval(f.coeffs, g.mode_weights * g.k2, g.volume)
 
 
 def random_even(grid, seed, ncomp=2):
@@ -261,16 +249,17 @@ class TestRunDecomposition:
         V0 = random_even(grid, 8) * 0.1
         for _, split in lockstep(dealias(vbar0), V0, PhysicsParams(1.0),
                                  StepControl(dt=1e-3), 3e-3):
-            vbar = split.vbar.v
+            v, vbar = split.driver.v, split.vbar.v
             dz = derivative(vbar, "z")
-            expected = dict(dz_vbar_l2=l2_norm(dz), grad_dz_vbar_sq=grad_norm_sq(dz),
+            expected = dict(l2=l2_norm(v), grad_l2=np.sqrt(grad_norm_sq(v)),
+                            dz_vbar_l2=l2_norm(dz), grad_dz_vbar_sq=grad_norm_sq(dz),
                             grad_h_dz_vbar_sq=grad_h_norm_sq(dz),
                             grad_vbar_l2=np.sqrt(grad_norm_sq(vbar)),
-                            recon_l2=l2_norm(split.driver.v - (vbar + split.V.v)))
-            got = _split_sums(split)
+                            recon_residual=l2_norm(v - (vbar + split.V.v)) / l2_norm(v))
+            got = _split_record(split)
             for name, ref in expected.items():
-                assert abs(getattr(got, name) - ref) <= 1e-13 * abs(ref), name
-            assert expected["grad_h_dz_vbar_sq"] > 0 and expected["recon_l2"] > 0
+                assert abs(got[name] - ref) <= 1e-13 * abs(ref), name
+            assert expected["grad_h_dz_vbar_sq"] > 0 and expected["recon_residual"] > 0
 
     def test_linear_part_energy_law(self, grid):
         """The small part dissipates like a free heat flow: transport,

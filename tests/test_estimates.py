@@ -17,10 +17,10 @@ from hydrostat.estimates import (BoundParams, IterationInstance, LadyzhenskayaRa
                                  norms, perturbation_response,
                                  random_instance, saturated_instance,
                                  sup_norm_envelope)
-from hydrostat.spectral import (_LADY_SLAB_BYTES, EVEN, ODD, Grid, PhysicalField,
+from hydrostat.spectral import (_LADY_SLAB_BYTES, EVEN, NONE, ODD, Grid, PhysicalField,
                                 SpectralField, _oversampled_slabs, _oversampled_values,
                                 dealias, field_from_function, grad_h_norm_sq,
-                                l2_norm, lq_norm, refine, symmetrize,
+                                l2_norm, linf_norm, lq_norm, refine, symmetrize,
                                 to_physical, to_spectral, zero_field)
 
 H = 0.5
@@ -33,12 +33,12 @@ def grid():
 
 class TestNorms:
     def test_zero_field(self, grid):
-        rec = norms(zero_field(grid, 2))
+        rec = norms(zero_field(grid, 2, EVEN))
         assert rec.l2 == rec.l4 == rec.l6 == rec.linf == rec.grad_l2 == 0.0
 
     def test_constant_field(self, grid):
         c = 1.7
-        f = field_from_function(grid, lambda X, Y, Z: c + 0 * X)
+        f = dealias(field_from_function(grid, lambda X, Y, Z: c + 0 * X, EVEN))
         rec = norms(f)
         vol = 2 * H
         assert rec.l2 == pytest.approx(c * vol ** 0.5, rel=1e-12)
@@ -46,6 +46,18 @@ class TestNorms:
         assert rec.l6 == pytest.approx(c * vol ** (1 / 6), rel=1e-12)
         assert lq_norm(f, 8) == pytest.approx(c * vol ** 0.125, rel=1e-12)
         assert rec.linf == pytest.approx(c, rel=1e-12)
+
+    @pytest.mark.parametrize("tag", [NONE, ODD])
+    def test_refuses_a_field_that_is_not_a_solver_state(self, grid, tag):
+        """Only solver states, tagged even: an untagged field's band sums
+        would be wrong with no error."""
+        rng = np.random.default_rng(1)
+        f = dealias(to_spectral(PhysicalField(
+            grid, rng.standard_normal((2,) + grid.physical_shape))))
+        if tag == ODD:
+            f = symmetrize(f, ODD)
+        with pytest.raises(ConfigurationError, match="solver state"):
+            norms(f)
 
     def test_cosine_l2(self, grid):
         f = field_from_function(grid, lambda X, Y, Z: np.cos(2 * np.pi * X))
@@ -67,12 +79,11 @@ class TestNorms:
         rng = np.random.default_rng(seed)
         f = dealias(to_spectral(PhysicalField(
             grid, rng.standard_normal((1,) + grid.physical_shape))))
-        rec = norms(f)
         vol = grid.volume
-        order = [rec.l2 * vol ** (-1 / 2), lq_norm(f, 3) * vol ** (-1 / 3),
-                 rec.l4 * vol ** (-1 / 4), rec.l6 * vol ** (-1 / 6),
+        order = [l2_norm(f) * vol ** (-1 / 2), lq_norm(f, 3) * vol ** (-1 / 3),
+                 lq_norm(f, 4) * vol ** (-1 / 4), lq_norm(f, 6) * vol ** (-1 / 6),
                  lq_norm(f, 8) * vol ** (-1 / 8), lq_norm(f, 12) * vol ** (-1 / 12),
-                 rec.linf]                      # q = 2, 3, 4, 6, 8, 12, inf
+                 linf_norm(f)]                  # q = 2, 3, 4, 6, 8, 12, inf
         for lo, hi in zip(order, order[1:]):
             assert lo <= hi * (1 + 1e-9)
 

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from oracles import stepwise_energy_residuals
 
 from hydrostat.errors import (BlowUpError, ConstraintViolationError,
                               SchedulingError)
@@ -38,13 +39,6 @@ def decay_data(grid, A=1.0):
 def rotation_data(grid, A=1.0):
     return field_from_function(grid, lambda X, Y, Z: (A * np.cos(np.pi * Z / grid.h), 0 * X),
                                symmetry=EVEN)
-
-
-def stepwise_energy_residuals(t, l2, grad_l2):
-    """Per-step trapezoid residual of the energy law, O(dt^3) for the scheme."""
-    e = 0.5 * np.asarray(l2, dtype=float) ** 2
-    g = np.asarray(grad_l2, dtype=float) ** 2
-    return np.diff(e) + 0.5 * np.diff(t) * (g[1:] + g[:-1])
 
 
 def cusp_state(grid, f0=1.0):
