@@ -199,7 +199,8 @@ def validate_config(cfg: RunConfig) -> None:
     try:
         cfg.make_grid()
         cfg.step_control()
-        _step_count(0.0, cfg.t_end, cfg.dt)
+        for dt in (cfg.dt, cfg.dt / 2.0) if cfg.experiment == "energy_identity" else (cfg.dt,):
+            _step_count(0.0, cfg.t_end, dt)
         cfg.initial_data.validate(cfg.h)
     except HydrostatError as err:
         raise ConfigError(str(err)) from err

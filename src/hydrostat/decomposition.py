@@ -28,12 +28,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diagnostics import (DiagnosticsSeries, energy_residual_series,
-                          integrate_series)
+from .diagnostics import DiagnosticsSeries, integrate_series
+from .diagnostics import energy_residual_series  # noqa: F401  -- the benchmark's tracer rebinds it
 from .errors import ConfigurationError
 from .hydrostatics import solve_pressure
-from .solver import (PhysicsParams, SolverState, StepControl, _plan_steps,
-                     make_state, step, step_linear)
+from .solver import (PhysicsParams, SolverState, StepControl, _norm_row,
+                     _plan_steps, _recorded, make_state, step, step_linear)
 from .spectral import (EVEN, Grid, SpectralField, _parseval, dealias,
                        field_from_function, linf_norm, zero_field)
 from .io import read_snapshot
@@ -308,7 +308,7 @@ def _split_record(state: DecompositionState) -> dict:
     w, vol = band.weights, g.volume
     recon_l2 = _parseval(v - (vbar + V), w, vol, root=True)
     return dict(
-        t=state.driver.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4, l6=rec.l6,
+        _norm_row(state.driver.t, rec),
         linf_V=linf_norm(state.V.v),
         dz_vbar_l2=_parseval(dz, w, vol, root=True),
         grad_dz_vbar_sq=_parseval(dz, w * band.k2, vol),
@@ -320,21 +320,14 @@ def _split_record(state: DecompositionState) -> dict:
 def run_decomposition(v0bar: SpectralField, V0: SpectralField,
                       params: PhysicsParams, ctl: StepControl,
                       t_end: float, hooks=()) -> DecompositionRun:
-    """The coupled run: one ``_split_record`` row per ``lockstep`` state.
-
-    Hooks are called as ``hook(dt, state)`` after each row, with dt = 0.0
-    at t = 0.  The series then gains ``energy_residual`` and
+    """The coupled run: one ``_split_record`` row per ``lockstep`` state, in
+    ``integrate``'s loop (``solver._recorded``), then ``energy_residual`` and
     ``dz_vbar_dissipation``, the running integral of ||grad dz vbar||_2^2.
+    Hooks are called as ``hook(dt, state)``: with dt = 0.0 at t = 0, then after
+    every step.  A ``BlowUpError`` carries the partial series as ``series``.
     """
-    series = DiagnosticsSeries()
-    for dt, state in lockstep(v0bar, V0, params, ctl, t_end):
-        series.add_row(**_split_record(state))
-        for hook in hooks:
-            hook(dt, state)
-
-    t = series.array("t")
-    residual = energy_residual_series(t, series.array("l2"), series.array("grad_l2"))
-    series.columns["energy_residual"] = list(residual)
+    state, series = _recorded(lockstep(v0bar, V0, params, ctl, t_end),
+                              _split_record, hooks)
     series.columns["dz_vbar_dissipation"] = list(
-        integrate_series(t, series.array("grad_dz_vbar_sq")))
+        integrate_series(series.array("t"), series.array("grad_dz_vbar_sq")))
     return DecompositionRun(state, series)

@@ -27,12 +27,15 @@ class ConstraintViolationError(HydrostatError):
 class BlowUpError(HydrostatError):
     """Non-finite values appeared during time integration.
 
-    ``last_good`` holds the last valid solver state.
+    ``last_good`` holds the last valid solver state.  ``series`` is None
+    from a bare step; a recorded run (``integrate``, ``run_decomposition``)
+    sets it to the rows it recorded before the blow-up.
     """
 
     def __init__(self, message, last_good=None):
         super().__init__(message)
         self.last_good = last_good
+        self.series = None
 
 
 class SchedulingError(HydrostatError):

@@ -15,6 +15,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,8 @@ from .estimates import (fit_sup_envelope_c0, ladyzhenskaya_ratio,
                         moser_bound_check, random_instance, saturated_instance)
 from .io import write_snapshot
 from .solver import _step_count, integrate, make_state, step
-from .spectral import (PhysicalField, SpectralField, _band_l2, dealias,
-                       field_from_function, l2_norm, refine, to_spectral)
+from .spectral import (PhysicalField, _band_l2, dealias, field_from_function,
+                       l2_norm, refine, to_spectral)
 from .spectral import linf_norm  # noqa: F401  -- a name the benchmark's tracer rebinds
 
 ENERGY_RESIDUAL_TOL = 1e-7
@@ -48,7 +49,6 @@ class ExperimentReport:
     metrics: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     files: dict = field(default_factory=dict)      # name -> bytes
-    initial: SpectralField | None = None           # v0, when the runner built it
 
     @property
     def all_pass(self):
@@ -61,14 +61,10 @@ class ExperimentReport:
 
 def exp_energy_identity(cfg: RunConfig) -> ExperimentReport:
     """Energy-identity residual of a smooth-data run, and its dt-convergence."""
-    grid = cfg.make_grid()
-    params = cfg.physics()
-    vbar0, step0 = prepare_initial_parts(grid, cfg.initial_data)
-    v0 = vbar0 + step0
-
-    report = ExperimentReport("energy_identity", initial=v0)
+    vbar0, step0 = prepare_initial_parts(cfg.make_grid(), cfg.initial_data)
+    state = make_state(vbar0 + step0, 0.0, cfg.physics())
+    report = ExperimentReport("energy_identity")
     for label, dt in (("series", cfg.dt), ("series_half", cfg.dt / 2.0)):
-        state = make_state(v0, 0.0, params)
         _, series = integrate(state, cfg.step_control(dt), cfg.t_end)
         report.files[f"{label}.csv"] = series.to_csv().encode()
     return _judged(report, cfg)
@@ -80,7 +76,7 @@ def exp_decomposition(cfg: RunConfig) -> ExperimentReport:
     vbar0, step0 = prepare_initial_parts(grid, cfg.initial_data)
     ser = run_decomposition(vbar0, step0, cfg.physics(), cfg.step_control(),
                             cfg.t_end).series
-    report = ExperimentReport("decomposition", initial=vbar0 + step0)
+    report = ExperimentReport("decomposition")
     report.files["series.csv"] = ser.to_csv().encode()
     report.metrics["dz_vbar_dissipation"] = float(ser.array("dz_vbar_dissipation")[-1])
     return _judged(report, cfg)
@@ -125,7 +121,7 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
                             hooks=(perturbed,)).series
     m_hat = ((1.0 + ser.array("dz_vbar_l2") ** 2)
              * (1.0 + ser.array("grad_vbar_l2") ** 2 + ser.array("grad_h_dz_vbar_sq")))
-    report = ExperimentReport("stability", initial=v0)
+    report = ExperimentReport("stability")
     report.files["series.csv"] = ser.to_csv().encode()
     report.files["differences.json"] = _json_bytes({
         "t": ser.columns["t"], "m_hat": m_hat.tolist(), **diffs,
@@ -143,38 +139,32 @@ def exp_mollification_convergence(cfg: RunConfig) -> ExperimentReport:
     ctl = cfg.step_control()
     n_steps = _step_count(0.0, cfg.t_end, ctl.dt)
     k = min(cfg.sample_count, n_steps)
-    sample_steps = sorted({max(1, round(i * n_steps / k)) for i in range(1, k + 1)})
+    sampled = {0} | {max(1, round(i * n_steps / k)) for i in range(1, k + 1)}
 
     def _one(eps):
         spec = replace(cfg.initial_data, epsilon=eps)
         vbar0, step0 = prepare_initial_parts(grid, spec)
-        state = make_state(vbar0 + step0, 0.0, params)
-        captured = {0: state.v}
-        _, series = integrate(state, ctl, cfg.t_end,
-                              hooks=(_capture_hook(captured, sample_steps),))
+        captured, steps = [], count()
+
+        def capture(dt, state):             # v at t = 0 and at the sampled steps
+            if next(steps) in sampled:
+                captured.append(state.v)
+
+        _, series = integrate(make_state(vbar0 + step0, 0.0, params), ctl, cfg.t_end,
+                              hooks=(capture,))
         return captured, series
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         results = list(pool.map(_one, cfg.epsilons))
 
     report = ExperimentReport("mollification")
-    distances = [float(max(_band_l2(cap_a[s] - cap_b[s]) for s in cap_a))
+    distances = [float(max(_band_l2(a - b) for a, b in zip(cap_a, cap_b)))
                  for (cap_a, _), (cap_b, _) in zip(results, results[1:])]
     for i, (_, series) in enumerate(results):
         report.files[f"series_eps{i}.csv"] = series.to_csv().encode()
     report.files["distances.json"] = _json_bytes({
         "epsilons": list(cfg.epsilons), "pairwise_distances": distances})
     return _judged(report, cfg)
-
-
-def _capture_hook(captured, sample_steps):
-    counter = {"i": 0}
-
-    def hook(state, series):
-        counter["i"] += 1
-        if counter["i"] in sample_steps:
-            captured[counter["i"]] = state.v
-    return hook
 
 
 def _exponent_inequality_holds(kmax=60):
@@ -418,11 +408,8 @@ def run_experiment(cfg: RunConfig, out_dir=None):
     report = _RUNNERS[cfg.experiment](cfg)
 
     if cfg.snapshots:
-        v0 = report.initial
-        if v0 is None:
-            vbar0, step0 = prepare_initial_parts(cfg.make_grid(), cfg.initial_data)
-            v0 = vbar0 + step0
-        write_snapshot(out / "initial.hsf", v0)
+        vbar0, step0 = prepare_initial_parts(cfg.make_grid(), cfg.initial_data)
+        write_snapshot(out / "initial.hsf", vbar0 + step0)
         report.files["initial.hsf"] = (out / "initial.hsf").read_bytes()
 
     finished = time.time()

@@ -8,10 +8,11 @@ the full system solve their own linearization bit for bit.
 
 The pressure is not computed while stepping.  It depends on (x, y) only,
 so its gradient lies in the z-mean plane, and it is the Lagrange
-multiplier of the barotropic constraint: ``project_barotropic``, applied
-after every stage, removes exactly that gradient part.  The tests check
-the projected tendency against one that applies the pressure from
-``solve_pressure`` explicitly.
+multiplier of the barotropic constraint: ``hydrostatics._project_mean``,
+applied on the band after every stage, removes exactly that gradient part
+(``project_barotropic``, its full-storage form, runs only in ``make_state``).
+The tests check the projected tendency against one that applies the
+pressure from ``solve_pressure`` explicitly.
 
 Scheme: three-stage low-storage Runge-Kutta (order 3) for the transport /
 rotation terms with the unit-viscosity diffusion handled by the exact
@@ -73,9 +74,7 @@ from .diagnostics import DiagnosticsSeries, energy_residual_series
 from .errors import BlowUpError, ConfigurationError, SchedulingError
 from .estimates import norms
 from .hydrostatics import _project_mean, _recover_w_band, project_barotropic
-# Not called here: the benchmark's tracer (bench/tracing.py) rebinds these
-# two names on this module, so they stay importable from it.
-from .hydrostatics import recover_w, solve_pressure  # noqa: F401
+from .hydrostatics import recover_w, solve_pressure  # noqa: F401  -- bench/tracing.py rebinds them
 from .spectral import EVEN, SpectralField, _Band, _is_column, dealias, symmetrize
 
 RK_A = (8.0 / 15.0, 5.0 / 12.0, 3.0 / 4.0)
@@ -310,31 +309,48 @@ def _plan_steps(t0: float, t_end: float, dt: float):
         yield t_end - t0 - dt * (n - 1)
 
 
-def integrate(state: SolverState, ctl: StepControl, t_end: float, hooks=()):
-    """Repeated stepping with per-step norm recording.
+def _norm_row(t: float, rec) -> dict:
+    """Every recorded run's columns t, l2, grad_l2, l4, l6, from ``rec = norms(v)``."""
+    return dict(t=t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4, l6=rec.l6)
 
-    Returns ``(final_state, series)``.  Hooks are called as
-    ``hook(state, series)`` after every step.  On blow-up the partial
-    series is attached to the raised error.
+
+def _recorded(states, record, hooks=()):
+    """The one loop that turns a run into a series: each ``(dt, state)`` of
+    ``states`` (dt = 0.0 first) adds the row ``record(state)``, then calls
+    every ``hook(dt, state)``.  Returns ``(last state, series)`` with
+    ``energy_residual`` added; a ``BlowUpError`` leaves carrying the rows
+    recorded before it as ``series``.
     """
     series = DiagnosticsSeries()
-
-    def _record(s):
-        rec = norms(s.v)
-        series.add_row(t=s.t, l2=rec.l2, grad_l2=rec.grad_l2, l4=rec.l4,
-                       l6=rec.l6)
-
-    _record(state)
     try:
-        for dt in _plan_steps(state.t, t_end, ctl.dt):
-            state = step(state, ctl, dt=dt)
-            _record(state)
+        for dt, state in states:
+            series.add_row(**record(state))
             for hook in hooks:
-                hook(state, series)
+                hook(dt, state)
     except BlowUpError as err:
         err.series = series
         raise
-    residual = energy_residual_series(
-        series.array("t"), series.array("l2"), series.array("grad_l2"))
-    series.columns["energy_residual"] = list(residual)
+    series.columns["energy_residual"] = list(energy_residual_series(
+        series.array("t"), series.array("l2"), series.array("grad_l2")))
     return state, series
+
+
+def _stepped(state: SolverState, ctl: StepControl, t_end: float):
+    """``(0.0, state)``, then ``(dt, state)`` after each step to t_end."""
+    yield 0.0, state
+    for dt in _plan_steps(state.t, t_end, ctl.dt):
+        state = step(state, ctl, dt=dt)
+        yield dt, state
+
+
+def integrate(state: SolverState, ctl: StepControl, t_end: float, hooks=()):
+    """Repeated stepping with per-step norm recording.
+
+    Returns ``(final_state, series)``: t, l2, grad_l2, l4 and l6 of every
+    state from the initial one on, and ``energy_residual``.  Hooks are
+    called as ``hook(dt, state)``: with dt = 0.0 for the initial state, then
+    after every step.  On blow-up the raised ``BlowUpError`` carries the
+    partial series as ``series``.
+    """
+    return _recorded(_stepped(state, ctl, t_end),
+                     lambda s: _norm_row(s.t, norms(s.v)), hooks)

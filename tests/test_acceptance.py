@@ -90,7 +90,7 @@ def test_02_rotation_decay(grid):
     profile = np.cos(np.pi * Z / H)
     worst = 0.0
 
-    def compare(state, series):
+    def compare(dt, state):
         nonlocal worst
         amp = A * np.exp(-kap2 * state.t)
         vals = to_physical(state.v).values
@@ -139,7 +139,7 @@ def test_04_divergence_and_w_reconstruction(grid):
     worst_div = 0.0
     worst_wall = 0.0
 
-    def check(state, series):
+    def check(dt, state):
         nonlocal worst_div, worst_wall
         w = recover_w(state.v)
         s = div_h(state.v)
@@ -147,7 +147,6 @@ def test_04_divergence_and_w_reconstruction(grid):
         worst_div = max(worst_div, residual)
         worst_wall = max(worst_wall, boundary_trace_norm(w))
 
-    check(state, None)
     integrate(state, StepControl(dt=DT), T_END, hooks=(check,))
     ok = worst_div <= 1e-12 and worst_wall <= 1e-10
     _line(4, "w reconstruction", ok,

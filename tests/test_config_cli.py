@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from hydrostat import experiments
 from hydrostat.cli import main
 from hydrostat.config import _SCHEMA, parse_config, with_overrides
 from hydrostat.decomposition import prepare_initial_parts, run_decomposition
@@ -344,22 +343,18 @@ class TestRunPersistence:
         assert (tmp_path / "snap" / "initial.hsf").exists()
         assert any(e["name"] == "initial.hsf" for e in manifest["files"])
 
-    def test_snapshot_reuses_the_runners_initial_data(self, tmp_path, monkeypatch):
-        text = SMALL_DECOMP.format(out=tmp_path / "snap") + "snapshots = true\n"
-        cfg = parse_config(text=text)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return prepare_initial_parts(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "prepare_initial_parts", counted)
-        run_experiment(cfg)
-        assert len(calls) == 1
-        vbar0, step0 = prepare_initial_parts(cfg.make_grid(), cfg.initial_data)
-        write_snapshot(tmp_path / "expected.hsf", vbar0 + step0)
-        assert ((tmp_path / "snap" / "initial.hsf").read_bytes()
-                == (tmp_path / "expected.hsf").read_bytes())
+    def test_snapshot_is_the_prepared_initial_data(self, tmp_path):
+        """``initial.hsf`` is v0 = vbar0 + V0 from ``prepare_initial_parts``,
+        which ``run_experiment`` calls itself, for a kind that steps the
+        data and for one that never builds it."""
+        for kind in ("decomposition", "lemma_suite"):
+            text = SMALL_BY_KIND[kind].format(out=tmp_path / kind) + "snapshots = true\n"
+            cfg = parse_config(text=text)
+            run_experiment(cfg)
+            vbar0, step0 = prepare_initial_parts(cfg.make_grid(), cfg.initial_data)
+            write_snapshot(tmp_path / "expected.hsf", vbar0 + step0)
+            assert ((tmp_path / kind / "initial.hsf").read_bytes()
+                    == (tmp_path / "expected.hsf").read_bytes()), kind
 
 
 class TestReport:
@@ -561,15 +556,18 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_step_count_beyond_an_index_exits_two(self, tmp_path, command, capsys):
-        """t_end / dt = 1e303 steps: refused by name, not an OverflowError."""
+        """Refused by name, not an OverflowError: t_end / dt = 1e303 steps,
+        and 1.4e19 steps at the dt / 2 that energy_identity also runs."""
         path = tmp_path / "c.ini"
-        path.write_text("[grid]\nnx = 8\nny = 8\nnz = 8\n"
-                        "[time]\ndt = 1e-3\nt_end = 1e300\n"
-                        f"[output]\ndirectory = {tmp_path / 'run'}\n")
-        assert main([command, str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: [time] t_end=1e+300 and dt=0.001")
-        assert not (tmp_path / "run").exists()
+        for t_end, named in (("1e300", "t_end=1e+300 and dt=0.001"),
+                             ("7e15", "t_end=7000000000000000.0 and dt=0.0005")):
+            path.write_text("[grid]\nnx = 8\nny = 8\nnz = 8\n"
+                            f"[time]\ndt = 1e-3\nt_end = {t_end}\n"
+                            f"[output]\ndirectory = {tmp_path / 'run'}\n")
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: [time] {named}")
+            assert not (tmp_path / "run").exists()
 
     def test_failing_verdict_exits_one(self, tmp_path):
         """A reversed mollification ladder cannot be Cauchy-decreasing."""

@@ -9,10 +9,10 @@ from hydrostat import decomposition, spectral
 from hydrostat.decomposition import (_SAFE_NAMES, InitialDataSpec, _split_record,
                                      lockstep, make_cusp_step_data, mollify,
                                      prepare_initial_parts, run_decomposition)
-from hydrostat.errors import ConfigurationError
+from hydrostat.errors import BlowUpError, ConfigurationError
 from hydrostat.hydrostatics import barotropic_residual, solve_pressure
-from hydrostat.solver import (PhysicsParams, StepControl, make_state, step,
-                              step_linear)
+from hydrostat.solver import (CFLWarning, PhysicsParams, StepControl, integrate,
+                              make_state, step, step_linear)
 from hydrostat.spectral import (EVEN, Grid, PhysicalField, dealias,
                                 derivative, field_from_function, grad_h_norm_sq,
                                 l2_norm, linf_norm, lq_norm, symmetrize,
@@ -336,6 +336,38 @@ class TestRunDecomposition:
                 assert np.all(np.abs(got - ref) <= 1e-15 * ref), name
             else:
                 assert got.tobytes() == ref.tobytes(), name
+
+    def test_hooks_see_the_steps_integrate_sees(self, grid):
+        """One hook convention: (0.0, 0.0) first, then (dt, t) after every
+        step, the last step short."""
+        vbar0, step0 = prepare_initial_parts(grid, InitialDataSpec(epsilon=0.1))
+        params, ctl, t_end = PhysicsParams(1.0), StepControl(dt=1e-3), 0.0035
+        split, single = [], []
+        run_decomposition(vbar0, step0, params, ctl, t_end,
+                          hooks=(lambda dt, s: split.append((dt, s.driver.t)),))
+        integrate(make_state(vbar0 + step0, 0.0, params), ctl, t_end,
+                  hooks=(lambda dt, s: single.append((dt, s.t)),))
+        assert split == single
+        assert split[0] == (0.0, 0.0)
+        assert len(split) == 5
+        assert split[-1] == (pytest.approx(5e-4), pytest.approx(t_end))
+
+    def test_blow_up_keeps_partial_series(self, grid):
+        """A split run that blows up carries the rows recorded before it."""
+        big = field_from_function(
+            grid, lambda X, Y, Z: (1e6 * np.sin(2 * np.pi * Y), 1e6 * np.sin(2 * np.pi * X)),
+            symmetry=EVEN)
+        seen = []
+        assert BlowUpError("no run").series is None
+        with pytest.warns(CFLWarning):
+            with pytest.raises(BlowUpError) as err:
+                run_decomposition(big, zero_field(grid, 2, EVEN), PhysicsParams(0.0),
+                                  StepControl(dt=0.02), 2.0,
+                                  hooks=(lambda dt, s: seen.append(s.driver.t),))
+        series = err.value.series
+        assert series.length == len(seen) >= 1
+        assert series.columns["t"] == seen
+        assert seen[-1] == err.value.last_good.t < 2.0
 
 
 class TestPartPressures:

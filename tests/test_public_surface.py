@@ -8,6 +8,10 @@ call belongs in the test that uses it.
 
 The package's ``__init__.py`` is left out of the scan: a re-export there
 names every public function once, so it would count as a caller of each.
+
+No module keeps an import it does not use, unless the benchmark's tracer
+rebinds that name on that module: the ``(module, name)`` pairs of
+``BINDINGS`` in ``bench/tracing.py``, read here as a literal.
 """
 
 import ast
@@ -54,3 +58,29 @@ def test_every_public_name_has_a_caller():
     uncalled = [qual for qual, name in definitions
                 if in_src[name] <= defined[name] and not outside[name]]
     assert not uncalled, f"public names that only tests call: {uncalled}"
+
+
+def _tracer_bindings():
+    """(module, name) of every binding that ``bench/tracing.py`` rebinds."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "BINDINGS" for t in node.targets):
+            return {(module, name) for module, name, _ in ast.literal_eval(node.value)}
+    raise AssertionError("bench/tracing.py defines no BINDINGS")
+
+
+def test_every_import_is_used_or_rebound_by_the_tracer():
+    kept = _tracer_bindings()
+    unused = []
+    for path in sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and (path.stem, name) not in kept:
+                        unused.append(f"{path.stem}.{name}")
+    assert not unused, f"imported but never used: {unused}"

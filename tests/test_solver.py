@@ -234,8 +234,9 @@ class TestIntegrate:
         state = make_state(decay_data(grid), 0.0, PhysicsParams(0.0))
         calls = []
         integrate(state, StepControl(dt=1e-3), 0.0105,
-                  hooks=(lambda s, ser: calls.append(s.t),))
-        assert len(calls) == 11
+                  hooks=(lambda dt, s: calls.append(s.t),))
+        assert len(calls) == 12
+        assert calls[0] == 0.0
         assert calls[-1] == pytest.approx(0.0105)
 
     def test_blow_up_keeps_partial_series(self, grid):
