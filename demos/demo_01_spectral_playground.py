@@ -1,16 +1,21 @@
 """Tour of the spectral substrate.
 
 Builds a grid on the periodic layer M x (-h, h), round-trips fields
-through the transforms, splits a field into even/odd parts in z, and
-shows the superalgebraic convergence of spectral derivatives.
+through the transforms and through an HSF1 snapshot file, splits a field
+into even/odd parts in z, and shows the superalgebraic convergence of
+spectral derivatives.
 
 Run:  python demos/demo_01_spectral_playground.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from hydrostat import (EVEN, Grid, derivative, field_from_function, l2_norm,
-                       symmetrize, to_physical, to_spectral)
+                       read_snapshot, symmetrize, to_physical, to_spectral,
+                       write_snapshot)
 
 h = 0.5
 grid = Grid.make(32, 32, 32, h)
@@ -38,6 +43,13 @@ print(f"  projections idempotent: "
 # --- z-derivatives flip parity ----------------------------------------------
 df = derivative(even, "z")
 print(f"  d/dz maps tag {even.symmetry!r} -> {df.symmetry!r}")
+
+# --- HSF1 snapshots: lattice values on disk, tag in the header -----------------
+path = Path(tempfile.mkdtemp(prefix="hydrostat_demo_")) / "even.hsf"
+write_snapshot(path, even)
+loaded = read_snapshot(path)
+print(f"\nsnapshot {path.name}: {path.stat().st_size} bytes, tag {loaded.symmetry!r}, "
+      f"coefficient change {np.max(np.abs(loaded.coeffs - even.coeffs)):.1e}")
 
 # --- spectral accuracy --------------------------------------------------------
 print("\nderivative error for exp(sin(pi z / h)) as nz doubles:")

@@ -27,9 +27,8 @@ print(f"  a = {spec.a}, delta = {spec.delta}, eta = {spec.eta}, "
       f"sigma = {spec.sigma}, mollification radius eps = {spec.epsilon}")
 
 vbar0, V0 = prepare_initial_parts(grid, spec)
-run = run_decomposition(vbar0, V0, PhysicsParams(f0=1.0),
-                        StepControl(dt=5e-4), 0.05)
-ser = run.series
+final, ser = run_decomposition(vbar0, V0, PhysicsParams(f0=1.0),
+                               StepControl(dt=5e-4), 0.05)
 
 recon = np.nanmax(ser.array("recon_residual"))
 print(f"\nreconstruction residual sup_t ||v - (vbar + V)||_2 / ||v||_2: {recon:.2e}")
@@ -48,8 +47,8 @@ print(f"\nminimal constant making the closed-form growth envelope dominate "
 
 # the final-state pressures of the two parts are recoverable on demand;
 # for z-only data they vanish identically (no horizontal structure to push)
-pb = run.final.pressure_vbar
-pv = run.final.pressure_V
+pb = final.pressure_vbar
+pv = final.pressure_V
 print(f"part pressures at t_end: max |P_vbar| mode = {np.abs(pb.coeffs).max():.2e}, "
       f"max |P_V| mode = {np.abs(pv.coeffs).max():.2e}")
 print("(zero for this family: z-only data drives no horizontal pressure "

@@ -19,8 +19,8 @@ from .hydrostatics import (Pressure2D, PressureSplit, barotropic_residual,
                            recover_w, solve_pressure, vertical_integral)
 from .solver import (PhysicsParams, SolverState, StepControl, integrate,
                      make_state, step, step_linear)
-from .decomposition import (DecompositionRun, DecompositionState,
-                            InitialDataSpec, make_cusp_step_data, mollify,
+from .decomposition import (DecompositionState, InitialDataSpec,
+                            make_cusp_step_data, mollify,
                             prepare_initial_parts, run_decomposition)
 from .estimates import (BoundParams, IterationInstance, NormRecord,
                         growth_envelope, iteration_base, ladyzhenskaya_ratio,

@@ -3,7 +3,10 @@
 Exit codes: 0 when every acceptance check passes, 1 when any verdict
 fails, 2 on configuration errors and on run directories ``report`` cannot
 read, whose files do not match their sha256 digests in the manifest, or
-whose manifest names a file that is not a bare file name.
+whose manifest names a file that is not a bare file name.  A ``run``
+that fails after its config is accepted exits 1 with "run failed: ..."
+on stderr: a package error such as a blow-up or an unreadable snapshot,
+or a file-system fault such as an output directory that is a file.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ def _cmd_run(args):
         return EXIT_CONFIG
     try:
         report, manifest = run_experiment(cfg)
-    except HydrostatError as err:
+    except (HydrostatError, OSError) as err:
         print(f"run failed: {err}", file=sys.stderr)
         return EXIT_FAILED
     print(f"experiment: {cfg.experiment}")

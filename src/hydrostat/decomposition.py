@@ -28,9 +28,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diagnostics import DiagnosticsSeries, integrate_series
+from .diagnostics import integrate_series
 from .diagnostics import energy_residual_series  # noqa: F401  -- the benchmark's tracer rebinds it
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DataError
 from .hydrostatics import solve_pressure
 from .solver import (PhysicsParams, SolverState, StepControl, _norm_row,
                      _plan_steps, _recorded, make_state, step, step_linear)
@@ -134,36 +134,39 @@ def _mollify_parts(fields, epsilon):
 # initial-data library
 # ---------------------------------------------------------------------------
 
+def _step_part(grid: Grid, eta, sigma) -> SpectralField:
+    """The dealiased step sigma * chi_{(-eta, eta)}(z) from its exact coefficients.
+
+    The coefficients are those of the indicator about z = 0; the lattice
+    origin sits at z = -h, so the z-centered value picks up the shift
+    phase e^{-i pi l} = (-1)^l.
+    """
+    h = grid.h
+    coeffs = np.zeros((2,) + grid.spectral_shape, dtype=complex)
+    lz = np.rint(grid.kz[0, 0] * h / np.pi).astype(int)
+    nonzero = lz != 0
+    centered = np.zeros(grid.nz)
+    centered[~nonzero] = eta / h
+    centered[nonzero] = (np.sin(np.pi * lz[nonzero] * eta / h)
+                         / (np.pi * lz[nonzero]))
+    shifted = centered * np.where(lz % 2 == 0, 1.0, -1.0)
+    for i in range(2):
+        coeffs[i, 0, 0, :] = sigma[i] * shifted
+    return dealias(SpectralField(grid, coeffs, EVEN))
+
+
 def make_cusp_step_data(grid: Grid, spec: InitialDataSpec):
     """Build (v0bar, V0): lattice-sampled cusp and exact-coefficient step."""
     spec.validate(grid.h)
     if spec.kind != "cusp_step":
         raise ConfigurationError(f"initial-data kind {spec.kind!r} has no cusp/step parts")
-    h = grid.h
-
     z = grid.z()
     profile = np.abs(z) ** spec.delta
-    vbar = field_from_function(
+    vbar = dealias(field_from_function(
         grid, lambda X, Y, Z: (spec.a[0] * profile[None, None, :] + 0 * X,
                                spec.a[1] * profile[None, None, :] + 0 * X),
-        EVEN)
-    vbar = dealias(vbar)
-
-    # Exact coefficients of the indicator about z = 0; the lattice origin
-    # sits at z = -h, so the z-centered value picks up the shift phase
-    # e^{-i pi l} = (-1)^l.
-    coeffs = np.zeros((2,) + grid.spectral_shape, dtype=complex)
-    lz = np.rint(grid.kz[0, 0] * h / np.pi).astype(int)
-    nonzero = lz != 0
-    centered = np.zeros(grid.nz)
-    centered[~nonzero] = spec.eta / h
-    centered[nonzero] = (np.sin(np.pi * lz[nonzero] * spec.eta / h)
-                         / (np.pi * lz[nonzero]))
-    shifted = centered * np.where(lz % 2 == 0, 1.0, -1.0)
-    for i in range(2):
-        coeffs[i, 0, 0, :] = spec.sigma[i] * shifted
-    step_part = dealias(SpectralField(grid, coeffs, EVEN))
-    return vbar, step_part
+        EVEN))
+    return vbar, _step_part(grid, spec.eta, spec.sigma)
 
 
 _SAFE_NAMES = {"pi": np.pi, "sin": np.sin, "cos": np.cos, "exp": np.exp,
@@ -224,15 +227,22 @@ def _analytic_field(grid, spec):
 
 
 def prepare_initial_parts(grid: Grid, spec: InitialDataSpec):
-    """Resolve the spec into mollified (v0bar, V0) on the grid."""
+    """Resolve the spec into mollified (v0bar, V0) on the grid.
+
+    A snapshot must hold a 2-component field on this very grid; any other
+    snapshot raises ``DataError``, as an unreadable one does.
+    """
     spec.validate(grid.h)
     if spec.kind == "cusp_step":
         return _mollify_parts(make_cusp_step_data(grid, spec), spec.epsilon)
     if spec.kind == "analytic":
         return mollify(_analytic_field(grid, spec), spec.epsilon), zero_field(grid, 2, EVEN)
     if spec.kind == "snapshot":
-        f = dealias(read_snapshot(spec.snapshot, grid))
-        return mollify(f, spec.epsilon), zero_field(grid, 2, EVEN)
+        f = read_snapshot(spec.snapshot, grid)
+        if f.ncomp != 2 or f.grid is not grid:
+            raise DataError(f"{spec.snapshot}: not a 2-component field on the run's "
+                            f"{grid.nx}x{grid.ny}x{grid.nz} grid with h = {grid.h}")
+        return mollify(dealias(f), spec.epsilon), zero_field(grid, 2, EVEN)
     raise ConfigurationError(f"unknown initial-data kind {spec.kind!r}")
 
 
@@ -262,12 +272,6 @@ class DecompositionState:
     def pressure_V(self):
         return solve_pressure(self.V.v, self.V.params.f0,
                               driver=self.driver.v).total
-
-
-@dataclass(frozen=True, eq=False)
-class DecompositionRun:
-    final: DecompositionState
-    series: DiagnosticsSeries
 
 
 def lockstep(v0bar: SpectralField, V0: SpectralField, params: PhysicsParams,
@@ -319,8 +323,9 @@ def _split_record(state: DecompositionState) -> dict:
 
 def run_decomposition(v0bar: SpectralField, V0: SpectralField,
                       params: PhysicsParams, ctl: StepControl,
-                      t_end: float, hooks=()) -> DecompositionRun:
-    """The coupled run: one ``_split_record`` row per ``lockstep`` state, in
+                      t_end: float, hooks=()):
+    """The coupled run, as ``(final DecompositionState, series)``, like
+    ``integrate``: one ``_split_record`` row per ``lockstep`` state, in
     ``integrate``'s loop (``solver._recorded``), then ``energy_residual`` and
     ``dz_vbar_dissipation``, the running integral of ||grad dz vbar||_2^2.
     Hooks are called as ``hook(dt, state)``: with dt = 0.0 at t = 0, then after
@@ -330,4 +335,4 @@ def run_decomposition(v0bar: SpectralField, V0: SpectralField,
                               _split_record, hooks)
     series.columns["dz_vbar_dissipation"] = list(
         integrate_series(series.array("t"), series.array("grad_dz_vbar_sq")))
-    return DecompositionRun(state, series)
+    return state, series

@@ -22,13 +22,13 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig
-from .decomposition import (InitialDataSpec, make_cusp_step_data, mollify,
-                            prepare_initial_parts, run_decomposition)
+from .decomposition import (_step_part, mollify, prepare_initial_parts,
+                            run_decomposition)
 from .diagnostics import DiagnosticsSeries, integrate_series
 from .errors import ConfigError, DataError
 from .estimates import (fit_sup_envelope_c0, ladyzhenskaya_ratio,
                         moser_bound_check, random_instance, saturated_instance)
-from .io import write_snapshot
+from .io import _snapshot_bytes
 from .solver import _step_count, integrate, make_state, step
 from .spectral import (PhysicalField, _band_l2, dealias, field_from_function,
                        l2_norm, refine, to_spectral)
@@ -74,8 +74,8 @@ def exp_decomposition(cfg: RunConfig) -> ExperimentReport:
     """Split run: reconstruction residual, part regularity and the sup-norm fit."""
     grid = cfg.make_grid()
     vbar0, step0 = prepare_initial_parts(grid, cfg.initial_data)
-    ser = run_decomposition(vbar0, step0, cfg.physics(), cfg.step_control(),
-                            cfg.t_end).series
+    _, ser = run_decomposition(vbar0, step0, cfg.physics(), cfg.step_control(),
+                               cfg.t_end)
     report = ExperimentReport("decomposition")
     report.files["series.csv"] = ser.to_csv().encode()
     report.metrics["dz_vbar_dissipation"] = float(ser.array("dz_vbar_dissipation")[-1])
@@ -83,12 +83,9 @@ def exp_decomposition(cfg: RunConfig) -> ExperimentReport:
 
 
 def _perturbation_field(cfg: RunConfig, grid, amplitude):
-    pert_spec = InitialDataSpec(kind="cusp_step", a=(0.0, 0.0), delta=1.0,
-                                eta=cfg.eta_perturbation,
-                                sigma=(amplitude, 0.0),
-                                epsilon=cfg.initial_data.epsilon)
-    _, bump = make_cusp_step_data(grid, pert_spec)
-    return mollify(bump, pert_spec.epsilon)
+    """The step amplitude * chi_{(-eta_p, eta_p)}(z) in u, mollified as the data are."""
+    return mollify(_step_part(grid, cfg.eta_perturbation, (amplitude, 0.0)),
+                   cfg.initial_data.epsilon)
 
 
 def exp_stability(cfg: RunConfig) -> ExperimentReport:
@@ -117,8 +114,8 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
                 members[name] = step(members[name], ctl, dt=dt)
             diff.append(_band_l2(split.driver.v - members[name].v))
 
-    ser = run_decomposition(vbar0, step0, params, ctl, cfg.t_end,
-                            hooks=(perturbed,)).series
+    _, ser = run_decomposition(vbar0, step0, params, ctl, cfg.t_end,
+                               hooks=(perturbed,))
     m_hat = ((1.0 + ser.array("dz_vbar_l2") ** 2)
              * (1.0 + ser.array("grad_vbar_l2") ** 2 + ser.array("grad_h_dz_vbar_sq")))
     report = ExperimentReport("stability")
@@ -409,8 +406,7 @@ def run_experiment(cfg: RunConfig, out_dir=None):
 
     if cfg.snapshots:
         vbar0, step0 = prepare_initial_parts(cfg.make_grid(), cfg.initial_data)
-        write_snapshot(out / "initial.hsf", vbar0 + step0)
-        report.files["initial.hsf"] = (out / "initial.hsf").read_bytes()
+        report.files["initial.hsf"] = _snapshot_bytes(vbar0 + step0)
 
     finished = time.time()
     file_entries = []

@@ -196,15 +196,10 @@ def _advection_tensor_zmean(g: Grid, u_phys: PhysicalField,
     kx, ky = g.kx_d[..., 0], g.ky_d[..., 0]
     kk = ((kx * kx, kx * ky), (kx * ky, ky * ky))
     mask = g.dealias_mask[..., 0]
-    same = drv_phys is u_phys
     for i in range(2):
         for j in range(2):
-            if same and (i, j) == (1, 0):
-                continue        # T21 == T12 bit for bit when u drives itself
             prod_mean = np.mean(u_phys.values[i] * drv_phys.values[j], axis=2)
-            t_hat = _zmean_spectrum(prod_mean, g) * mask
-            weight = 2.0 if same and (i, j) == (0, 1) else 1.0
-            out -= weight * kk[i][j] * t_hat
+            out -= kk[i][j] * (_zmean_spectrum(prod_mean, g) * mask)
     return out
 
 

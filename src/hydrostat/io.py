@@ -21,23 +21,32 @@ _TAG_BYTE = {NONE: 0, EVEN: 1, ODD: 2}
 _BYTE_TAG = {v: k for k, v in _TAG_BYTE.items()}
 
 
-def write_snapshot(path, f: SpectralField) -> None:
-    """Write the field's lattice values to ``path``."""
-    phys = to_physical(f)
+def _snapshot_bytes(f: SpectralField) -> bytes:
+    """The HSF1 file of the field's lattice values, header included."""
     header = _HEADER.pack(MAGIC, f.grid.nx, f.grid.ny, f.grid.nz,
                           f.grid.h, f.ncomp, _TAG_BYTE[f.symmetry])
+    return header + np.ascontiguousarray(to_physical(f).values, dtype="<f8").tobytes()
+
+
+def write_snapshot(path, f: SpectralField) -> None:
+    """Write the field's lattice values to ``path``."""
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(phys.values, dtype="<f8").tobytes())
+        fh.write(_snapshot_bytes(f))
 
 
 def read_snapshot(path, grid: Grid | None = None) -> SpectralField:
     """Read a snapshot; reuses ``grid`` when it matches the header.
 
     Any malformed file raises ``DataError``: a bad header field, a payload
-    that is short or followed by trailing bytes, or non-finite values.
+    that is short or followed by trailing bytes, or non-finite values.  So
+    does a path that cannot be opened, such as a missing file or a
+    directory.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as err:
+        raise DataError(f"{path}: cannot open snapshot: {err.strerror or err}") from err
+    with fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
             raise DataError(f"{path}: truncated header")

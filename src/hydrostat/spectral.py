@@ -23,17 +23,18 @@ so a stage transforms its advected field once for all its gradients
 (``_Band.gradient``).
 
 Sup and L^q norms evaluate a field on an oversampled lattice, twice as
-fine along each axis (``oversample``).  There z is a zero-padded FFT of
-the populated (m, n) lines, and y and x are dense partial Fourier sums
-over the populated rows and x modes, again matrix products.  The
+fine along each axis.  Its definition is ``oversample``, the zero-padded
+spectrum through one inverse transform; the norms evaluate it by one
+pruned path instead (``_oversampled_slabs``).  There z is a zero-padded
+FFT of the populated (m, n) lines, and y and x are dense partial Fourier
+sums over the populated rows and x modes, again matrix products.  The
 oversampled norms of parity-tagged fields reduce over the planes
 j = 0..nz'/2 of the finer lattice, counting the two end planes at half
 weight in means; an even field whose z Nyquist plane is populated is the
 exception, because zero padding places that mode on one side only and
 breaks the mirror.
-Untagged fields and ``to_physical`` use the whole lattice; ``oversample``
-returns the whole lattice too, mirroring the half planes of a
-parity-tagged field.  The norms never hold that lattice: it streams in
+Untagged fields, ``to_physical`` and ``oversample`` use the whole
+lattice.  The norms never hold that lattice: it streams in
 slabs of y rows (``_oversampled_slabs``), and each slab is reduced to a
 max and sums of powers before the next one is made.  A column, a field
 whose only populated (m, n) line is m = n = 0, depends on z alone, so
@@ -695,7 +696,7 @@ def _z_lines(f: SpectralField, ms, ns) -> np.ndarray:
 
 
 def _oversampled_slabs(f: SpectralField, slab_bytes=None, populated=None):
-    """Lattice values of ``oversample`` as a stream of y-row slabs.
+    """Lattice values of ``oversample``, to round-off, as a stream of y-row slabs.
 
     Evaluates one axis at a time and only the lines that can be non-zero:
 
@@ -767,17 +768,6 @@ def _oversampled_slabs(f: SpectralField, slab_bytes=None, populated=None):
         if last:
             del planes, slab
         yield k0, out
-
-
-def _oversampled_values(f: SpectralField) -> np.ndarray:
-    """Bare lattice values behind ``oversample``, as one slab; the caller owns the array.
-
-    The result is a (ncomp, nx', ny', nz') view of a (ncomp, ny', nz', nx')
-    array, so the x product writes contiguous lines.  For a mirrored
-    field only the planes j = 0..nz'/2 come back.
-    """
-    (_, values), = _oversampled_slabs(f)
-    return np.moveaxis(values, 3, 1)
 
 
 def _mirrored(f: SpectralField) -> bool:
@@ -892,27 +882,16 @@ def _lattice_norms(f: SpectralField, qs):
 
 
 def oversample(f: SpectralField) -> PhysicalField:
-    """Evaluate on a lattice twice as fine by spectral zero-padding.
+    """Values on a lattice twice as fine along each axis: the zero-padded
+    spectrum (``refine``) through one inverse transform.
 
-    Exact for dealiased fields; used for sup-norm and L^q evaluation where
-    the collocation lattice alone undersamples Gibbs extrema.  Agrees with
-    ``to_physical(refine(f, fine))`` to round-off, but the zero padding is
-    never summed.  A mirrored field (``_mirrored``) is evaluated on the
-    planes j = 0..nz'/2, and the planes j > nz'/2 are exact copies of
-    planes nz' - j, negated for odd fields.  The values are those of
-    ``_oversampled_slabs`` run as one slab, so when the norms' lattice is
-    one slab too they reduce the same bytes.  ``values`` is a view whose
-    memory order is (ncomp, ny', nz', nx').
+    Exact for dealiased fields, and the reference for the oversampled
+    lattice; the norms reduce the same lattice as a pruned stream
+    (``_oversampled_slabs``) and never call this.
     """
     g = f.grid
     fine = Grid.make(_FACTOR * g.nx, _FACTOR * g.ny, _FACTOR * g.nz, g.h)
-    values = _oversampled_values(f)
-    if _mirrored(f):
-        planes = np.moveaxis(values, 1, 3)
-        mirror = planes[:, :, -2:0:-1]
-        values = np.moveaxis(np.concatenate(
-            (planes, -mirror if f.symmetry == ODD else mirror), axis=2), 3, 1)
-    return PhysicalField(fine, values)
+    return to_physical(refine(f, fine))
 
 
 def lq_norm(f: SpectralField, q: float) -> float:

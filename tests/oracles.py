@@ -1,9 +1,14 @@
-"""Full-spectrum references for the band sums of the solver's records:
-sums over every stored coefficient, so they hold for any field."""
+"""References for the solver's fast paths.
+
+The Parseval sums here run over every stored coefficient, so they hold
+for any field; the band sums of the records are checked against them.
+``one_slab`` takes the pruned oversampled stream whole, so that tests can
+compare it with ``spectral.oversample``, the lattice's definition.
+"""
 
 import numpy as np
 
-from hydrostat.spectral import _parseval
+from hydrostat.spectral import _oversampled_slabs, _parseval
 
 
 def l2_norm_sq(f):
@@ -22,3 +27,15 @@ def stepwise_energy_residuals(t, l2, grad_l2):
     e = 0.5 * np.asarray(l2, dtype=float) ** 2
     g = np.asarray(grad_l2, dtype=float) ** 2
     return np.diff(e) + 0.5 * np.diff(t) * (g[1:] + g[:-1])
+
+
+def one_slab(f):
+    """``_oversampled_slabs(f)`` run as one slab, as (ncomp, nx', ny', nz') values.
+
+    That is ``oversample(f).values`` to round-off, or, for a mirrored
+    field (``spectral._mirrored``), its planes j = 0..nz'/2 only.  The
+    values are the bytes that the norms reduce when their lattice is one
+    slab.
+    """
+    (_, values), = _oversampled_slabs(f)
+    return np.moveaxis(values, 3, 1)

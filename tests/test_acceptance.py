@@ -57,13 +57,13 @@ def decay_run(grid):
 
 @pytest.fixture(scope="module")
 def decomposition_runs():
-    """Split runs of the cusp+step data at nz = 32 and nz = 64."""
+    """Series of the split runs of the cusp+step data at nz = 32 and nz = 64."""
     out = {}
     for nz in (32, 64):
         g = Grid.make(32, 32, nz, H)
         vbar0, step0 = prepare_initial_parts(g, CUSP_SPEC)
         out[nz] = run_decomposition(vbar0, step0, PhysicsParams(1.0),
-                                    StepControl(dt=DT), T_END)
+                                    StepControl(dt=DT), T_END)[1]
     return out
 
 
@@ -157,7 +157,7 @@ def test_04_divergence_and_w_reconstruction(grid):
 
 def test_05_decomposition_reconstruction(decomposition_runs):
     """v equals vbar + V throughout the cusp+step run."""
-    series = decomposition_runs[64].series
+    series = decomposition_runs[64]
     recon = float(np.nanmax(series.array("recon_residual")))
     ok = recon <= 1e-8
     _line(5, "reconstruction identity", ok, f"max_residual={recon:.3e}")
@@ -168,8 +168,7 @@ def test_06_sup_norm_envelope_fit(decomposition_runs):
     """sup_t ||V||_inf finite and its envelope constant grid-stable."""
     fits = {}
     sup_v = {}
-    for nz, run in decomposition_runs.items():
-        ser = run.series
+    for nz, ser in decomposition_runs.items():
         linf_V = ser.array("linf_V")
         sup_v[nz] = float(np.max(linf_V))
         fits[nz] = fit_sup_envelope_c0(ser.array("t"), linf_V,

@@ -12,12 +12,7 @@ result's bytes.  At 48x48x96 the per-component x products of the band are
 large enough for BLAS to split them across threads.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import hydrostat
+from tooling import fresh_python
 
 SCRIPT = """
 import hashlib
@@ -63,11 +58,9 @@ print(digest.hexdigest())
 
 
 def _run(threads):
-    src = str(Path(hydrostat.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
-               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
-                            capture_output=True, text=True, timeout=300)
+    result = fresh_python(["-c", SCRIPT], env=dict(OPENBLAS_NUM_THREADS=str(threads),
+                                                   OMP_NUM_THREADS=str(threads)),
+                          timeout=300)
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
 

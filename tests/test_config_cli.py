@@ -417,8 +417,8 @@ class TestReport:
         cfg = parse_config(text=SMALL_STABILITY.format(out=tmp_path / "run"))
         stab = exp_stability(cfg).files["series.csv"]
         vbar0, step0 = prepare_initial_parts(cfg.make_grid(), cfg.initial_data)
-        split = run_decomposition(vbar0, step0, cfg.physics(), cfg.step_control(),
-                                  cfg.t_end).series
+        _, split = run_decomposition(vbar0, step0, cfg.physics(), cfg.step_control(),
+                                     cfg.t_end)
         assert split.length == 6
         assert stab == split.to_csv().encode()
 
@@ -568,6 +568,27 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: [time] {named}")
             assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("fault", ["missing-snapshot", "directory-snapshot",
+                                       "output-is-a-file"])
+    def test_run_file_system_fault_exits_one(self, tmp_path, fault, capsys):
+        """Configs that ``validate`` accepts, whose run meets a file-system
+        fault: it fails with "run failed", naming the path, and exit 1."""
+        out = tmp_path / "run"
+        text = re.sub(r"(n[xyz]) = 16", r"\1 = 8", SMALL_DECOMP.format(out=out))
+        if fault == "output-is-a-file":
+            out.write_bytes(b"")
+            named = out
+        else:
+            named = tmp_path / "absent.hsf" if fault == "missing-snapshot" else tmp_path
+            text += f"[initial_data]\nkind = snapshot\nsnapshot = {named}\n"
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and str(named) in err
 
     def test_failing_verdict_exits_one(self, tmp_path):
         """A reversed mollification ladder cannot be Cauchy-decreasing."""

@@ -215,27 +215,27 @@ class TestRunDecomposition:
     def test_zero_step_part_collapses(self, grid):
         spec = InitialDataSpec(kind="cusp_step", sigma=(0.0, 0.0), epsilon=0.1)
         vbar0, step0 = prepare_initial_parts(grid, spec)
-        run = run_decomposition(vbar0, step0, PhysicsParams(1.0),
-                                StepControl(dt=1e-3), 0.01)
-        assert np.all(run.final.V.v.coeffs == 0.0)
-        assert np.max(run.series.array("linf_V")) == 0.0
-        assert l2_norm(run.final.vbar.v - run.final.driver.v) == 0.0
+        final, series = run_decomposition(vbar0, step0, PhysicsParams(1.0),
+                                          StepControl(dt=1e-3), 0.01)
+        assert np.all(final.V.v.coeffs == 0.0)
+        assert np.max(series.array("linf_V")) == 0.0
+        assert l2_norm(final.vbar.v - final.driver.v) == 0.0
 
     def test_zero_cusp_part_collapses(self, grid):
         spec = InitialDataSpec(kind="cusp_step", a=(0.0, 0.0), epsilon=0.1)
         vbar0, step0 = prepare_initial_parts(grid, spec)
-        run = run_decomposition(vbar0, step0, PhysicsParams(1.0),
-                                StepControl(dt=1e-3), 0.01)
-        assert np.all(run.final.vbar.v.coeffs == 0.0)
-        assert l2_norm(run.final.V.v - run.final.driver.v) == 0.0
+        final, _ = run_decomposition(vbar0, step0, PhysicsParams(1.0),
+                                     StepControl(dt=1e-3), 0.01)
+        assert np.all(final.vbar.v.coeffs == 0.0)
+        assert l2_norm(final.V.v - final.driver.v) == 0.0
 
     def test_reconstruction_identity(self, grid):
         spec = InitialDataSpec(kind="cusp_step", a=(1.0, 0.3), sigma=(0.2, -0.1),
                                epsilon=0.1)
         vbar0, step0 = prepare_initial_parts(grid, spec)
-        run = run_decomposition(vbar0, step0, PhysicsParams(1.0),
-                                StepControl(dt=1e-3), 0.02)
-        assert np.nanmax(run.series.array("recon_residual")) <= 1e-8
+        _, series = run_decomposition(vbar0, step0, PhysicsParams(1.0),
+                                      StepControl(dt=1e-3), 0.02)
+        assert np.nanmax(series.array("recon_residual")) <= 1e-8
 
     def test_split_sums_match_the_full_spectrum(self, grid):
         """The record's band sums, against the full-spectrum formulas on
@@ -289,10 +289,10 @@ class TestRunDecomposition:
     def test_x_part_regularity_recorded(self, grid):
         spec = InitialDataSpec(kind="cusp_step", epsilon=0.1)
         vbar0, step0 = prepare_initial_parts(grid, spec)
-        run = run_decomposition(vbar0, step0, PhysicsParams(1.0),
-                                StepControl(dt=1e-3), 0.01)
-        dz = run.series.array("dz_vbar_l2")
-        dissip = run.series.array("dz_vbar_dissipation")
+        _, series = run_decomposition(vbar0, step0, PhysicsParams(1.0),
+                                      StepControl(dt=1e-3), 0.01)
+        dz = series.array("dz_vbar_l2")
+        dissip = series.array("dz_vbar_dissipation")
         assert np.all(np.isfinite(dz)) and np.all(dz >= 0)
         assert np.all(np.isfinite(dissip)) and dissip[-1] > 0
 
@@ -323,11 +323,11 @@ class TestRunDecomposition:
         stream = spectral._oversampled_slabs
         monkeypatch.setattr(spectral, "_oversampled_slabs",
                             lambda *a: calls.append(1) or stream(*a))
-        column = run_decomposition(*args).series.columns
+        column = run_decomposition(*args)[1].columns
         assert calls == []
         # off in the record only: the stepper holds its own binding
         monkeypatch.setattr(spectral, "_is_column", lambda b: False)
-        streamed = run_decomposition(*args).series.columns
+        streamed = run_decomposition(*args)[1].columns
         assert len(calls) == 2 * len(streamed["t"]) == 22
         assert column.keys() == streamed.keys()
         for name, ref in streamed.items():

@@ -5,16 +5,10 @@ and ``TMPDIR`` pointed at the test's own directory, so run directories a
 demo creates with ``tempfile`` are removed with it.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
+from tooling import ROOT, fresh_python
 
-import hydrostat
-
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name", [
@@ -27,10 +21,6 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
     "demo_07_experiment_harness.py",
 ])
 def test_demo_runs(name, tmp_path):
-    src = str(Path(hydrostat.__file__).resolve().parents[1])
-    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, str(DEMOS / name)], env=env,
-                            cwd=tmp_path, capture_output=True, text=True,
-                            timeout=300)
+    result = fresh_python([str(DEMOS / name)], env=dict(TMPDIR=str(tmp_path)),
+                          cwd=tmp_path, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import one_slab
 
 from hydrostat.errors import ConfigurationError
 from hydrostat.estimates import (BoundParams, IterationInstance, LadyzhenskayaRatios,
@@ -18,7 +19,7 @@ from hydrostat.estimates import (BoundParams, IterationInstance, LadyzhenskayaRa
                                  random_instance, saturated_instance,
                                  sup_norm_envelope)
 from hydrostat.spectral import (_LADY_SLAB_BYTES, EVEN, NONE, ODD, Grid, PhysicalField,
-                                SpectralField, _oversampled_slabs, _oversampled_values,
+                                SpectralField, _oversampled_slabs,
                                 dealias, field_from_function, grad_h_norm_sq,
                                 l2_norm, linf_norm, lq_norm, refine, symmetrize,
                                 to_physical, to_spectral, zero_field)
@@ -260,11 +261,11 @@ class TestLadyzhenskayaRatio:
 def whole_lattice_ratio(phi, varphi, psi):
     """``ladyzhenskaya_ratio`` on whole oversampled lattices of untagged fields, one at a time."""
     g = phi.grid
-    vals = _oversampled_values(phi)[0]
+    vals = one_slab(phi)[0]
     col_phi = np.mean(np.abs(vals, out=vals), axis=2) * g.volume
     del vals
-    mix = _oversampled_values(varphi)[0]
-    mix *= _oversampled_values(psi)[0]
+    mix = one_slab(varphi)[0]
+    mix *= one_slab(psi)[0]
     col_mix = np.mean(np.abs(mix, out=mix), axis=2) * g.volume
     lhs = float(np.mean(col_phi * col_mix))
 

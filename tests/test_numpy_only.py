@@ -4,12 +4,7 @@ A fresh interpreter with ``scipy`` made unimportable imports the package,
 takes one nonlinear step, one linear step and one norm record at 8x8x8.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import hydrostat
+from tooling import fresh_python
 
 SCRIPT = """
 import sys
@@ -33,10 +28,6 @@ print("ok")
 
 
 def test_steps_and_norms_without_scipy():
-    src = str(Path(hydrostat.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
-                            capture_output=True, text=True, timeout=120)
+    result = fresh_python(["-c", SCRIPT], timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "ok"

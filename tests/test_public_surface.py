@@ -18,9 +18,9 @@ import ast
 import io
 import tokenize
 from collections import Counter
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from tooling import ROOT, tracer_bindings
+
 PACKAGE = ROOT / "src" / "hydrostat"
 
 
@@ -60,18 +60,8 @@ def test_every_public_name_has_a_caller():
     assert not uncalled, f"public names that only tests call: {uncalled}"
 
 
-def _tracer_bindings():
-    """(module, name) of every binding that ``bench/tracing.py`` rebinds."""
-    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                getattr(t, "id", None) == "BINDINGS" for t in node.targets):
-            return {(module, name) for module, name, _ in ast.literal_eval(node.value)}
-    raise AssertionError("bench/tracing.py defines no BINDINGS")
-
-
 def test_every_import_is_used_or_rebound_by_the_tracer():
-    kept = _tracer_bindings()
+    kept = set(tracer_bindings())
     unused = []
     for path in sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"):
         tree = ast.parse(path.read_text())

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import grad_norm_sq, l2_norm_sq
+from oracles import grad_norm_sq, l2_norm_sq, one_slab
 
 from hydrostat import spectral
 from hydrostat.decomposition import InitialDataSpec, make_cusp_step_data
@@ -15,8 +15,7 @@ from hydrostat.estimates import ladyzhenskaya_ratio, norms
 from hydrostat.spectral import (EVEN, NONE, ODD, Grid, PhysicalField,
                                 SpectralField, _Band, _forward, _inverse,
                                 _SLAB_BYTES, _is_column, _lattice_norms, _mirrored,
-                                _oversampled_slabs, _oversampled_values, _pad_axis,
-                                _populated, _record_slabs,
+                                _oversampled_slabs, _populated, _record_slabs,
                                 grad_h_norm_sq,
                                 dealias, derivative, div_h, field_from_function,
                                 l2_norm, linf_norm, lq_norm, oversample,
@@ -46,23 +45,6 @@ def oversampling_input(grid, kind, seed, ncomp):
         return random_field(grid, seed, ncomp, kind)
     rng = np.random.default_rng(seed)
     return to_spectral(PhysicalField(grid, rng.standard_normal((ncomp,) + grid.physical_shape)))
-
-
-def unpruned_oversampled_values(f):
-    """Reference for ``_oversampled_values``: z on every stored (m, n) line, y on every m plane."""
-    g = f.grid
-    ncomp, nxr = f.coeffs.shape[:2]
-    fnx, fny, fnz = 2 * g.nx, 2 * g.ny, 2 * g.nz
-    zpad = np.zeros((ncomp, nxr, g.ny, fnz), dtype=complex)
-    _pad_axis(zpad, f.coeffs, 3, g.nz)
-    np.fft.ifft(zpad, axis=3, norm="forward", out=zpad)
-    if _mirrored(f):
-        zpad = zpad[..., : fnz // 2 + 1]
-    ypad = np.zeros((ncomp, fny, zpad.shape[3], nxr), dtype=complex)
-    _pad_axis(ypad, zpad.transpose(0, 2, 3, 1), 1, g.ny)
-    np.fft.ifft(ypad, axis=1, norm="forward", out=ypad)
-    values = np.fft.irfft(ypad, n=fnx, axis=3, norm="forward")
-    return np.moveaxis(values, 3, 1)
 
 
 class TestGrid:
@@ -262,18 +244,31 @@ class TestNormsAndSampling:
         fine = oversample(f).values
         np.testing.assert_allclose(fine[:, ::2, ::2, ::2], coarse, atol=1e-12)
 
+    @staticmethod
+    def assert_stream_matches_oversample(f):
+        """The one-slab stream against ``oversample``, on the planes
+        j = 0..nz'/2 of a mirrored field, to 1e-13 of max |values|."""
+        full = oversample(f).values
+        planes = full.shape[3] // 2 + 1 if _mirrored(f) else full.shape[3]
+        got = one_slab(f)
+        assert got.shape == full.shape[:3] + (planes,)
+        expected = full[..., :planes]
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
     @given(nx=st.integers(4, 16), ny=st.integers(4, 16), nz=st.integers(4, 16),
            ncomp=st.sampled_from((1, 2, 3)),
            kind=st.sampled_from(("raw", EVEN, ODD, NONE)), seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_oversample_matches_padded_inverse_transform(self, nx, ny, nz, ncomp,
                                                          kind, seed):
-        """Reference: the full zero-padded spectrum through one irfftn.
+        """The pruned stream's z pass and dense y and x sums are the padded
+        inverse transform, ``oversample``.
 
         ``raw`` coefficients are not dealiased, so every Nyquist plane is
         populated and its placement in the padded spectrum is checked.
         Dealiased inputs leave most (m, n) lines and m planes empty, which
-        the oversampling skips.
+        the stream skips; tagged ones are mirrored, so their half planes
+        are checked.
         """
         grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
         f = oversampling_input(grid, kind, seed, ncomp)
@@ -283,56 +278,57 @@ class TestNormsAndSampling:
                 assert np.min(np.abs(plane).max(axis=0)) > 0
         else:
             assert not np.all(np.any(f.coeffs, axis=(0, 3)))
-        fine = Grid.make(2 * grid.nx, 2 * grid.ny, 2 * grid.nz, H)
-        expected = to_physical(refine(f, fine)).values
-        got = oversample(f)
-        assert got.grid.compatible(fine)
-        assert got.values.shape == expected.shape
-        assert np.max(np.abs(got.values - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert _mirrored(f) == (kind in (EVEN, ODD))
+        self.assert_stream_matches_oversample(f)
 
     @given(nx=st.integers(4, 16), ny=st.integers(4, 16), nz=st.integers(4, 16),
            ncomp=st.sampled_from((1, 2, 3)),
-           kind=st.sampled_from(("raw", EVEN, ODD, NONE)), seed=st.integers(0, 10_000))
+           kind=st.sampled_from(("raw", EVEN, ODD, NONE)), seed=st.integers(0, 10_000),
+           keep=st.floats(0.05, 0.5))
     @settings(max_examples=40, deadline=None)
-    def test_oversampling_matches_the_unpruned_ffts(self, nx, ny, nz, ncomp, kind, seed):
-        """The dense y and x sums on the populated lines are the padded FFTs to round-off.
+    def test_oversampling_matches_the_unpruned_ffts(self, nx, ny, nz, ncomp, kind,
+                                                    seed, keep):
+        """On sparse populations the stream matches the unpruned FFTs of ``oversample``.
 
-        Dealiased tagged inputs are mirrored, so their half planes are checked.
+        A random share ``keep`` of the (m, n) lines survives, Nyquist lines
+        included, so the stream skips scattered lines and whole m planes.
+        Emptying a z line keeps its parity, so tagged inputs stay mirrored.
         """
-        f = oversampling_input(Grid.make(2 * nx, 2 * ny, 2 * nz, H), kind, seed, ncomp)
-        got = _oversampled_values(f)
-        expected = unpruned_oversampled_values(f)
-        assert got.shape == expected.shape
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
+        f = oversampling_input(grid, kind, seed, ncomp)
+        rng = np.random.default_rng(seed + 1)
+        lines = rng.random(f.coeffs.shape[1:3]) < keep
+        lines[rng.integers(lines.shape[0]), rng.integers(lines.shape[1])] = True
+        coeffs = f.coeffs * lines[None, :, :, None]
+        sparse = SpectralField(grid, coeffs, f.symmetry)
+        assert not np.all(np.any(coeffs, axis=(0, 3)))
+        assert _mirrored(sparse) == (kind in (EVEN, ODD))
+        self.assert_stream_matches_oversample(sparse)
 
     @pytest.mark.parametrize("half", [False, True])
     def test_zero_field_oversamples_to_zeros(self, grid, half):
-        got = _oversampled_values(zero_field(grid, 2, EVEN if half else NONE))
+        f = zero_field(grid, 2, EVEN if half else NONE)
+        got = one_slab(f)
         assert got.shape == (2, 32, 32, 17 if half else 32)
         assert not np.any(got)
+        self.assert_stream_matches_oversample(f)
 
     @pytest.mark.parametrize("m, n", [(0, 0), (0, 5), (3, 0), (5, 13), (8, 8)])
     def test_single_populated_line(self, grid, m, n):
-        """One (m, n) line, Nyquist indices included, against the padded FFTs."""
+        """One (m, n) line, Nyquist indices included."""
         rng = np.random.default_rng(m * 16 + n)
         coeffs = np.zeros((1,) + grid.spectral_shape, dtype=complex)
         coeffs[0, m, n] = rng.standard_normal(grid.nz) + 1j * rng.standard_normal(grid.nz)
-        f = SpectralField(grid, coeffs)
-        got = _oversampled_values(f)
-        expected = unpruned_oversampled_values(f)
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        self.assert_stream_matches_oversample(SpectralField(grid, coeffs))
 
     def test_imaginary_part_at_m0_is_ignored(self, grid):
         """As ``irfft`` does, the x pass reads only Re of the m = 0 plane after y and z."""
         coeffs = np.zeros((1,) + grid.spectral_shape, dtype=complex)
         coeffs[0, 0, 0, 0] = 2.0 + 3.0j
-        assert np.all(_oversampled_values(SpectralField(grid, coeffs)) == 2.0)
+        assert np.all(one_slab(SpectralField(grid, coeffs)) == 2.0)
         skewed = random_field(grid, 24, ncomp=2).coeffs.copy()
         skewed[:, 0, 3, 2] += 0.5j      # breaks the conjugate symmetry of the m = 0 plane
-        f = SpectralField(grid, skewed)
-        got = _oversampled_values(f)
-        expected = unpruned_oversampled_values(f)
-        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+        self.assert_stream_matches_oversample(SpectralField(grid, skewed))
 
     def test_lattice_reductions_leave_coefficients_untouched(self, grid):
         f = random_field(grid, 15, ncomp=3)
@@ -348,7 +344,7 @@ class TestNormsAndSampling:
     @pytest.mark.parametrize("ncomp", [1, 2, 3])
     def test_linf_is_max_of_pointwise_magnitude(self, grid, ncomp):
         f = random_field(grid, 19, ncomp=ncomp)
-        vals = oversample(f).values
+        vals = one_slab(f)
         expected = float(np.max(np.sqrt(np.sum(vals ** 2, axis=0))))
         assert linf_norm(f) == expected
         assert _lattice_norms(f, (4.0, 6.0))[0] == expected
@@ -421,16 +417,16 @@ class TestHalfPlanes:
     @given(**half_plane_cases)
     @settings(max_examples=20, deadline=None)
     def test_lattice_norms_match_full_lattice(self, nx, ny, nz, ncomp, tag, seed):
-        """The half-plane max is the full lattice's max over the same planes, bit for bit.
+        """The half-plane max is the max of the stream's planes j = 0..nz'/2, bit for bit.
 
-        The mirrored planes of the full lattice equal their originals only
-        to round-off, so its overall max may differ in the last bits.
+        ``oversample``'s whole lattice, mirrored planes included, gives the
+        same max and means to round-off.
         """
         grid = Grid.make(2 * nx, 2 * ny, 2 * nz, H)
         f = dealias(parity_field(grid, seed, ncomp, tag))
         assert _mirrored(f)
+        half = float(np.sqrt(np.max(np.sum(one_slab(f) ** 2, axis=0))))
         mag_sq = np.sum(oversample(f).values ** 2, axis=0)
-        half = float(np.sqrt(np.max(mag_sq[..., : 2 * nz + 1])))
         full = float(np.sqrt(np.max(mag_sq)))
         linf, lq = _lattice_norms(f, (4.0, 6.0))
         assert linf_norm(f) == half
@@ -446,7 +442,8 @@ class TestHalfPlanes:
         f = parity_field(grid, 22, 2, EVEN)
         assert np.max(np.abs(f.coeffs[..., grid.nz // 2])) > 0
         assert not _mirrored(f)
-        mag_sq = np.sum(oversample(f).values ** 2, axis=0)
+        mag_sq = np.sum(one_slab(f) ** 2, axis=0)
+        assert mag_sq.shape == (32, 32, 32)
         assert linf_norm(f) == float(np.sqrt(np.max(mag_sq)))
         expected = (grid.volume * np.mean(mag_sq ** 2)) ** 0.25
         assert abs(lq_norm(f, 4.0) - expected) <= 1e-14 * expected
@@ -478,12 +475,12 @@ def whole_lattice_norms(f, qs):
 
     half = _mirrored(f)
     with np.errstate(over="ignore"):
-        mag_sq = mag_sq_of(_oversampled_values(f))
+        mag_sq = mag_sq_of(one_slab(f))
     peak = float(np.max(mag_sq))
     unit = 1.0
     if peak > 1.0 and (max(qs, default=2.0) / 2.0 * np.log(peak)
                        + np.log(mag_sq.size) >= _LOG_MAX):
-        vals = _oversampled_values(f)
+        vals = one_slab(f)
         unit = float(max(np.max(vals), -np.min(vals)))
         vals /= unit
         mag_sq = mag_sq_of(vals)
@@ -547,7 +544,7 @@ class TestStreamedNorms:
         """Slabs of the same row count but the last, at the rows their k0 names."""
         f = random_field(grid, 34, ncomp=2, symmetry=EVEN if half else NONE)
         assert _mirrored(f) == half
-        whole = np.moveaxis(_oversampled_values(f), 1, 3)
+        whole = np.moveaxis(one_slab(f), 1, 3)
         counts = []
         for k0, values in _oversampled_slabs(f, -(-whole.nbytes // 3)):
             counts.append(values.shape[1])
@@ -605,7 +602,7 @@ class TestColumnRecord:
         assert _is_column(populated)
         assert _mirrored(f) == (kind not in ("nyquist", "zero"))
         line, = _record_slabs(f, populated)
-        whole = np.moveaxis(_oversampled_values(f), 1, 3)
+        whole = np.moveaxis(one_slab(f), 1, 3)
         assert line.shape == (2, 1, whole.shape[2], 1)
         assert np.array_equal(whole, np.broadcast_to(line, whole.shape))
         with warnings.catch_warnings():
