@@ -96,12 +96,15 @@ def _bump_transform(s):
     """Fourier transform of the unit-radius 1D bump at frequencies ``s``.
 
     The integrand is smooth with all derivatives vanishing at the support
-    boundary, so the trapezoid rule converges superalgebraically.
+    boundary, so the trapezoid rule converges superalgebraically.  The
+    transform is even in s, so it is taken once per distinct |s| (a
+    wavenumber line holds each about twice) and gathered back.
     """
     r, b = _bump_quadrature()
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    kernel = np.cos(np.outer(s, r)) * b
-    return np.trapezoid(kernel, r, axis=1)
+    s = np.abs(np.atleast_1d(np.asarray(s, dtype=float)))
+    distinct, where = np.unique(s, return_inverse=True)
+    kernel = np.cos(np.outer(distinct, r)) * b
+    return np.trapezoid(kernel, r, axis=1)[where]
 
 
 def mollify(v0: SpectralField, epsilon: float) -> SpectralField:

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import (_FACTOR, _LADY_SLAB_BYTES, SpectralField, _band_l2,
-                       _lattice_norms, _oversampled_slabs, grad_h_norm_sq, l2_norm)
+from .spectral import (_FACTOR, _LADY_SLAB_BYTES, Grid, SpectralField, _band_l2,
+                       _lattice_norms, _oversampled_slabs, grad_h_norm_sq, l2_norm,
+                       refine)
 from .spectral import oversample  # noqa: F401  -- a name the benchmark's tracer rebinds
 
 
@@ -233,42 +234,77 @@ def ladyzhenskaya_ratio(phi: SpectralField, varphi: SpectralField,
     lhs = int_M (int |phi| dz)(int |varphi psi| dz) dx_H by oversampled
     lattice quadrature; both right-hand sides are returned without their
     constant, so lhs/rhs is the constant an inequality proof would need.
-    The lattices are never held whole: they stream in slabs of y rows,
-    whose size changes lhs by round-off only.
+    The lattices are never held whole: they stream in slabs of y rows
+    (``_column_means``), whose size changes lhs by round-off only.
     """
-    for f in (phi, varphi, psi):
+    triple = (phi, varphi, psi)
+    (columns,) = _column_means(triple, (1,))
+    return _ratios(triple, *columns)
+
+
+def _nested_ratios(triple, fine: Grid):
+    """``ladyzhenskaya_ratio`` of ``triple`` and of ``refined``, the triple
+    refined onto ``fine`` (nz doubled), from one stream of ``refined``.
+
+    The coarse lattice is the even z planes of the fine one, so each slab
+    is reduced over every plane and over the planes ``::2``.  The fine
+    ratios are the byte-exact ones; the coarse lhs moves at round-off (a
+    z transform twice as long).  Each right-hand side is taken on its own
+    fields.
+    """
+    if any((f.grid.nx, f.grid.ny, 2 * f.grid.nz) != (fine.nx, fine.ny, fine.nz)
+           for f in triple):
+        raise ConfigurationError("nested ratios need the grid with nz doubled")
+    refined = [refine(f, fine) for f in triple]
+    fine_columns, coarse_columns = _column_means(refined, (1, 2))
+    return _ratios(triple, *coarse_columns), _ratios(refined, *fine_columns)
+
+
+def _column_means(triple, strides):
+    """(col_phi, col_mix) per s of ``strides``: the z column means of |phi|
+    and of |varphi psi| over the oversampled planes ``::s``.
+
+    The lattices stream in slabs of y rows k0.. of at most
+    ``_LADY_SLAB_BYTES`` each, phi's alone and then varphi's and psi's in
+    lockstep, and each slab is reduced for every stride before the next
+    is made.  Untagged views stream every plane of a tagged field.  The
+    columns are stored (ny', nx'), the memory order of the whole
+    lattice's, so ``_ratios`` sums them in that order.
+    """
+    g = triple[0].grid
+    for f in triple:
         if f.ncomp != 1:
             raise ConfigurationError("ratio checker expects scalar fields")
-        if not f.grid.compatible(phi.grid):
+        if not f.grid.compatible(g):
             raise ConfigurationError("ratio checker expects fields on one grid")
-    g = phi.grid
-    # The lattices stream in slabs of y rows k0.., phi's alone and then
-    # varphi's and psi's in lockstep, and each slab is reduced to its z
-    # column means before the next is made.  Untagged views stream every
-    # plane of a tagged field.  The columns are stored (ny', nx'), the
-    # memory order of the whole lattice's, so lhs sums them in that order.
-    col_phi = np.empty((_FACTOR * g.ny, _FACTOR * g.nx))
-    col_mix = np.empty_like(col_phi)
+    columns = [(np.empty((_FACTOR * g.ny, _FACTOR * g.nx)),
+                np.empty((_FACTOR * g.ny, _FACTOR * g.nx))) for _ in strides]
     phi_s, varphi_s, psi_s = (_oversampled_slabs(SpectralField(f.grid, f.coeffs),
                                                  _LADY_SLAB_BYTES)
-                              for f in (phi, varphi, psi))
+                              for f in triple)
     for k0, vals in phi_s:
-        np.mean(np.abs(vals[0], out=vals[0]), axis=1, out=col_phi[k0:k0 + vals.shape[1]])
+        np.abs(vals[0], out=vals[0])
+        for s, (col_phi, _) in zip(strides, columns):
+            np.mean(vals[0, :, ::s], axis=1, out=col_phi[k0:k0 + vals.shape[1]])
     for (k0, mix), (_, other) in zip(varphi_s, psi_s, strict=True):
         mix *= other
-        np.mean(np.abs(mix[0], out=mix[0]), axis=1, out=col_mix[k0:k0 + mix.shape[1]])
-    col_phi *= g.volume
-    col_mix *= g.volume
-    lhs = float(np.mean(col_phi * col_mix))
+        np.abs(mix[0], out=mix[0])
+        for s, (_, col_mix) in zip(strides, columns):
+            np.mean(mix[0, :, ::s], axis=1, out=col_mix[k0:k0 + mix.shape[1]])
+    return columns
+
+
+def _ratios(triple, col_phi, col_mix):
+    """The ratios from ``_column_means`` and the norms of ``triple``."""
+    volume = triple[0].grid.volume
+    lhs = float(np.mean((col_phi * volume) * (col_mix * volume)))
 
     def _pair(f):
         n2 = l2_norm(f)
         nh = np.sqrt(grad_h_norm_sq(f))
         return n2, np.sqrt(n2 * (n2 + nh))
 
-    phi2, phi_mix = _pair(phi)
-    var2, var_mix = _pair(varphi)
-    psi2, psi_mix = _pair(psi)
+    (phi2, phi_mix), (_, var_mix), (psi2, psi_mix) = map(_pair, triple)
     rhs1 = phi2 * var_mix * psi_mix
     rhs2 = phi_mix * var_mix * psi2
     tiny = np.finfo(float).tiny

@@ -99,6 +99,9 @@ class StepControl:
     def __post_init__(self):
         if not self.dt > 0:
             raise ConfigurationError(f"dt={self.dt}: time step must be positive")
+        if not self.cfl_target > 0:
+            raise ConfigurationError(
+                f"[time] cfl_target={self.cfl_target!r}: advisory CFL target must be positive")
 
 
 @dataclass(frozen=True, eq=False)

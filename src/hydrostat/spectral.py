@@ -484,10 +484,18 @@ def to_physical(f: SpectralField) -> PhysicalField:
 
 
 def to_spectral(f: PhysicalField, symmetry: str = NONE) -> SpectralField:
-    """Forward transform; a non-trivial tag triggers symmetrization."""
+    """Forward transform; a non-trivial tag triggers symmetrization.
+
+    Finite values whose transform overflows (sums of values near the
+    largest float) raise ``DataError``, as non-finite values do.
+    """
     if not np.all(np.isfinite(f.values)):
         raise DataError("physical field contains non-finite values")
-    out = SpectralField(f.grid, _forward(f.values), NONE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _forward(f.values)
+    if not np.all(np.isfinite(coeffs)):
+        raise DataError("physical field overflows its spectral transform")
+    out = SpectralField(f.grid, coeffs, NONE)
     if symmetry != NONE:
         out = symmetrize(out, symmetry)
     return out

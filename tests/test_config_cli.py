@@ -510,6 +510,15 @@ class TestCli:
         assert main(["validate", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["0", "-1", "-1e-300"])
+    def test_validate_rejects_a_cfl_target_that_is_not_positive(self, tmp_path, target,
+                                                                 capsys):
+        """Every step would warn that its CFL exceeds such a target."""
+        path = tmp_path / "c.ini"
+        path.write_text(f"[time]\ncfl_target = {target}\n")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: [time] cfl_target=")
+
     def test_validate_rejects_bad_threads_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("HYDROSTAT_THREADS", "two")
         path = tmp_path / "c.ini"
@@ -589,6 +598,20 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("run failed: ") and str(named) in err
+
+    def test_data_that_overflow_their_transform_fail_the_run(self, tmp_path, capsys):
+        """a = 1e308, -1e308 are finite, so ``validate`` accepts them; their
+        transform overflows, and ``run`` fails with a DataError, not a
+        numpy warning."""
+        path = tmp_path / "c.ini"
+        path.write_text(re.sub(r"(n[xyz]) = 16", r"\1 = 8",
+                               SMALL_DECOMP.format(out=tmp_path / "run"))
+                        + "[initial_data]\nkind = cusp_step\na = 1e308, -1e308\n")
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "run failed: physical field overflows its spectral transform")
 
     def test_failing_verdict_exits_one(self, tmp_path):
         """A reversed mollification ladder cannot be Cauchy-decreasing."""

@@ -71,6 +71,16 @@ class TestMollify:
         assert np.max(np.abs(symmetrize(g, EVEN).coeffs - g.coeffs)) == 0.0
         assert barotropic_residual(g) <= 1e-12
 
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.3])
+    def test_bump_transform_is_the_trapezoid_rule_at_each_wavenumber(self, eps):
+        """Taken once per distinct |s| and gathered back, to the byte."""
+        g = Grid.make(32, 32, 64, H)
+        r, b = decomposition._bump_quadrature()
+        for line in (g.kx[:, 0, 0], g.ky[0, :, 0], g.kz[0, 0, :]):
+            s = eps * line
+            rows = [np.trapezoid(np.cos(si * r) * b, r) for si in s]
+            assert decomposition._bump_transform(s).tobytes() == np.array(rows).tobytes()
+
     def test_cusp_step_parts_share_one_multiplier(self, grid, monkeypatch):
         """Three bump transforms, one per axis, for both parts; the bytes
         are those of mollifying each part on its own."""

@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import one_slab
+from oracles import whole_lattice_ratio
 
 from hydrostat.errors import ConfigurationError
-from hydrostat.estimates import (BoundParams, IterationInstance, LadyzhenskayaRatios,
+from hydrostat.estimates import (BoundParams, IterationInstance, _nested_ratios,
                                  certified_log_bounds, fit_sup_envelope_c0,
                                  growth_envelope,
                                  iteration_base, iteration_weight,
@@ -20,7 +20,7 @@ from hydrostat.estimates import (BoundParams, IterationInstance, LadyzhenskayaRa
                                  sup_norm_envelope)
 from hydrostat.spectral import (_LADY_SLAB_BYTES, EVEN, NONE, ODD, Grid, PhysicalField,
                                 SpectralField, _oversampled_slabs,
-                                dealias, field_from_function, grad_h_norm_sq,
+                                dealias, field_from_function,
                                 l2_norm, linf_norm, lq_norm, refine, symmetrize,
                                 to_physical, to_spectral, zero_field)
 
@@ -258,32 +258,6 @@ class TestLadyzhenskayaRatio:
             ladyzhenskaya_ratio(one, one, other)
 
 
-def whole_lattice_ratio(phi, varphi, psi):
-    """``ladyzhenskaya_ratio`` on whole oversampled lattices of untagged fields, one at a time."""
-    g = phi.grid
-    vals = one_slab(phi)[0]
-    col_phi = np.mean(np.abs(vals, out=vals), axis=2) * g.volume
-    del vals
-    mix = one_slab(varphi)[0]
-    mix *= one_slab(psi)[0]
-    col_mix = np.mean(np.abs(mix, out=mix), axis=2) * g.volume
-    lhs = float(np.mean(col_phi * col_mix))
-
-    def _pair(f):
-        n2 = l2_norm(f)
-        nh = np.sqrt(grad_h_norm_sq(f))
-        return n2, np.sqrt(n2 * (n2 + nh))
-
-    phi2, phi_mix = _pair(phi)
-    var2, var_mix = _pair(varphi)
-    psi2, psi_mix = _pair(psi)
-    rhs1 = phi2 * var_mix * psi_mix
-    rhs2 = phi_mix * var_mix * psi2
-    tiny = np.finfo(float).tiny
-    return LadyzhenskayaRatios(lhs, rhs1, rhs2,
-                               lhs / max(rhs1, tiny), lhs / max(rhs2, tiny))
-
-
 def lady_slabs(f):
     return sum(1 for _ in _oversampled_slabs(f, _LADY_SLAB_BYTES))
 
@@ -340,6 +314,38 @@ class TestStreamedLadyzhenskayaRatio:
         finally:
             tracemalloc.stop()
         assert peak < lattice_bytes
+
+
+class TestNestedRatios:
+    """The lemma suite's coarse and fine ratios from one stream of the refined
+    triple: the coarse lattice is the even z planes of the fine one."""
+
+    @pytest.mark.parametrize("shape, h", [((32, 32, 64), 0.5), ((24, 20, 48), 0.37)])
+    def test_match_the_two_separate_ratios(self, shape, h):
+        coarse = Grid.make(*shape, h)
+        fine = Grid.make(shape[0], shape[1], 2 * shape[2], h)
+        rng = np.random.default_rng(sum(shape) + 1)
+        triple = [dealias(to_spectral(PhysicalField(
+            coarse, rng.standard_normal((1,) + shape)))) for _ in range(3)]
+        refined = [refine(f, fine) for f in triple]
+        rows = [vals.shape[1] for _, vals in _oversampled_slabs(refined[0], _LADY_SLAB_BYTES)]
+        assert len(rows) > 2
+        if shape == (24, 20, 48):
+            assert rows[-1] < rows[0]                  # the last slab is uneven
+        got_coarse, got_fine = _nested_ratios(triple, fine)
+        assert got_fine == ladyzhenskaya_ratio(*refined)
+        direct, whole = ladyzhenskaya_ratio(*triple), whole_lattice_ratio(*triple)
+        for a, b, c in zip(got_coarse.__dict__.values(), direct.__dict__.values(),
+                           whole.__dict__.values(), strict=True):
+            assert abs(a - b) <= 1e-15 * abs(b)
+            assert abs(a - c) <= 1e-14 * abs(c)
+
+    def test_refuses_a_fine_grid_that_does_not_double_nz(self):
+        g = Grid.make(8, 8, 8, H)
+        one = field_from_function(g, lambda X, Y, Z: 1.0 + 0 * X)
+        for fine in (Grid.make(8, 8, 32, H), Grid.make(16, 8, 16, H)):
+            with pytest.raises(ConfigurationError, match="nz doubled"):
+                _nested_ratios((one, one, one), fine)
 
 
 class TestEnvelopeFitting:

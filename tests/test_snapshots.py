@@ -209,7 +209,7 @@ def _config_values(snapshots):
         ("time", "dt"): (texts("1e-3", "2e-3", "0.5", "1e300"),
                          texts("1e-300", "0", "-1e-3", "inf")),
         ("time", "t_end"): (texts("4e-3", "0.01", "7e15", "1e300"), texts("0", "-1")),
-        ("time", "cfl_target"): (texts("0.5", "1e-9", "0", "-1"), texts("nan")),
+        ("time", "cfl_target"): (texts("0.5", "1e-9"), texts("nan", "0", "-1")),
         ("initial_data", "kind"): (texts("cusp_step", "analytic", "snapshot"),
                                    texts("rough")),
         ("initial_data", "a"): (texts("1.0, 0.0", "0, 0", "1e308, -1e308"),

@@ -121,6 +121,12 @@ class TestTransforms:
         with pytest.raises(DataError):
             to_spectral(PhysicalField(grid, vals))
 
+    def test_finite_values_whose_transform_overflows_rejected(self, grid):
+        """The sum of values near the largest float: a DataError, no warning."""
+        vals = np.full((1,) + grid.physical_shape, 1e308)
+        with pytest.raises(DataError, match="overflows"):
+            to_spectral(PhysicalField(grid, vals))
+
     def test_shape_mismatch_rejected(self, grid):
         with pytest.raises(ConfigurationError):
             SpectralField(grid, np.zeros((1, 3, 3, 3), dtype=complex))
