@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from .decomposition import InitialDataSpec
 from .errors import ConfigError, HydrostatError
 from .solver import PhysicsParams, StepControl, _step_count
-from .spectral import Grid
+from .spectral import Grid, _check_grid
 
 EXPERIMENTS = ("energy_identity", "decomposition", "stability",
                "mollification", "lemma_suite")
@@ -197,7 +197,7 @@ def parse_config(path=None, text=None, overrides=None) -> RunConfig:
 def validate_config(cfg: RunConfig) -> None:
     """Cross-field checks; raises ConfigError with the first violation."""
     try:
-        cfg.make_grid()
+        _check_grid(cfg.grid_nx, cfg.grid_ny, cfg.grid_nz, cfg.h)
         cfg.step_control()
         for dt in (cfg.dt, cfg.dt / 2.0) if cfg.experiment == "energy_identity" else (cfg.dt,):
             _step_count(0.0, cfg.t_end, dt)

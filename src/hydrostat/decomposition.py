@@ -34,8 +34,8 @@ from .errors import ConfigurationError, DataError
 from .hydrostatics import solve_pressure
 from .solver import (PhysicsParams, SolverState, StepControl, _norm_row,
                      _plan_steps, _recorded, make_state, step, step_linear)
-from .spectral import (EVEN, Grid, SpectralField, _parseval, dealias,
-                       field_from_function, linf_norm, zero_field)
+from .spectral import (EVEN, Grid, SpectralField, _parseval, _transformed, dealias,
+                       field_from_function, linf_norm, symmetrize, zero_field)
 from .io import read_snapshot
 from .estimates import norms
 
@@ -159,16 +159,16 @@ def _step_part(grid: Grid, eta, sigma) -> SpectralField:
 
 
 def make_cusp_step_data(grid: Grid, spec: InitialDataSpec):
-    """Build (v0bar, V0): lattice-sampled cusp and exact-coefficient step."""
+    """Build (v0bar, V0): lattice-sampled cusp and exact-coefficient step,
+    both columns: the cusp's samples take one z FFT onto the mean line."""
     spec.validate(grid.h)
     if spec.kind != "cusp_step":
         raise ConfigurationError(f"initial-data kind {spec.kind!r} has no cusp/step parts")
-    z = grid.z()
-    profile = np.abs(z) ** spec.delta
-    vbar = dealias(field_from_function(
-        grid, lambda X, Y, Z: (spec.a[0] * profile[None, None, :] + 0 * X,
-                               spec.a[1] * profile[None, None, :] + 0 * X),
-        EVEN))
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.multiply.outer(spec.a, np.abs(grid.z()) ** spec.delta)
+    coeffs = np.zeros((2,) + grid.spectral_shape, dtype=complex)
+    coeffs[:, 0, 0] = _transformed(samples, lambda s: np.fft.fft(s, norm="forward"))
+    vbar = dealias(symmetrize(SpectralField(grid, coeffs), EVEN))
     return vbar, _step_part(grid, spec.eta, spec.sigma)
 
 
@@ -215,18 +215,21 @@ def _checked_expression(text):
 
 
 def _analytic_field(grid, spec):
-    codes = [_checked_expression(spec.expression_u),
-             _checked_expression(spec.expression_v)]
+    texts = (spec.expression_u, spec.expression_v)
+    codes = [_checked_expression(text) for text in texts]
 
     def build(X, Y, Z):
         env = dict(_SAFE_NAMES, x=X, y=Y, z=Z, h=grid.h)
-        try:
-            u, v = (eval(code, {"__builtins__": {}}, env)  # noqa: S307 - checked tree
-                    for code in codes)
-        except ArithmeticError as err:
-            raise ConfigurationError(f"initial-data expression: {err}") from err
-        return (u + 0 * X, v + 0 * X)
-    return dealias(field_from_function(grid, build, EVEN))
+        for text, code in zip(texts, codes):
+            try:
+                with np.errstate(all="ignore"):
+                    value = eval(code, {"__builtins__": {}}, env) + 0 * X  # noqa: S307
+            except ArithmeticError as err:
+                raise ConfigurationError(f"expression {text!r}: {err}") from err
+            if not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"expression {text!r}: samples are not finite")
+            yield value
+    return dealias(field_from_function(grid, lambda *xyz: tuple(build(*xyz)), EVEN))
 
 
 def prepare_initial_parts(grid: Grid, spec: InitialDataSpec):

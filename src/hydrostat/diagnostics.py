@@ -98,6 +98,7 @@ def integrate_series(t, g):
 def energy_residual_series(t, l2, grad_l2):
     """|0.5 ||v||^2(t) + int_0^t ||grad v||^2 - 0.5 ||v0||^2| per record."""
     l2 = np.asarray(l2, dtype=float)
-    dissipation = integrate_series(t, np.asarray(grad_l2, dtype=float) ** 2)
-    return np.abs(0.5 * l2 ** 2 + dissipation - 0.5 * l2[0] ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):     # fails its verdict if not finite
+        dissipation = integrate_series(t, np.asarray(grad_l2, dtype=float) ** 2)
+        return np.abs(0.5 * l2 ** 2 + dissipation - 0.5 * l2[0] ** 2)
 

@@ -316,6 +316,7 @@ def _ratios(triple, col_phi, col_mix):
 # envelope fitting for the non-explicit bounds
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="ignore")
 def fit_sup_envelope_c0(t, linf_V, linf_V0, v0_l4) -> float:
     """Minimal C0 with growth_envelope(t, .., C0) * ||V0||_inf >= ||V||_inf(t).
 
@@ -328,13 +329,15 @@ def fit_sup_envelope_c0(t, linf_V, linf_V0, v0_l4) -> float:
         raise ConfigurationError("cannot fit an empty series")
     if linf_V0 <= 0:
         return 0.0
-    a = 1.0 + v0_l4
+    a = np.float64(1.0 + v0_l4)     # its powers may overflow to inf
     need = 0.0
     for ti, vi in zip(t, linf_V):
         target = np.log(vi / linf_V0) if vi > 0 else -np.inf
         if target == -np.inf:
             continue
         b = np.exp(2.0 * ti) * (ti + 1.0) * a ** 4
+        if b == np.inf:     # an envelope above every float fits any C0 > 0
+            continue
         offset = 40.0 * np.log(a) + 2.0 * np.log1p(ti)
 
         def short(c):

@@ -44,17 +44,15 @@ at a time, each multiplied by its driver component and added to the sum
 before the next is made, so a stage holds one gradient on the lattice,
 not three.
 
-A z-only state steps without band transforms.  Its packed array is a
+A z-only state steps on its mean line alone.  Its packed array is a
 column (``spectral._is_column``: zero off the mean line m = n = 0), so
-dx U, dy U and w vanish identically and its tendency is -f0 k x U alone.
-The driver values such a stage hands on are the z pass of the mean line,
-broadcast over (nx, ny) as a read-only view (``_Band.column_inverse``),
-with w a broadcast zero: driver values may be read-only broadcast views,
-and nothing writes to them.  The full sums give the same values up to
-the sign of zeros, so no state or artifact depends on the path taken.
-Any state with a non-zero entry off the mean line, however small, takes
-the full path.  This is the paper's discontinuous data: the cusp a|z|^delta
-and the step sigma chi(-eta, eta)(z) are both z-only.
+dx U, dy U and w vanish and its tendency is -f0 k x U; under drivers with
+w = 0 a step runs on ``u[:, :1, :1]`` and the rest of the band stays zero.
+Its driver values are the z pass of that line broadcast over (nx, ny) as
+read-only views (``_Band.column_inverse``), w broadcast zeros.  The full
+sums give the same numbers up to the sign of zeros, so no artifact depends
+on the path.  The paper's cusp a|z|^delta and step sigma chi(-eta, eta)(z)
+are such data.
 
 Stepping is a pure state-to-state function: a single trajectory is
 sequential, but independent trajectories may run on separate threads.
@@ -119,10 +117,8 @@ class DriverStage:
     (2, nx, ny, nz/2 + 1) and (1, nx, ny, nz/2 + 1); v is even and w odd
     in z, so these planes determine the whole lattice.  v comes from the
     stage's gradient passes (``spectral._Band.gradient``) and w from the
-    band inverse of its packed w (``spectral._Band.inverse``).  For a
-    z-only driver, v is one z line per component broadcast over (nx, ny)
-    (``spectral._Band.column_inverse``) and w broadcast zeros: both are
-    then read-only views.
+    band inverse of its packed w (``spectral._Band.inverse``).  A z-only
+    driver's v and w are read-only broadcast views (``_Band.column_inverse``).
     """
 
     t: float
@@ -183,11 +179,9 @@ def _rhs_core(u: np.ndarray, band: _Band, v: np.ndarray, w: np.ndarray,
     order v^1 dx U + v^2 dy U + w dz U, so one gradient at a time is on
     the lattice.
 
-    Without ``grads``, a column U (``spectral._is_column``: it depends on
-    z alone) under a driver with w = 0 has no advection: dx U and dy U
-    vanish identically, because the x and y derivative tables are zero at
-    m = n = 0, and w dz U = 0.  The tendency is then -f0 k x U with no
-    transform, which is what the full sums give up to the sign of zeros.
+    Without ``grads``, a column U (``spectral._is_column``), or its mean
+    line alone, under a driver with w = 0 has no advection: the x and y
+    derivative tables vanish at m = n = 0.  Its tendency is -f0 k x U.
     """
     if grads is None and _is_column(u) and not _any_stored(w):
         return -(f0 * _coriolis(u))
@@ -213,30 +207,34 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
     band and unpacked once.  With ``driver_stages`` given, it is advected
     by the frozen driver (linear systems); otherwise the field drives
     itself (nonlinear system) and, with ``collect``, the stage fields are
-    returned for reuse.  A z-only stage takes no band transform (see the
-    module docstring).  Raises ``BlowUpError`` carrying ``state`` at the
-    first stage that leaves non-finite values.
+    returned for reuse.  A column under drivers with w = 0, decided once
+    per step, runs the stages on its mean line ``u[:, :1, :1]`` with the
+    factors and projection tables sliced alike (see the module docstring).
+    Raises ``BlowUpError`` carrying ``state`` at the first stage that
+    leaves non-finite values.
     """
     t = state.t
     band = state.v.grid.band
     u = band.pack(state.v.coeffs)
     factors = _stage_factors(band, dt)
+    column = _is_column(u) and not any(_any_stored(s.w) for s in driver_stages or ())
+    lead = 1 if column else None    # the (m, n) block stepped: the mean line, or all
+    u, factors = u[:, :lead, :lead], tuple(a[:lead, :lead] for a in factors)
+    tables = band.kx[:lead, :, 0], band.ky[:, :lead, 0], band.kh2[:lead, :lead]
     collected = [] if collect else None
     n_prev = None
     vmax0 = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(3):
             if driver_stages is None:
-                w = _recover_w_band(u, band)    # packed; checks the constraint
-                if _is_column(u):
-                    # z-only: w is zero and _rhs_core forms no gradient;
-                    # v is one line per component, so is its max
+                if column:
+                    # w = 0, no gradient; v is one line per component, so is its max
                     grads = None
                     v = band.column_inverse(u)
                     w = np.broadcast_to(0.0, (1,) + v.shape[1:])
                     vmax = v[:, :1, :1]
                 else:
-                    w = band.inverse(w, odd=True)
+                    w = band.inverse(_recover_w_band(u, band), odd=True)
                     grads = band.gradient(u, values=True)
                     v = vmax = next(grads)
                 stage = DriverStage(t + RK_C[k] * dt, v, w)
@@ -256,7 +254,7 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
             if k:
                 incr = incr + dt * RK_B[k] * n_prev
             u = factors[k] * (u + incr)
-            _project_mean(u[..., 0], band.kx[..., 0], band.ky[..., 0], band.kh2)
+            _project_mean(u[..., 0], *tables)
             if not np.all(np.isfinite(u)):
                 raise BlowUpError(
                     f"non-finite values at RK stage {k + 1} of 3 in the step from t={t}",

@@ -58,6 +58,7 @@ All operations are pure: fields are never mutated after construction.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -212,12 +213,13 @@ class _Band:
         return np.concatenate((a[..., :1], a[..., : -self.nl: -1]), axis=-1)
 
     def unpack(self, b):
-        """Full (ncomp, nxr, ny, nz) coefficients of the even field ``b``."""
+        """Full (ncomp, nxr, ny, nz) coefficients of the even field ``b``:
+        a packed array, or its leading (m, n) block with the rest zero."""
         g = self.grid
         out = np.zeros(b.shape[:1] + g.spectral_shape, dtype=complex)
-        lines = out[:, : self.nm]
-        lines[:, :, self.rows, : self.nl] = b
-        lines[:, :, self.rows, g.nz - self.nl + 1:] = b[..., : 0: -1]
+        lines, rows = out[:, : b.shape[1]], self.rows[: b.shape[2]]
+        lines[:, :, rows, : self.nl] = b
+        lines[:, :, rows, g.nz - self.nl + 1:] = b[..., : 0: -1]
         return out
 
     def _fold(self, b):
@@ -252,15 +254,12 @@ class _Band:
         return self._x(self.x_odd if odd else self.x_pair, np.matmul(self.y_fold, lines))
 
     def column_inverse(self, b):
-        """``inverse(b)`` of a column ``b`` (``_is_column``), as a read-only view.
+        """``inverse(b)`` of a column ``b`` or of its mean line, as a read-only view.
 
-        A column depends on z alone, so its values are the even z pass of
-        the real part of its mean line, broadcast over (nx, ny): the y and
-        x tables are 1 at n = 0 and m = 0 and the imaginary part meets a
-        -sin(0) = -0.0.  The z pass runs on the same stack of
-        (len(rows), nl) blocks as in ``inverse``, so the values are bit for
-        bit those of ``inverse(b)``, up to the sign of zeros; a one-row
-        product rounds differently.
+        The even z pass of the line's real part, broadcast over (nx, ny): the
+        y and x tables are 1 at n = m = 0.  It runs on ``inverse``'s stack of
+        (len(rows), nl) blocks, so the values are ``inverse(b)``'s bit for bit
+        up to the sign of zeros; a one-row product rounds differently.
         """
         g = self.grid
         ncomp = b.shape[0]
@@ -319,6 +318,23 @@ class _Band:
         return out
 
 
+def _check_grid(nx, ny, nz, h):
+    """``Grid.make``'s checks, building no table: its tables plus one
+    2-component coefficient array must fit the physical memory, too."""
+    for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
+        if n < 8 or n % 2:
+            raise ConfigurationError(f"[grid] {name}={n}: mode counts must be even and >= 8")
+    if not 0 < h < np.inf:
+        raise ConfigurationError(f"[grid] h={h}: half-height must be positive and finite")
+    if not np.pi / h * nz < _K_LIMIT:
+        raise ConfigurationError(f"[grid] h={h}: vertical wavenumbers up to pi*nz/h overflow")
+    need = (8 + 1 + 2 * 16) * (nx // 2 + 1) * ny * nz    # k2, the mask, 2 complex
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigurationError(f"[grid] {nx}x{ny}x{nz}: tables need {need / 2 ** 30:.3g} "
+                                 f"GiB, more than the {memory / 2 ** 30:.3g} GiB of memory")
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Resolution, geometry and precomputed mode tables."""
@@ -340,14 +356,7 @@ class Grid:
 
     @classmethod
     def make(cls, nx, ny, nz, h):
-        for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
-            if n < 8 or n % 2:
-                raise ConfigurationError(f"{name}={n}: mode counts must be even and >= 8")
-        if not 0 < h < np.inf:
-            raise ConfigurationError(f"h={h}: half-height must be positive and finite")
-        if not np.pi / h * nz < _K_LIMIT:
-            raise ConfigurationError(f"h={h}: vertical wavenumbers up to pi*nz/h overflow")
-
+        _check_grid(nx, ny, nz, h)
         nxr = nx // 2 + 1
         mx = np.arange(nxr, dtype=float)
         my = np.fft.fftfreq(ny) * ny
@@ -483,19 +492,20 @@ def to_physical(f: SpectralField) -> PhysicalField:
     return PhysicalField(f.grid, _inverse(f.coeffs, f.grid))
 
 
-def to_spectral(f: PhysicalField, symmetry: str = NONE) -> SpectralField:
-    """Forward transform; a non-trivial tag triggers symmetrization.
-
-    Finite values whose transform overflows (sums of values near the
-    largest float) raise ``DataError``, as non-finite values do.
-    """
-    if not np.all(np.isfinite(f.values)):
+def _transformed(values, transform):
+    """``transform(values)``; DataError if the values or it are not finite."""
+    if not np.all(np.isfinite(values)):
         raise DataError("physical field contains non-finite values")
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _forward(f.values)
+        coeffs = transform(values)
     if not np.all(np.isfinite(coeffs)):
         raise DataError("physical field overflows its spectral transform")
-    out = SpectralField(f.grid, coeffs, NONE)
+    return coeffs
+
+
+def to_spectral(f: PhysicalField, symmetry: str = NONE) -> SpectralField:
+    """Forward transform (``_transformed``); a tag other than NONE symmetrizes."""
+    out = SpectralField(f.grid, _transformed(f.values, _forward), NONE)
     if symmetry != NONE:
         out = symmetrize(out, symmetry)
     return out

@@ -20,6 +20,7 @@ from hydrostat.experiments import (exp_stability, load_manifest,
                                    manifest_core_bytes, reconstruct_verdicts,
                                    run_experiment)
 from hydrostat.io import write_snapshot
+from tooling import fresh_python
 
 SMALL_ENERGY = """
 [grid]
@@ -446,6 +447,34 @@ class TestCli:
             "expression_v = cos(2*pi*x)", f"expression_v = {expression}"))
         assert main(["validate", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expression", ["z ** -1", "1/x", "exp(1e3*x)", "10.0**400"])
+    def test_expression_whose_samples_are_not_finite_fails_the_run(self, tmp_path,
+                                                                    expression, capsys):
+        """``validate`` accepts it; ``run`` exits 1 naming it, and no numpy
+        warning escapes (the suite turns them into errors)."""
+        path = tmp_path / "c.ini"
+        path.write_text(re.sub(r"(n[xyz]) = 16", r"\1 = 8", SMALL_ENERGY.format(
+            out=tmp_path / "run")).replace("expression_u = 0", f"expression_u = {expression}"))
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"run failed: expression {expression!r}: ")
+
+    def test_validate_refuses_a_grid_beyond_physical_memory(self, tmp_path):
+        """4096^3 tables need about 1.4 TB.  ``validate`` builds none: in a
+        child capped at 1 GiB of address space with one BLAS thread it exits
+        2 naming [grid], where building them would raise MemoryError."""
+        path = tmp_path / "big.ini"
+        path.write_text("[grid]\nnx = 4096\nny = 4096\nnz = 4096\n")
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+                  "from hydrostat.cli import main\n"
+                  "sys.exit(main(['validate', sys.argv[1]]))\n")
+        result = fresh_python(["-c", script, str(path)], timeout=120,
+                              env={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("config error: [grid] 4096x4096x4096: ")
 
     def test_report_rejects_file_that_fails_its_digest(self, tmp_path, decomp_run,
                                                       capsys):

@@ -9,7 +9,7 @@ from hydrostat import decomposition, spectral
 from hydrostat.decomposition import (_SAFE_NAMES, InitialDataSpec, _split_record,
                                      lockstep, make_cusp_step_data, mollify,
                                      prepare_initial_parts, run_decomposition)
-from hydrostat.errors import BlowUpError, ConfigurationError
+from hydrostat.errors import BlowUpError, ConfigurationError, DataError
 from hydrostat.hydrostatics import barotropic_residual, solve_pressure
 from hydrostat.solver import (CFLWarning, PhysicsParams, StepControl, integrate,
                               make_state, step, step_linear)
@@ -109,6 +109,33 @@ class TestCuspStepData:
         vals = to_physical(step_part).values
         np.testing.assert_allclose(vals[0], 0.7, atol=1e-12)
         np.testing.assert_allclose(vals[1], -0.2, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(16, 16, 32), (32, 32, 64), (10, 14, 20),
+                                       (12, 8, 26), (48, 48, 96)])
+    def test_sampled_cusp_is_a_column_on_every_grid(self, shape):
+        """One z FFT puts the cusp on its mean line.  Where the horizontal
+        FFT of a constant is exact (powers of two), the bytes are those of
+        the whole-lattice transform; elsewhere the line moves at round-off."""
+        g = Grid.make(*shape, H)
+        spec = InitialDataSpec(kind="cusp_step", a=(1.1, -0.3), delta=0.7)
+        vbar, _ = make_cusp_step_data(g, spec)
+        assert spectral._is_column(vbar.coeffs) and vbar.symmetry == EVEN
+        profile = np.abs(g.z()) ** spec.delta
+        whole = dealias(field_from_function(g, lambda X, Y, Z: (
+            spec.a[0] * profile + 0 * X, spec.a[1] * profile + 0 * X), EVEN)).coeffs
+        if all(n & (n - 1) == 0 for n in shape):
+            assert vbar.coeffs.tobytes() == whole.tobytes()
+        else:
+            assert np.max(np.abs(vbar.coeffs - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("a, delta, h", [((1e308, -1e308), 1.0, H), ((1.0, 0.0), 1e308, 5.0),
+                                             ((0.0, 1.0), 800.0, 5.0)])
+    def test_cusp_that_leaves_the_float_range_is_a_data_error(self, a, delta, h):
+        """Samples or their transform past the float range raise DataError,
+        with no numpy warning."""
+        spec = InitialDataSpec(kind="cusp_step", a=a, delta=delta, eta=0.25)
+        with pytest.raises(DataError):
+            make_cusp_step_data(Grid.make(8, 8, 8, h), spec)
 
     def test_cusp_coefficients_match_direct_sum(self, grid):
         """FFT pipeline against a brute-force quadrature over the lattice.

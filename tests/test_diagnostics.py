@@ -86,3 +86,10 @@ class TestEnergyResiduals:
         res = energy_residual_series(t, l2, grad)
         assert np.max(res) <= 1e-10
         assert integrate_series(t, grad ** 2)[-1] == pytest.approx(0.5 * (1 - np.exp(-2 * lam)), rel=1e-9)
+
+    def test_residual_of_norms_that_overflow_is_not_finite(self):
+        """Squares past the float range give a residual that fails its
+        verdict, not a numpy warning."""
+        t = np.linspace(0.0, 1e-2, 4)
+        res = energy_residual_series(t, np.full(4, 1e200), np.full(4, 1e200))
+        assert not np.any(res <= 1e-7)

@@ -362,3 +362,12 @@ class TestEnvelopeFitting:
         # and it is minimal: slightly smaller constant fails somewhere
         smaller = growth_envelope(t, 0.4, c0 * 0.95) * measured[0]
         assert np.any(smaller < measured)
+
+    @pytest.mark.parametrize("t_end, v0_l4", [(0.5, 1e200), (1e300, 0.4)])
+    def test_envelope_above_every_float_fits_any_constant(self, t_end, v0_l4):
+        """Where (1 + ||v0||_4)^4 or e^(2t) overflows, every C0 > 0 fits:
+        that time adds no demand, with no OverflowError and no numpy warning."""
+        t = np.array([0.0, t_end])
+        alone = fit_sup_envelope_c0(t[:1], [0.3], 0.3, v0_l4)
+        assert fit_sup_envelope_c0(t, [0.3, 0.6], 0.3, v0_l4) == alone
+        assert alone == (0.0 if v0_l4 > 1e100 else fit_sup_envelope_c0(t[:1], [0.3], 0.3, 0.4))

@@ -303,6 +303,7 @@ def test_config_fuzz_exits_zero_one_or_two(tmp_path_factory, fuzz_snapshots, dat
     path.write_text(_config_text(values))
     with warnings.catch_warnings():
         warnings.simplefilter("default")
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["validate", str(path)])
         assert code in (0, 2)
         if code:

@@ -535,6 +535,86 @@ class TestColumnPath:
                                  - rotation_only)) > 1e-3 * np.max(np.abs(u))
         assert len(calls) == 2 * len(stages)
 
+    def test_lockstep_steps_the_mean_line_alone(self, monkeypatch):
+        """A cusp_step lockstep recovers no w, calls no band transform and
+        projects one-line arrays only."""
+        g = Grid.make(32, 32, 64, H)
+        vbar, V = z_only_parts(g)
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_recover_w_band",
+                            counted("recover_w", solver._recover_w_band))
+        for name in ("gradient", "inverse", "forward"):
+            monkeypatch.setattr(_Band, name, counted(name, getattr(_Band, name)))
+        shapes = []
+        project = solver._project_mean
+        monkeypatch.setattr(solver, "_project_mean",
+                            lambda u, *tables: shapes.append(u.shape) or project(u, *tables))
+        states = list(lockstep(vbar, V, PhysicsParams(1.3), StepControl(dt=1e-3), 4e-3))
+        assert len(states) == 5 and calls == []
+        assert shapes == [(2, 1, 1)] * (9 * 4)
+
+    @pytest.mark.parametrize("shape", [(16, 16, 32), (32, 32, 64)])
+    @pytest.mark.parametrize("f0", [0.0, 1.3])
+    def test_step_and_step_linear_equal_the_dense_path(self, monkeypatch, shape, f0):
+        g = Grid.make(*shape, H)
+        vbar, V = z_only_parts(g)
+        ctl = StepControl(dt=1e-3)
+
+        def run():
+            v, part = (make_state(f, 0.0, PhysicsParams(f0)) for f in (vbar + V, V))
+            out = []
+            for _ in range(3):
+                v, stages = step(v, ctl, record_stages=True)
+                part = step_linear(part, stages, ctl)
+                out += [v.v.coeffs, part.v.coeffs] + [s.v for s in stages]
+            return out
+
+        line = run()
+        monkeypatch.setattr(solver, "_is_column", lambda b: False)
+        dense = run()
+        assert all(np.array_equal(a, b) for a, b in zip(line, dense))
+
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_nan_on_the_mean_line_blows_up_as_on_the_dense_path(self, monkeypatch, linear):
+        g = Grid.make(16, 16, 32, H)
+        band = g.band
+        vbar, V = z_only_parts(g)
+        state = make_state(vbar + V, 0.0, PhysicsParams(1.3))
+        ctl = StepControl(dt=1e-3)
+        _, stages = step(state, ctl, record_stages=True)
+        u = band.pack(state.v.coeffs)
+        u[1, 0, 0, 2] = np.nan
+        bad = SolverState(SpectralField(g, band.unpack(u), EVEN), 0.0, PhysicsParams(1.3))
+        assert _is_column(band.pack(bad.v.coeffs))
+
+        def blow_up():
+            with pytest.raises(BlowUpError) as err:
+                step_linear(bad, stages, ctl) if linear else step(bad, ctl)
+            return str(err.value), err.value.last_good
+
+        line = blow_up()
+        monkeypatch.setattr(solver, "_is_column", lambda b: False)
+        dense = blow_up()
+        assert line[0] == dense[0] and "RK stage 1 of 3" in line[0]
+        assert line[1] is dense[1] is bad
+
+    def test_column_part_under_a_moving_driver_steps_dense(self, monkeypatch):
+        g = Grid.make(16, 16, 32, H)
+        ctl = StepControl(dt=1e-3)
+        _, stages = step(smooth_state(g), ctl, record_stages=True)
+        assert all(np.any(s.w) for s in stages)
+        vbar, _ = z_only_parts(g)
+        part = make_state(vbar, 0.0, PhysicsParams(1.0))
+        assert _is_column(g.band.pack(part.v.coeffs))
+        calls = counting_gradients(monkeypatch)
+        moved = step_linear(part, stages, ctl)
+        assert calls == [False] * 3
+        assert not _is_column(g.band.pack(moved.v.coeffs))
+
     def test_cfl_warning_at_the_same_dt(self, monkeypatch):
         g = Grid.make(16, 16, 32, H)
         vbar, V = z_only_parts(g)
