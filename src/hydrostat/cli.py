@@ -57,7 +57,8 @@ def _cmd_validate(args):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"ok: experiment={cfg.experiment} hash={cfg.config_hash}")
+    tail = "" if cfg.planned_steps is None else f" steps={cfg.planned_steps}"
+    print(f"ok: experiment={cfg.experiment} hash={cfg.config_hash}{tail}")
     return EXIT_OK
 
 

@@ -24,8 +24,8 @@ from .errors import ConfigError, HydrostatError
 from .solver import PhysicsParams, StepControl, _step_count
 from .spectral import Grid, _check_grid
 
-EXPERIMENTS = ("energy_identity", "decomposition", "stability",
-               "mollification", "lemma_suite")
+STEPPED = ("energy_identity", "decomposition", "stability", "mollification")
+EXPERIMENTS = STEPPED + ("lemma_suite",)
 
 
 def _finite(text):
@@ -119,6 +119,11 @@ class RunConfig:
     def step_control(self, dt=None):
         return StepControl(dt=self.dt if dt is None else dt,
                            cfl_target=self.cfl_target)
+
+    @property
+    def planned_steps(self):
+        """Steps of dt from 0 to t_end, or None for a kind that takes none."""
+        return _step_count(0.0, self.t_end, self.dt) if self.experiment in STEPPED else None
 
     @property
     def config_hash(self):

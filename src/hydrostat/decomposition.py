@@ -8,9 +8,9 @@ cusp plus an indicator step,
     v0bar = a |z|^delta,        V0 = sigma * chi_{(-eta, eta)}(z),
 
 which lies in the constraint space automatically.  The cusp part is
-sampled on the lattice (its cosine coefficients decay like l^(-1-delta));
-the step part uses its exact Fourier coefficients to avoid
-lattice-alignment artifacts at z = +/- eta.
+sampled on the lattice and enters as a column through ``to_spectral``
+(its cosine coefficients decay like l^(-1-delta)); the step part uses
+its exact Fourier coefficients against lattice artifacts at z = +/- eta.
 
 Mollification is periodic convolution with a separable product of 1D
 C-infinity bumps of radius eps, realized spectrally: the multiplier is
@@ -34,8 +34,8 @@ from .errors import ConfigurationError, DataError
 from .hydrostatics import solve_pressure
 from .solver import (PhysicsParams, SolverState, StepControl, _norm_row,
                      _plan_steps, _recorded, make_state, step, step_linear)
-from .spectral import (EVEN, Grid, SpectralField, _parseval, _transformed, dealias,
-                       field_from_function, linf_norm, symmetrize, zero_field)
+from .spectral import (EVEN, Grid, PhysicalField, SpectralField, _parseval, dealias,
+                       field_from_function, linf_norm, to_spectral, zero_field)
 from .io import read_snapshot
 from .estimates import norms
 
@@ -160,16 +160,15 @@ def _step_part(grid: Grid, eta, sigma) -> SpectralField:
 
 def make_cusp_step_data(grid: Grid, spec: InitialDataSpec):
     """Build (v0bar, V0): lattice-sampled cusp and exact-coefficient step,
-    both columns: the cusp's samples take one z FFT onto the mean line."""
+    both columns (``to_spectral`` takes the z-only samples to the mean line)."""
     spec.validate(grid.h)
     if spec.kind != "cusp_step":
         raise ConfigurationError(f"initial-data kind {spec.kind!r} has no cusp/step parts")
     with np.errstate(over="ignore", invalid="ignore"):
         samples = np.multiply.outer(spec.a, np.abs(grid.z()) ** spec.delta)
-    coeffs = np.zeros((2,) + grid.spectral_shape, dtype=complex)
-    coeffs[:, 0, 0] = _transformed(samples, lambda s: np.fft.fft(s, norm="forward"))
-    vbar = dealias(symmetrize(SpectralField(grid, coeffs), EVEN))
-    return vbar, _step_part(grid, spec.eta, spec.sigma)
+    lattice = np.broadcast_to(samples[:, None, None], (2,) + grid.physical_shape)
+    return (dealias(to_spectral(PhysicalField(grid, lattice), EVEN)),
+            _step_part(grid, spec.eta, spec.sigma))
 
 
 _SAFE_NAMES = {"pi": np.pi, "sin": np.sin, "cos": np.cos, "exp": np.exp,

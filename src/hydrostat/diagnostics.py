@@ -1,8 +1,8 @@
 """Time-series diagnostics: norm records, energy bookkeeping, CSV output.
 
 The cumulative dissipation integral backing the energy-identity check uses
-a sliding 6-point Newton-Cotes rule (exact for quintics), so the reported
-residual is limited by the time stepper rather than by the quadrature.
+a sliding 6-point Newton-Cotes rule (exact for quintics); on nonlinear
+data this quadrature, not the time stepper, limits the reported residual.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ def integrate_series(t, g):
 
     Returns D with D[0] = 0 and D[i] ~= int_{t0}^{ti} g.  Each subinterval
     integrates the degree-5 polynomial through the 6 nearest samples
-    (degrading gracefully for short series), so smooth integrands are
-    captured to O(dt^6) and never limit an order-3 scheme comparison.
+    (degrading gracefully for short series): O(dt^6), with constants that
+    grow with the decay rates, so it can exceed an order-3 stepper's error.
     """
     t = np.asarray(t, dtype=float)
     g = np.asarray(g, dtype=float)

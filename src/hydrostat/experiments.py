@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError
 from .estimates import (_nested_ratios, fit_sup_envelope_c0, ladyzhenskaya_ratio,
                         moser_bound_check, random_instance, saturated_instance)
 from .io import _snapshot_bytes
-from .solver import _step_count, integrate, make_state, step
+from .solver import integrate, make_state, step
 from .spectral import (PhysicalField, _band_l2, dealias, field_from_function,
                        l2_norm, to_spectral)
 from .spectral import linf_norm  # noqa: F401  -- a name the benchmark's tracer rebinds
@@ -133,7 +133,7 @@ def exp_mollification_convergence(cfg: RunConfig) -> ExperimentReport:
     grid = cfg.make_grid()
     params = cfg.physics()
     ctl = cfg.step_control()
-    n_steps = _step_count(0.0, cfg.t_end, ctl.dt)
+    n_steps = cfg.planned_steps
     k = min(cfg.sample_count, n_steps)
     sampled = {0} | {max(1, round(i * n_steps / k)) for i in range(1, k + 1)}
 

@@ -46,13 +46,15 @@ not three.
 
 A z-only state steps on its mean line alone.  Its packed array is a
 column (``spectral._is_column``: zero off the mean line m = n = 0), so
-dx U, dy U and w vanish and its tendency is -f0 k x U; under drivers with
-w = 0 a step runs on ``u[:, :1, :1]`` and the rest of the band stays zero.
-Its driver values are the z pass of that line broadcast over (nx, ny) as
-read-only views (``_Band.column_inverse``), w broadcast zeros.  The full
-sums give the same numbers up to the sign of zeros, so no artifact depends
-on the path.  The paper's cusp a|z|^delta and step sigma chi(-eta, eta)(z)
-are such data.
+dx U, dy U and w vanish, its tendency is -f0 k x U, and the projection
+is the identity there (kh2 = 0).  Under drivers with w = 0 the step asks
+this once and runs on ``u[:, :1, :1]``, with that tendency and without
+projecting; the rest of the band stays zero.  Its driver values are the
+z pass of that line broadcast over (nx, ny) as read-only views
+(``_Band.column_inverse``), w broadcast zeros.  The full sums give the
+same numbers up to the sign of zeros, so no artifact depends on the path.
+The paper's cusp a|z|^delta and step sigma chi(-eta, eta)(z) are such
+data: ``spectral.to_spectral`` makes z-only lattice values a column.
 
 Stepping is a pure state-to-state function: a single trajectory is
 sequential, but independent trajectories may run on separate threads.
@@ -178,13 +180,7 @@ def _rhs_core(u: np.ndarray, band: _Band, v: np.ndarray, w: np.ndarray,
     whose values of U the caller has already taken, and are summed in the
     order v^1 dx U + v^2 dy U + w dz U, so one gradient at a time is on
     the lattice.
-
-    Without ``grads``, a column U (``spectral._is_column``), or its mean
-    line alone, under a driver with w = 0 has no advection: the x and y
-    derivative tables vanish at m = n = 0.  Its tendency is -f0 k x U.
     """
-    if grads is None and _is_column(u) and not _any_stored(w):
-        return -(f0 * _coriolis(u))
     grads = band.gradient(u) if grads is None else grads
     adv = next(grads)
     adv *= v[0]
@@ -209,7 +205,8 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
     itself (nonlinear system) and, with ``collect``, the stage fields are
     returned for reuse.  A column under drivers with w = 0, decided once
     per step, runs the stages on its mean line ``u[:, :1, :1]`` with the
-    factors and projection tables sliced alike (see the module docstring).
+    factors sliced alike: its tendency is -f0 k x U, and the projection,
+    the identity on that line, is skipped (see the module docstring).
     Raises ``BlowUpError`` carrying ``state`` at the first stage that
     leaves non-finite values.
     """
@@ -218,9 +215,8 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
     u = band.pack(state.v.coeffs)
     factors = _stage_factors(band, dt)
     column = _is_column(u) and not any(_any_stored(s.w) for s in driver_stages or ())
-    lead = 1 if column else None    # the (m, n) block stepped: the mean line, or all
-    u, factors = u[:, :lead, :lead], tuple(a[:lead, :lead] for a in factors)
-    tables = band.kx[:lead, :, 0], band.ky[:, :lead, 0], band.kh2[:lead, :lead]
+    if column:      # step the mean line alone
+        u, factors = u[:, :1, :1], tuple(a[:1, :1] for a in factors)
     collected = [] if collect else None
     n_prev = None
     vmax0 = 0.0
@@ -229,7 +225,6 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
             if driver_stages is None:
                 if column:
                     # w = 0, no gradient; v is one line per component, so is its max
-                    grads = None
                     v = band.column_inverse(u)
                     w = np.broadcast_to(0.0, (1,) + v.shape[1:])
                     vmax = v[:, :1, :1]
@@ -249,12 +244,14 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
                 if abs(stage.t - expected) > _STAGE_TIME_TOL * max(1.0, abs(expected)):
                     raise SchedulingError(
                         f"driver stage at t={stage.t} but stage {k} needs t={expected}")
-            n_k = _rhs_core(u, band, stage.v, stage.w, state.params.f0, grads)
+            n_k = (-(state.params.f0 * _coriolis(u)) if column
+                   else _rhs_core(u, band, stage.v, stage.w, state.params.f0, grads))
             incr = dt * RK_A[k] * n_k
             if k:
                 incr = incr + dt * RK_B[k] * n_prev
             u = factors[k] * (u + incr)
-            _project_mean(u[..., 0], *tables)
+            if not column:
+                _project_mean(u[..., 0], band.kx[..., 0], band.ky[..., 0], band.kh2)
             if not np.all(np.isfinite(u)):
                 raise BlowUpError(
                     f"non-finite values at RK stage {k + 1} of 3 in the step from t={t}",

@@ -46,7 +46,8 @@ slabs.  The slab size changes memory and round-off only.
 Conventions (fixed for cross-run reproducibility):
 
 * forward transforms carry the 1/N factor, so the (0,0,0) coefficient is
-  the field mean;
+  the field mean; values exactly constant in x and y take one z FFT onto
+  the mean line, so z-only data are columns on every grid;
 * collocation points are x_j = j/nx, y_j = j/ny, z_j = -h + 2h*j/nz
   (z = -h included, z = +h excluded);
 * the 2/3-rule mask keeps |m| <= nx/3, |n| <= ny/3, |l| <= nz/3;
@@ -492,20 +493,22 @@ def to_physical(f: SpectralField) -> PhysicalField:
     return PhysicalField(f.grid, _inverse(f.coeffs, f.grid))
 
 
-def _transformed(values, transform):
-    """``transform(values)``; DataError if the values or it are not finite."""
+def to_spectral(f: PhysicalField, symmetry: str = NONE) -> SpectralField:
+    """Forward transform; a tag other than NONE symmetrizes.  Values exactly
+    constant in x and y take one z FFT onto the mean line (a column).
+    DataError if the values or their coefficients are not finite."""
+    values = f.values
     if not np.all(np.isfinite(values)):
         raise DataError("physical field contains non-finite values")
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = transform(values)
+        if np.all(values == values[:, :1, :1]):
+            coeffs = np.zeros(values.shape[:1] + f.grid.spectral_shape, dtype=complex)
+            coeffs[:, 0, 0] = np.fft.fft(values[:, 0, 0], norm="forward")
+        else:
+            coeffs = _forward(values)
     if not np.all(np.isfinite(coeffs)):
         raise DataError("physical field overflows its spectral transform")
-    return coeffs
-
-
-def to_spectral(f: PhysicalField, symmetry: str = NONE) -> SpectralField:
-    """Forward transform (``_transformed``); a tag other than NONE symmetrizes."""
-    out = SpectralField(f.grid, _transformed(f.values, _forward), NONE)
+    out = SpectralField(f.grid, coeffs, NONE)
     if symmetry != NONE:
         out = symmetrize(out, symmetry)
     return out

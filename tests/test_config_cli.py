@@ -20,6 +20,7 @@ from hydrostat.experiments import (exp_stability, load_manifest,
                                    manifest_core_bytes, reconstruct_verdicts,
                                    run_experiment)
 from hydrostat.io import write_snapshot
+from hydrostat.solver import _step_count
 from tooling import fresh_python
 
 SMALL_ENERGY = """
@@ -560,6 +561,28 @@ class TestCli:
         path.write_text("[experiment]\nkind = lemma_suite\n")
         assert main(["validate", str(path)]) == 0
         assert "ok:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", sorted(SMALL_BY_KIND))
+    def test_validate_prints_the_planned_step_count(self, tmp_path, kind, capsys):
+        """Every stepped kind shows its steps at dt; the lemma suite takes none."""
+        path = tmp_path / "c.ini"
+        path.write_text(SMALL_BY_KIND[kind].format(out=tmp_path / "run"))
+        assert main(["validate", str(path)]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith(f"ok: experiment={kind} hash=")
+        steps = {"energy_identity": 10, "decomposition": 5, "stability": 5,
+                 "mollification": 2}.get(kind)
+        assert line.endswith(f" steps={steps}") if steps else "steps=" not in line
+
+    def test_validate_shows_a_runaway_step_count(self, tmp_path, capsys):
+        """t_end = 4e15 at dt = 1e-3 fits an index, so it is accepted, but
+        the 4e18 steps it plans are on the ok line."""
+        path = tmp_path / "c.ini"
+        path.write_text(SMALL_DECOMP.format(out=tmp_path / "run")
+                        .replace("t_end = 0.01", "t_end = 4e15").replace("2e-3", "1e-3"))
+        assert main(["validate", str(path)]) == 0
+        steps = int(capsys.readouterr().out.split("steps=")[1])
+        assert steps == _step_count(0.0, 4e15, 1e-3) and 4e18 <= steps < 4.001e18
 
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         path = tmp_path / "c.ini"

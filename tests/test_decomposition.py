@@ -13,7 +13,7 @@ from hydrostat.errors import BlowUpError, ConfigurationError, DataError
 from hydrostat.hydrostatics import barotropic_residual, solve_pressure
 from hydrostat.solver import (CFLWarning, PhysicsParams, StepControl, integrate,
                               make_state, step, step_linear)
-from hydrostat.spectral import (EVEN, Grid, PhysicalField, dealias,
+from hydrostat.spectral import (EVEN, Grid, PhysicalField, SpectralField, dealias,
                                 derivative, field_from_function, grad_h_norm_sq,
                                 l2_norm, linf_norm, lq_norm, symmetrize,
                                 to_physical, to_spectral, zero_field)
@@ -113,16 +113,21 @@ class TestCuspStepData:
     @pytest.mark.parametrize("shape", [(16, 16, 32), (32, 32, 64), (10, 14, 20),
                                        (12, 8, 26), (48, 48, 96)])
     def test_sampled_cusp_is_a_column_on_every_grid(self, shape):
-        """One z FFT puts the cusp on its mean line.  Where the horizontal
-        FFT of a constant is exact (powers of two), the bytes are those of
-        the whole-lattice transform; elsewhere the line moves at round-off."""
+        """The cusp enters through ``to_spectral``'s z-only route, as a
+        z-only expression does: one column, the same bytes on every grid.
+        Where the horizontal FFT of a constant is exact (powers of two),
+        the bytes are those of the whole-lattice transform; elsewhere the
+        line moves at round-off."""
         g = Grid.make(*shape, H)
         spec = InitialDataSpec(kind="cusp_step", a=(1.1, -0.3), delta=0.7)
         vbar, _ = make_cusp_step_data(g, spec)
         assert spectral._is_column(vbar.coeffs) and vbar.symmetry == EVEN
         profile = np.abs(g.z()) ** spec.delta
-        whole = dealias(field_from_function(g, lambda X, Y, Z: (
+        expression = dealias(field_from_function(g, lambda X, Y, Z: (
             spec.a[0] * profile + 0 * X, spec.a[1] * profile + 0 * X), EVEN)).coeffs
+        assert vbar.coeffs.tobytes() == expression.tobytes()
+        lattice = np.multiply.outer(spec.a, np.broadcast_to(profile, g.physical_shape))
+        whole = dealias(symmetrize(SpectralField(g, spectral._forward(lattice)), EVEN)).coeffs
         if all(n & (n - 1) == 0 for n in shape):
             assert vbar.coeffs.tobytes() == whole.tobytes()
         else:

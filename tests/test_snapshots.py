@@ -12,9 +12,10 @@ from hydrostat.cli import main
 from hydrostat.config import parse_config
 from hydrostat.decomposition import InitialDataSpec, prepare_initial_parts
 from hydrostat.errors import DataError
+from hydrostat.experiments import run_experiment
 from hydrostat.io import _snapshot_bytes, read_snapshot, write_snapshot
-from hydrostat.spectral import (EVEN, Grid, PhysicalField, dealias, field_from_function,
-                                symmetrize, to_physical, to_spectral)
+from hydrostat.spectral import (EVEN, Grid, PhysicalField, _Band, _is_column, dealias,
+                                field_from_function, symmetrize, to_physical, to_spectral)
 
 H = 0.5
 
@@ -79,6 +80,45 @@ def test_initial_data_snapshot_must_fit_the_run(tmp_path, ncomp, shape):
     spec = InitialDataSpec(kind="snapshot", snapshot=str(path), epsilon=0.0)
     with pytest.raises(DataError, match="not a 2-component field on the run's 8x8x8 grid"):
         prepare_initial_parts(Grid.make(8, 8, 8, H), spec)
+
+
+CUSP_10x14x20 = """
+[grid]
+nx = 10
+ny = 14
+nz = 20
+[physics]
+f0 = 1.3
+[time]
+dt = 2e-3
+t_end = 2e-3
+[initial_data]
+kind = cusp_step
+a = 1.1, 0.3
+delta = 0.7
+[experiment]
+kind = decomposition
+[output]
+directory = {out}
+snapshots = true
+"""
+
+
+def test_z_only_snapshot_reads_back_as_a_column(tmp_path, monkeypatch):
+    """A cusp ``initial.hsf`` on a grid whose whole-lattice FFT leaves
+    round-off off the mean line still reads back as a column, and a run
+    from it steps that line alone: no ``_Band.gradient`` call."""
+    run_experiment(parse_config(text=CUSP_10x14x20.format(out=tmp_path / "cusp")))
+    snapshot = tmp_path / "cusp" / "initial.hsf"
+    f = read_snapshot(snapshot)
+    assert (f.grid.nx, f.grid.ny, f.grid.nz) == (10, 14, 20) and _is_column(f.coeffs)
+    calls = []
+    gradient = _Band.gradient
+    monkeypatch.setattr(_Band, "gradient", lambda *a, **k: calls.append(1) or gradient(*a, **k))
+    text = CUSP_10x14x20.format(out=tmp_path / "read").replace(
+        "kind = cusp_step", f"kind = snapshot\nsnapshot = {snapshot}")
+    report, _ = run_experiment(parse_config(text=text))
+    assert report.all_pass and calls == []
 
 
 def test_grid_rebuilt_when_absent(tmp_path, grid):

@@ -115,6 +115,32 @@ class TestTransforms:
         rest[0, 0, 0, 0] = 0
         assert np.max(np.abs(rest)) < 1e-14
 
+    @pytest.mark.parametrize("shape", [(16, 16, 32), (32, 32, 64), (10, 14, 20)])
+    def test_z_only_values_become_a_column(self, shape):
+        """Values exactly constant in x and y take one z FFT onto the mean
+        line: a column on every grid, equal to the whole-lattice transform
+        (up to the sign of zeros) where its horizontal FFT of a constant is
+        exact (powers of two), and within round-off of it elsewhere.  There,
+        symmetrized, the bytes are equal, the signs of zeros included."""
+        g = Grid.make(*shape, H)
+        line = np.random.default_rng(7).standard_normal((2, 1, 1, g.nz))
+        values = np.broadcast_to(line, (2,) + g.physical_shape)
+        got = to_spectral(PhysicalField(g, values)).coeffs
+        whole = _forward(values)
+        assert _is_column(got)
+        if all(n & (n - 1) == 0 for n in shape):
+            assert (got + 0.0).tobytes() == (whole + 0.0).tobytes()     # -0 + 0 is +0
+            for tag in (EVEN, ODD):
+                assert to_spectral(PhysicalField(g, values), tag).coeffs.tobytes() == \
+                    symmetrize(SpectralField(g, whole), tag).coeffs.tobytes()
+        else:
+            assert not _is_column(whole)
+            assert np.max(np.abs(got - whole)) <= 1e-15 * np.max(np.abs(whole))
+        bumped = np.array(values)       # one entry one ulp off: the whole transform
+        bumped[1, -1, -1, 3] = np.nextafter(bumped[1, -1, -1, 3], np.inf)
+        assert to_spectral(PhysicalField(g, bumped)).coeffs.tobytes() == \
+            _forward(bumped).tobytes()
+
     def test_non_finite_values_rejected(self, grid):
         vals = np.zeros((1,) + grid.physical_shape)
         vals[0, 0, 0, 0] = np.nan
@@ -122,8 +148,16 @@ class TestTransforms:
             to_spectral(PhysicalField(grid, vals))
 
     def test_finite_values_whose_transform_overflows_rejected(self, grid):
-        """The sum of values near the largest float: a DataError, no warning."""
+        """The sum of values near the largest float: a DataError, no warning
+        (constant values, so this takes the z-only route)."""
         vals = np.full((1,) + grid.physical_shape, 1e308)
+        with pytest.raises(DataError, match="overflows"):
+            to_spectral(PhysicalField(grid, vals))
+
+    def test_whole_transform_overflow_rejected(self, grid):
+        """As above, with one entry off the constant: the whole transform."""
+        vals = np.full((1,) + grid.physical_shape, 1e308)
+        vals[0, 1, 0, 0] = 1e307
         with pytest.raises(DataError, match="overflows"):
             to_spectral(PhysicalField(grid, vals))
 

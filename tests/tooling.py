@@ -1,5 +1,5 @@
 """Shared test tooling: a fresh interpreter on the package's sources, and
-the benchmark tracer's bindings read as a literal."""
+the benchmark's tracer bindings and set-up markers read from its source."""
 
 import ast
 import os
@@ -35,3 +35,18 @@ def tracer_bindings():
                 getattr(t, "id", None) == "BINDINGS" for t in node.targets):
             return [(module, name) for module, name, _ in ast.literal_eval(node.value)]
     raise AssertionError("bench/tracing.py defines no BINDINGS")
+
+
+def bench_markers():
+    """(module, name) of every function whose first call ends a round's
+    set-up in ``bench/workloads.py``: the string pairs handed to
+    ``_experiment_round`` and the ``prog.<module>.<name>`` wrapped by
+    ``FirstCall``, found by parsing the file, never running it."""
+    markers = set()
+    for node in ast.walk(ast.parse((ROOT / "bench" / "workloads.py").read_text())):
+        name = getattr(getattr(node, "func", None), "id", None)
+        if name == "_experiment_round" and len(node.args) >= 6:
+            markers.add(tuple(ast.literal_eval(a) for a in node.args[4:6]))
+        elif name == "FirstCall" and isinstance(node.args[0], ast.Attribute):
+            markers.add((node.args[0].value.attr, node.args[0].attr))
+    return markers
