@@ -20,9 +20,10 @@ import os
 from dataclasses import dataclass, field
 
 from .decomposition import InitialDataSpec
+from .diagnostics import CSV_COLUMNS
 from .errors import ConfigError, HydrostatError
 from .solver import PhysicsParams, StepControl, _step_count
-from .spectral import Grid, _check_grid
+from .spectral import Grid, _check_grid, _check_memory
 
 STEPPED = ("energy_identity", "decomposition", "stability", "mollification")
 EXPERIMENTS = STEPPED + ("lemma_suite",)
@@ -205,7 +206,10 @@ def validate_config(cfg: RunConfig) -> None:
         _check_grid(cfg.grid_nx, cfg.grid_ny, cfg.grid_nz, cfg.h)
         cfg.step_control()
         for dt in (cfg.dt, cfg.dt / 2.0) if cfg.experiment == "energy_identity" else (cfg.dt,):
-            _step_count(0.0, cfg.t_end, dt)
+            steps = _step_count(0.0, cfg.t_end, dt)     # the last dt's run is the longest
+        if cfg.experiment in STEPPED:
+            _check_memory((steps + 1) * 8 * len(CSV_COLUMNS),
+                          f"[time] {steps} steps of dt={dt!r}: their series rows")
         cfg.initial_data.validate(cfg.h)
     except HydrostatError as err:
         raise ConfigError(str(err)) from err

@@ -24,7 +24,6 @@ from __future__ import annotations
 import ast
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -81,7 +80,6 @@ class InitialDataSpec:
 _BUMP_POINTS = 4096
 
 
-@lru_cache(maxsize=1)
 def _bump_quadrature():
     """r-grid and normalized C-infinity bump values on [-1, 1]."""
     r = np.linspace(-1.0, 1.0, _BUMP_POINTS + 1)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
+from .config import STEPPED, RunConfig
 from .decomposition import (_step_part, mollify, prepare_initial_parts,
                             run_decomposition)
 from .diagnostics import DiagnosticsSeries, integrate_series
@@ -433,6 +433,10 @@ def run_experiment(cfg: RunConfig, out_dir=None):
         "started_at": started,
         "finished_at": finished,
     }
+    spec = cfg.initial_data     # a run that read a snapshot names its bytes
+    if spec.kind == "snapshot" and (cfg.experiment in STEPPED or cfg.snapshots):
+        digest = hashlib.sha256(Path(spec.snapshot).read_bytes()).hexdigest()
+        manifest["inputs"] = [{"name": spec.snapshot, "sha256": digest}]
     (out / "manifest.json").write_bytes(_json_bytes(manifest))
     return report, manifest
 

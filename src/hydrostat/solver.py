@@ -56,8 +56,9 @@ same numbers up to the sign of zeros, so no artifact depends on the path.
 The paper's cusp a|z|^delta and step sigma chi(-eta, eta)(z) are such
 data: ``spectral.to_spectral`` makes z-only lattice values a column.
 
-Stepping is a pure state-to-state function: a single trajectory is
-sequential, but independent trajectories may run on separate threads.
+Stepping is a pure state-to-state function that only reads the band: a
+single trajectory is sequential, but independent trajectories may run on
+separate threads.
 """
 
 from __future__ import annotations
@@ -140,24 +141,6 @@ def make_state(v: SpectralField, t: float, params: PhysicsParams) -> SolverState
     return SolverState(clean, float(t), params)
 
 
-def _stage_factors(band: _Band, dt: float):
-    """Integrating factors exp(-|k|^2 (c_{k+1} - c_k) dt) for the 3 stages.
-
-    The factors of the last dt are kept on the band as one ``(dt,
-    factors)`` tuple, read-only, and reused while dt repeats: one entry,
-    so the cache stays bounded, and one tuple, so a thread never pairs
-    one dt with another's factors.
-    """
-    last = band.stage_factors
-    if last is not None and last[0] == dt:
-        return last[1]
-    factors = tuple(np.exp(-band.k2 * ((RK_C[k + 1] - RK_C[k]) * dt)) for k in range(3))
-    for a in factors:
-        a.flags.writeable = False
-    band.stage_factors = (dt, factors)
-    return factors
-
-
 def _coriolis(coeffs):
     """Coefficients of k x U = (-U^2, U^1)."""
     return np.concatenate([-coeffs[1:2], coeffs[0:1]])
@@ -204,19 +187,21 @@ def _advance_stages(state: SolverState, dt: float, driver_stages=None,
     by the frozen driver (linear systems); otherwise the field drives
     itself (nonlinear system) and, with ``collect``, the stage fields are
     returned for reuse.  A column under drivers with w = 0, decided once
-    per step, runs the stages on its mean line ``u[:, :1, :1]`` with the
-    factors sliced alike: its tendency is -f0 k x U, and the projection,
-    the identity on that line, is skipped (see the module docstring).
-    Raises ``BlowUpError`` carrying ``state`` at the first stage that
-    leaves non-finite values.
+    per step, runs the stages on its mean line ``u[:, :1, :1]``: its
+    tendency is -f0 k x U, and the projection, the identity on that line,
+    is skipped (see the module docstring).  The integrating factors
+    exp(-|k|^2 (c_{k+1} - c_k) dt) are formed each step from the |k|^2 of
+    the block stepped, so the band is only read.  Raises ``BlowUpError``
+    carrying ``state`` at the first stage that leaves non-finite values.
     """
     t = state.t
     band = state.v.grid.band
     u = band.pack(state.v.coeffs)
-    factors = _stage_factors(band, dt)
     column = _is_column(u) and not any(_any_stored(s.w) for s in driver_stages or ())
+    k2 = band.k2
     if column:      # step the mean line alone
-        u, factors = u[:, :1, :1], tuple(a[:1, :1] for a in factors)
+        u, k2 = u[:, :1, :1], k2[:1, :1]
+    factors = [np.exp(-k2 * ((RK_C[k + 1] - RK_C[k]) * dt)) for k in range(3)]
     collected = [] if collect else None
     n_prev = None
     vmax0 = 0.0

@@ -151,7 +151,9 @@ class _Band:
     1.4-2 ms as a stack.
 
     The index and matrix tables are derived from ``grid.dealias_mask``
-    when the band is built, once per grid (``Grid.band``).
+    when the band is built, once per grid (``Grid.band``), and only
+    ``__init__`` writes them: the band holds no per-run state, so
+    trajectories on one grid may share it across threads without a lock.
     """
 
     def __init__(self, grid):
@@ -168,9 +170,6 @@ class _Band:
         # l > 0 stands for l and -l, and m > 0 for m and -m
         twice = np.where(np.arange(max(self.nl, self.nm)) > 0, 2.0, 1.0)
         self.weights = grid.mode_weights[: self.nm] * twice[: self.nl]
-        # the stepper's integrating factors of its last dt, as one
-        # (dt, factors) tuple (``solver._stage_factors``)
-        self.stage_factors = None
 
         half = grid.nz // 2 + 1
         cos, sin = _unit_circle(grid.nz)
@@ -319,6 +318,14 @@ class _Band:
         return out
 
 
+def _check_memory(need, what):
+    """Refuse ``what``, whose arrays ``need`` bytes, if they exceed the physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise ConfigurationError(f"{what} need {need / 2 ** 30:.3g} GiB, more than the "
+                                 f"{memory / 2 ** 30:.3g} GiB of memory")
+
+
 def _check_grid(nx, ny, nz, h):
     """``Grid.make``'s checks, building no table: its tables plus one
     2-component coefficient array must fit the physical memory, too."""
@@ -329,11 +336,8 @@ def _check_grid(nx, ny, nz, h):
         raise ConfigurationError(f"[grid] h={h}: half-height must be positive and finite")
     if not np.pi / h * nz < _K_LIMIT:
         raise ConfigurationError(f"[grid] h={h}: vertical wavenumbers up to pi*nz/h overflow")
-    need = (8 + 1 + 2 * 16) * (nx // 2 + 1) * ny * nz    # k2, the mask, 2 complex
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > memory:
-        raise ConfigurationError(f"[grid] {nx}x{ny}x{nz}: tables need {need / 2 ** 30:.3g} "
-                                 f"GiB, more than the {memory / 2 ** 30:.3g} GiB of memory")
+    _check_memory((8 + 1 + 2 * 16) * (nx // 2 + 1) * ny * nz,    # k2, the mask, 2 complex
+                  f"[grid] {nx}x{ny}x{nz}: tables")
 
 
 @dataclass(frozen=True, eq=False)

@@ -575,14 +575,16 @@ class TestCli:
         assert line.endswith(f" steps={steps}") if steps else "steps=" not in line
 
     def test_validate_shows_a_runaway_step_count(self, tmp_path, capsys):
-        """t_end = 4e15 at dt = 1e-3 fits an index, so it is accepted, but
-        the 4e18 steps it plans are on the ok line."""
+        """t_end = 4e15 at dt = 1e-3 fits an index, but the series of the
+        4e18 steps it plans cannot fit in memory: refused, naming them."""
         path = tmp_path / "c.ini"
         path.write_text(SMALL_DECOMP.format(out=tmp_path / "run")
                         .replace("t_end = 0.01", "t_end = 4e15").replace("2e-3", "1e-3"))
-        assert main(["validate", str(path)]) == 0
-        steps = int(capsys.readouterr().out.split("steps=")[1])
-        assert steps == _step_count(0.0, 4e15, 1e-3) and 4e18 <= steps < 4.001e18
+        assert main(["validate", str(path)]) == 2
+        steps = _step_count(0.0, 4e15, 1e-3)
+        assert 4e18 <= steps < 4.001e18
+        assert f"[time] {steps} steps of dt=0.001: their series rows need" in \
+            capsys.readouterr().err
 
     def test_validate_rejects_bad_config(self, tmp_path, capsys):
         path = tmp_path / "c.ini"

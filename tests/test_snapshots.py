@@ -1,5 +1,6 @@
 """Tests for the HSF1 binary snapshot format."""
 
+import hashlib
 import re
 import struct
 import warnings
@@ -12,7 +13,7 @@ from hydrostat.cli import main
 from hydrostat.config import parse_config
 from hydrostat.decomposition import InitialDataSpec, prepare_initial_parts
 from hydrostat.errors import DataError
-from hydrostat.experiments import run_experiment
+from hydrostat.experiments import manifest_core_bytes, run_experiment
 from hydrostat.io import _snapshot_bytes, read_snapshot, write_snapshot
 from hydrostat.spectral import (EVEN, Grid, PhysicalField, _Band, _is_column, dealias,
                                 field_from_function, symmetrize, to_physical, to_spectral)
@@ -119,6 +120,60 @@ def test_z_only_snapshot_reads_back_as_a_column(tmp_path, monkeypatch):
         "kind = cusp_step", f"kind = snapshot\nsnapshot = {snapshot}")
     report, _ = run_experiment(parse_config(text=text))
     assert report.all_pass and calls == []
+
+
+SNAPSHOT_RUN = """
+[grid]
+nx = 8
+ny = 8
+nz = 16
+[time]
+dt = 2e-3
+t_end = 4e-3
+[initial_data]
+kind = snapshot
+snapshot = {snapshot}
+epsilon = 0
+[experiment]
+kind = {kind}
+[output]
+directory = {out}
+"""
+
+
+@pytest.mark.parametrize("kind", ["decomposition", "energy_identity"])
+def test_snapshot_runs_name_the_bytes_they_read(tmp_path, grid, kind):
+    """Two files at one path share a config hash; the manifest core tells
+    them apart by the sha256 under ``inputs``, and repeats each exactly."""
+    path = tmp_path / "data.hsf"
+    cores, hashes = [], set()
+    for seed in (0, 1, 0):
+        write_snapshot(path, sample_field(grid, seed))
+        cfg = parse_config(text=SNAPSHOT_RUN.format(snapshot=path, kind=kind,
+                                                    out=tmp_path / f"run{len(cores)}"))
+        _, manifest = run_experiment(cfg)
+        assert manifest["inputs"] == [{"name": str(path), "sha256": hashlib.sha256(
+            path.read_bytes()).hexdigest()}]
+        cores.append(manifest_core_bytes(manifest))
+        hashes.add(cfg.config_hash)
+    assert len(hashes) == 1 and cores[0] != cores[1] and cores[0] == cores[2]
+
+
+def test_only_runs_that_read_a_snapshot_name_it(tmp_path, grid):
+    """An analytic run has no ``inputs``; a lemma suite with snapshot data
+    names the file only when ``snapshots = true`` makes it read it."""
+    analytic = SNAPSHOT_RUN.replace("kind = snapshot", "kind = analytic")
+    _, manifest = run_experiment(parse_config(text=analytic.format(
+        snapshot="", kind="decomposition", out=tmp_path / "analytic")))
+    assert "inputs" not in manifest
+    path = tmp_path / "data.hsf"
+    write_snapshot(path, sample_field(grid))
+    for snapshots, named in (("false", False), ("true", True)):
+        text = SNAPSHOT_RUN.format(snapshot=path, kind="lemma_suite",
+                                   out=tmp_path / snapshots) + f"snapshots = {snapshots}\n"
+        _, manifest = run_experiment(parse_config(text=text.replace(
+            "[experiment]\n", "[experiment]\nmoser_count = 5\nladyzhenskaya_count = 1\n")))
+        assert ("inputs" in manifest) is named
 
 
 def test_grid_rebuilt_when_absent(tmp_path, grid):

@@ -1,15 +1,18 @@
 """Tests for the RK3/integrating-factor stepper against exact solutions."""
 
 import gc
+import sys
 import tracemalloc
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from oracles import stepwise_energy_residuals
 
 from hydrostat.diagnostics import integrate_series
+from hydrostat.estimates import norms
 from hydrostat.errors import (BlowUpError, ConstraintViolationError,
                               SchedulingError)
 from hydrostat import solver
@@ -673,64 +676,47 @@ class TestColumnPath:
         assert column == [warns(dt), warns(dt * (1 + 1e-12))] == [False, True]
 
 
-class TestStageFactors:
-    """The integrating factors of the last dt are kept on the band, once."""
+class TestSharedBand:
+    """The grid's band is the one thing trajectories on a grid share, and
+    no run writes it: a step forms its integrating factors itself."""
 
-    def test_one_entry_reused_while_dt_repeats(self):
-        band = Grid.make(16, 16, 32, H).band
-        first = solver._stage_factors(band, 1e-3)
-        assert solver._stage_factors(band, 1e-3) is first
-        second = solver._stage_factors(band, 4e-4)
-        assert band.stage_factors[0] == 4e-4 and band.stage_factors[1] is second
-        for dt, factors in ((1e-3, first), (4e-4, second)):
-            for k, a in enumerate(factors):
-                assert not a.flags.writeable
-                fresh = np.exp(-band.k2 * ((solver.RK_C[k + 1] - solver.RK_C[k]) * dt))
-                assert np.array_equal(a, fresh)
+    def test_threaded_runs_match_runs_in_sequence(self):
+        """``integrate`` at dt and dt/2 on one grid, on two threads switching
+        every microsecond, writes the bytes of the two runs in sequence."""
+        state = smooth_state(Grid.make(16, 16, 32, H))
 
-    def test_entry_is_read_once(self):
-        """Another thread may replace the entry right after it is read (as
-        a threaded mollification run can); the factors returned are still
-        those of the dt that matched."""
-        band = Grid.make(16, 16, 32, H).band
-        mine = (1e-3, solver._stage_factors(band, 1e-3))
-        theirs = (4e-4, solver._stage_factors(band, 4e-4))
+        def run(dt):
+            final, series = integrate(state, StepControl(dt=dt), 0.02)
+            return series.to_csv(), final.v.coeffs.tobytes()
 
-        class Contended:
-            k2 = band.k2
-            reads = 0
+        sequence = [run(dt) for dt in (2e-3, 1e-3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(run, (2e-3, 1e-3), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == sequence
 
-            @property
-            def stage_factors(self):
-                self.reads += 1
-                return mine if self.reads == 1 else theirs
-
-            @stage_factors.setter
-            def stage_factors(self, entry):
-                pass
-
-        assert solver._stage_factors(Contended(), 1e-3) is mine[1]
-
-    def test_steps_match_fresh_factors(self):
+    def test_runs_leave_the_band_as_they_found_it(self):
+        """A ``lockstep`` (3-D data), an ``integrate`` (a column) and
+        ``norms`` read the band: the same names, the same array bytes."""
         g = Grid.make(16, 16, 32, H)
-        state = smooth_state(g)
-        part = make_state(field_from_function(g, lambda X, Y, Z: (
-            np.cos(2 * np.pi * X) * np.cos(np.pi * Z / H), 0.3 + 0 * X), symmetry=EVEN),
-            0.0, PhysicsParams(1.0))
+
+        def seen(band):
+            return {name: value.tobytes() if isinstance(value, np.ndarray) else value
+                    for name, value in vars(band).items()}
+
+        before = seen(g.band)
+        vbar = smooth_state(g).v
+        V = field_from_function(g, lambda X, Y, Z: (0.3 * np.cos(2 * np.pi * X) + 0 * Z,
+                                                    np.cos(np.pi * Z / H) + 0 * Y), symmetry=EVEN)
         ctl = StepControl(dt=1e-3)
-        runs = []
-        for fresh in (False, True):
-            s, p, out = state, part, []
-            for dt in (1e-3, 1e-3, 4e-4, 1e-3):
-                if fresh:
-                    g.band.stage_factors = None
-                s, stages = step(s, ctl, dt=dt, record_stages=True)
-                if fresh:
-                    g.band.stage_factors = None
-                p = step_linear(p, stages, ctl, dt=dt)
-                out += [s.v.coeffs, p.v.coeffs]
-            runs.append(out)
-        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+        list(lockstep(vbar, V, PhysicsParams(1.0), ctl, 3e-3))
+        integrate(cusp_state(g), ctl, 3e-3)
+        norms(vbar)
+        assert seen(g.band) == before
 
 
 def test_any_stored_reads_the_stored_elements():
