@@ -33,7 +33,7 @@ from .errors import ConfigurationError, DataError
 from .hydrostatics import solve_pressure
 from .solver import (PhysicsParams, SolverState, StepControl, _norm_row,
                      _plan_steps, _recorded, make_state, step, step_linear)
-from .spectral import (EVEN, Grid, PhysicalField, SpectralField, _parseval, dealias,
+from .spectral import (EVEN, ODD, Grid, PhysicalField, SpectralField, _parseval, dealias,
                        field_from_function, linf_norm, to_spectral, zero_field)
 from .io import read_snapshot
 from .estimates import norms
@@ -230,23 +230,24 @@ def _analytic_field(grid, spec):
 
 
 def prepare_initial_parts(grid: Grid, spec: InitialDataSpec):
-    """Resolve the spec into mollified (v0bar, V0) on the grid.
+    """Resolve the spec into (v0bar, V0) on the grid, mollified at its epsilon.
 
-    A snapshot must hold a 2-component field on this very grid; any other
-    snapshot raises ``DataError``, as an unreadable one does.
-    """
+    A snapshot must hold a 2-component field on this very grid, not tagged
+    odd (a state keeps the even part, which is zero); any other snapshot
+    raises ``DataError``, as an unreadable one does."""
     spec.validate(grid.h)
     if spec.kind == "cusp_step":
-        return _mollify_parts(make_cusp_step_data(grid, spec), spec.epsilon)
-    if spec.kind == "analytic":
-        return mollify(_analytic_field(grid, spec), spec.epsilon), zero_field(grid, 2, EVEN)
-    if spec.kind == "snapshot":
+        raw = make_cusp_step_data(grid, spec)
+    elif spec.kind == "analytic":
+        raw = _analytic_field(grid, spec), zero_field(grid, 2, EVEN)
+    else:
         f = read_snapshot(spec.snapshot, grid)
-        if f.ncomp != 2 or f.grid is not grid:
+        if f.ncomp != 2 or f.grid is not grid or f.symmetry == ODD:
             raise DataError(f"{spec.snapshot}: not a 2-component field on the run's "
-                            f"{grid.nx}x{grid.ny}x{grid.nz} grid with h = {grid.h}")
-        return mollify(dealias(f), spec.epsilon), zero_field(grid, 2, EVEN)
-    raise ConfigurationError(f"unknown initial-data kind {spec.kind!r}")
+                            f"{grid.nx}x{grid.ny}x{grid.nz} grid with h = {grid.h}, "
+                            f"tagged even or untagged (symmetry tag: {f.symmetry})")
+        raw = dealias(f), zero_field(grid, 2, EVEN)
+    return _mollify_parts(raw, spec.epsilon)
 
 
 # ---------------------------------------------------------------------------

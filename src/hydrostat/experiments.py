@@ -5,7 +5,9 @@ diagnostics stream(s), experiment-specific JSON records, and a manifest
 holding the config hash, produced-file digests, scalar metrics and
 pass/fail verdicts.  Identical config + seed reproduce the CSV bytes and
 the manifest's deterministic core exactly; wall-clock timestamps live
-outside that core.
+outside that core.  A run resolves its initial data once, before its
+first step (``_set_up``): every member, perturbation and ``initial.hsf``
+is mollified from that one read, and a snapshot's digest is taken there.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import STEPPED, RunConfig
-from .decomposition import (_step_part, mollify, prepare_initial_parts,
+from .config import RunConfig
+from .decomposition import (_mollify_parts, _step_part, prepare_initial_parts,
                             run_decomposition)
 from .diagnostics import DiagnosticsSeries, integrate_series
 from .errors import ConfigError, DataError
@@ -48,6 +50,7 @@ class ExperimentReport:
     metrics: dict = field(default_factory=dict)
     verdicts: dict = field(default_factory=dict)
     files: dict = field(default_factory=dict)      # name -> bytes
+    inputs: list = field(default_factory=list)     # {"name", "sha256"} per file read
 
     @property
     def all_pass(self):
@@ -58,11 +61,24 @@ class ExperimentReport:
 # individual experiments
 # ---------------------------------------------------------------------------
 
+def _set_up(cfg: RunConfig, report: ExperimentReport):
+    """Un-mollified (v0bar, V0); records a snapshot's digest and any ``initial.hsf``."""
+    spec = cfg.initial_data
+    parts = prepare_initial_parts(cfg.make_grid(), replace(spec, epsilon=0.0))
+    if spec.kind == "snapshot":
+        digest = hashlib.sha256(Path(spec.snapshot).read_bytes()).hexdigest()
+        report.inputs.append({"name": spec.snapshot, "sha256": digest})
+    if cfg.snapshots:
+        vbar0, step0 = _mollify_parts(parts, spec.epsilon)
+        report.files["initial.hsf"] = _snapshot_bytes(vbar0 + step0)
+    return parts
+
+
 def exp_energy_identity(cfg: RunConfig) -> ExperimentReport:
     """Energy-identity residual of a smooth-data run, and its dt-convergence."""
-    vbar0, step0 = prepare_initial_parts(cfg.make_grid(), cfg.initial_data)
-    state = make_state(vbar0 + step0, 0.0, cfg.physics())
     report = ExperimentReport("energy_identity")
+    vbar0, step0 = _mollify_parts(_set_up(cfg, report), cfg.initial_data.epsilon)
+    state = make_state(vbar0 + step0, 0.0, cfg.physics())
     for label, dt in (("series", cfg.dt), ("series_half", cfg.dt / 2.0)):
         _, series = integrate(state, cfg.step_control(dt), cfg.t_end)
         report.files[f"{label}.csv"] = series.to_csv().encode()
@@ -71,20 +87,13 @@ def exp_energy_identity(cfg: RunConfig) -> ExperimentReport:
 
 def exp_decomposition(cfg: RunConfig) -> ExperimentReport:
     """Split run: reconstruction residual, part regularity and the sup-norm fit."""
-    grid = cfg.make_grid()
-    vbar0, step0 = prepare_initial_parts(grid, cfg.initial_data)
+    report = ExperimentReport("decomposition")
+    vbar0, step0 = _mollify_parts(_set_up(cfg, report), cfg.initial_data.epsilon)
     _, ser = run_decomposition(vbar0, step0, cfg.physics(), cfg.step_control(),
                                cfg.t_end)
-    report = ExperimentReport("decomposition")
     report.files["series.csv"] = ser.to_csv().encode()
     report.metrics["dz_vbar_dissipation"] = float(ser.array("dz_vbar_dissipation")[-1])
     return _judged(report, cfg)
-
-
-def _perturbation_field(cfg: RunConfig, grid, amplitude):
-    """The step amplitude * chi_{(-eta_p, eta_p)}(z) in u, mollified as the data are."""
-    return mollify(_step_part(grid, cfg.eta_perturbation, (amplitude, 0.0)),
-                   cfg.initial_data.epsilon)
 
 
 def exp_stability(cfg: RunConfig) -> ExperimentReport:
@@ -97,11 +106,12 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
     m_hat(t) = (1 + ||dz vbar||^2)(1 + ||grad vbar||^2 + ||grad_H dz vbar||^2)
     from the X part's series at those times.
     """
-    grid = cfg.make_grid()
     params = cfg.physics()
     ctl = cfg.step_control()
-    vbar0, step0 = prepare_initial_parts(grid, cfg.initial_data)
-    delta_full = _perturbation_field(cfg, grid, cfg.sigma_perturbation)
+    report = ExperimentReport("stability")
+    data = _set_up(cfg, report)
+    chi = _step_part(data[0].grid, cfg.eta_perturbation, (cfg.sigma_perturbation, 0.0))
+    vbar0, step0, delta_full = _mollify_parts(data + (chi,), cfg.initial_data.epsilon)
     v0 = vbar0 + step0
     members = {"diff_sigma": make_state(v0 + delta_full, 0.0, params),
                "diff_sigma_half": make_state(v0 + delta_full * 0.5, 0.0, params)}
@@ -117,7 +127,6 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
                                hooks=(perturbed,))
     m_hat = ((1.0 + ser.array("dz_vbar_l2") ** 2)
              * (1.0 + ser.array("grad_vbar_l2") ** 2 + ser.array("grad_h_dz_vbar_sq")))
-    report = ExperimentReport("stability")
     report.files["series.csv"] = ser.to_csv().encode()
     report.files["differences.json"] = _json_bytes({
         "t": ser.columns["t"], "m_hat": m_hat.tolist(), **diffs,
@@ -128,18 +137,16 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
 
 def exp_mollification_convergence(cfg: RunConfig) -> ExperimentReport:
     """Cauchy behavior of the trajectory as the mollification radius halves."""
-    if len(cfg.epsilons) < 2:
-        raise ConfigError("mollification needs at least two epsilon values")
-    grid = cfg.make_grid()
     params = cfg.physics()
     ctl = cfg.step_control()
+    report = ExperimentReport("mollification")
+    parts = _set_up(cfg, report)
     n_steps = cfg.planned_steps
     k = min(cfg.sample_count, n_steps)
     sampled = {0} | {max(1, round(i * n_steps / k)) for i in range(1, k + 1)}
 
     def _one(eps):
-        spec = replace(cfg.initial_data, epsilon=eps)
-        vbar0, step0 = prepare_initial_parts(grid, spec)
+        vbar0, step0 = _mollify_parts(parts, eps)
         captured, steps = [], count()
 
         def capture(dt, state):             # v at t = 0 and at the sampled steps
@@ -155,7 +162,6 @@ def exp_mollification_convergence(cfg: RunConfig) -> ExperimentReport:
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         results = list(pool.map(_one, cfg.epsilons))
 
-    report = ExperimentReport("mollification")
     distances = [float(max(_band_l2(a - b) for a, b in zip(cap_a, cap_b)))
                  for (cap_a, _), (cap_b, _) in zip(results, results[1:])]
     for i, (_, series) in enumerate(results):
@@ -187,6 +193,8 @@ def exp_lemma_suite(cfg: RunConfig) -> ExperimentReport:
     """
     rng = np.random.default_rng(cfg.seed)
     report = ExperimentReport("lemma_suite")
+    if cfg.snapshots:
+        _set_up(cfg, report)
 
     violations = 0
     tightness = 0.0       # closest approach A_k / a_k over the ensemble
@@ -408,18 +416,11 @@ def run_experiment(cfg: RunConfig, out_dir=None):
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     report = _RUNNERS[cfg.experiment](cfg)
-
-    if cfg.snapshots:
-        vbar0, step0 = prepare_initial_parts(cfg.make_grid(), cfg.initial_data)
-        report.files["initial.hsf"] = _snapshot_bytes(vbar0 + step0)
-
     finished = time.time()
     file_entries = []
-    for name in sorted(report.files):
-        payload = report.files[name]
+    for name, payload in sorted(report.files.items()):
         (out / name).write_bytes(payload)
-        file_entries.append({"name": name,
-                             "sha256": hashlib.sha256(payload).hexdigest()})
+        file_entries.append({"name": name, "sha256": hashlib.sha256(payload).hexdigest()})
     manifest = {
         "format": "hydrostat-run/1",
         "version": __version__,
@@ -433,10 +434,8 @@ def run_experiment(cfg: RunConfig, out_dir=None):
         "started_at": started,
         "finished_at": finished,
     }
-    spec = cfg.initial_data     # a run that read a snapshot names its bytes
-    if spec.kind == "snapshot" and (cfg.experiment in STEPPED or cfg.snapshots):
-        digest = hashlib.sha256(Path(spec.snapshot).read_bytes()).hexdigest()
-        manifest["inputs"] = [{"name": spec.snapshot, "sha256": digest}]
+    if report.inputs:           # a run that read a snapshot names its bytes
+        manifest["inputs"] = report.inputs
     (out / "manifest.json").write_bytes(_json_bytes(manifest))
     return report, manifest
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from hydrostat import decomposition, experiments
 from hydrostat.cli import main
 from hydrostat.config import _SCHEMA, parse_config, with_overrides
 from hydrostat.decomposition import prepare_initial_parts, run_decomposition
@@ -357,6 +358,30 @@ class TestRunPersistence:
             write_snapshot(tmp_path / "expected.hsf", vbar0 + step0)
             assert ((tmp_path / kind / "initial.hsf").read_bytes()
                     == (tmp_path / "expected.hsf").read_bytes()), kind
+
+    @pytest.mark.parametrize("snapshots", ["false", "true"])
+    @pytest.mark.parametrize("kind", sorted(SMALL_BY_KIND))
+    def test_one_set_up_per_run(self, tmp_path, monkeypatch, kind, snapshots):
+        """A run resolves its initial data once (``experiments._set_up``), a
+        lemma suite only to write ``initial.hsf``; stability mollifies its data
+        and its perturbation with one multiplier, three ``_bump_transform``s."""
+        calls = {"prepare": 0, "bump": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(experiments, "prepare_initial_parts",
+                            counted("prepare", experiments.prepare_initial_parts))
+        monkeypatch.setattr(decomposition, "_bump_transform",
+                            counted("bump", decomposition._bump_transform))
+        text = SMALL_BY_KIND[kind].format(out=tmp_path / "run") + f"snapshots = {snapshots}\n"
+        run_experiment(parse_config(text=text))
+        assert calls["prepare"] == (kind != "lemma_suite" or snapshots == "true")
+        if kind == "stability" and snapshots == "false":
+            assert calls["bump"] == 3
 
 
 class TestReport:

@@ -9,14 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hydrostat import decomposition, experiments
 from hydrostat.cli import main
 from hydrostat.config import parse_config
 from hydrostat.decomposition import InitialDataSpec, prepare_initial_parts
 from hydrostat.errors import DataError
 from hydrostat.experiments import manifest_core_bytes, run_experiment
 from hydrostat.io import _snapshot_bytes, read_snapshot, write_snapshot
-from hydrostat.spectral import (EVEN, Grid, PhysicalField, _Band, _is_column, dealias,
-                                field_from_function, symmetrize, to_physical, to_spectral)
+from hydrostat.spectral import (EVEN, NONE, ODD, Grid, PhysicalField, _Band, _is_column,
+                                dealias, field_from_function, symmetrize, to_physical,
+                                to_spectral)
 
 H = 0.5
 
@@ -174,6 +176,71 @@ def test_only_runs_that_read_a_snapshot_name_it(tmp_path, grid):
         _, manifest = run_experiment(parse_config(text=text.replace(
             "[experiment]\n", "[experiment]\nmoser_count = 5\nladyzhenskaya_count = 1\n")))
         assert ("inputs" in manifest) is named
+
+
+def test_odd_tagged_snapshot_fails_the_run(tmp_path, grid, capsys):
+    """A state keeps the even part of its data, and an odd field's is zero:
+    ``run`` refuses odd-tagged data, naming the file, and exits 1.  An
+    untagged snapshot is still taken, by its even part."""
+    path = tmp_path / "odd.hsf"
+    write_snapshot(path, symmetrize(sample_field(grid), ODD))
+    config = tmp_path / "c.ini"
+    config.write_text(SNAPSHOT_RUN.format(snapshot=path, kind="decomposition",
+                                          out=tmp_path / "run"))
+    assert main(["run", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"run failed: {path}: ") and "symmetry tag: odd" in err
+    f = sample_field(grid)
+    write_snapshot(path, f.with_coeffs(f.coeffs, NONE))
+    spec = InitialDataSpec(kind="snapshot", snapshot=str(path), epsilon=0.0)
+    vbar0, _ = prepare_initial_parts(grid, spec)
+    assert vbar0.symmetry == NONE
+
+
+MOLLIFICATION_SNAPSHOT_RUN = SNAPSHOT_RUN.format(
+    snapshot="{snapshot}", kind="mollification", out="{out}") + "snapshots = true\n"
+
+
+def test_mollification_reads_its_snapshot_once(tmp_path, grid, monkeypatch):
+    """Three mollification radii and ``initial.hsf`` come from one read."""
+    path = tmp_path / "data.hsf"
+    write_snapshot(path, sample_field(grid))
+    reads = []
+    monkeypatch.setattr(decomposition, "read_snapshot",
+                        lambda *a: reads.append(a) or read_snapshot(*a))
+    cfg = parse_config(text=MOLLIFICATION_SNAPSHOT_RUN.format(snapshot=path,
+                                                              out=tmp_path / "run"))
+    assert len(cfg.epsilons) == 3
+    run_experiment(cfg)
+    assert len(reads) == 1
+
+
+def test_snapshot_replaced_during_the_run_changes_nothing(tmp_path, grid, monkeypatch):
+    """A snapshot file replaced at the run's first step feeds no member and
+    no digest: the series are those of an undisturbed run, and ``inputs``
+    names the bytes read."""
+    path = tmp_path / "data.hsf"
+    write_snapshot(path, sample_field(grid, 0))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    run_experiment(parse_config(text=MOLLIFICATION_SNAPSHOT_RUN.format(
+        snapshot=path, out=tmp_path / "still")))
+    integrate = experiments.integrate
+
+    def replacing(*args, **kwargs):
+        if hashlib.sha256(path.read_bytes()).hexdigest() == digest:
+            write_snapshot(path, sample_field(grid, 1))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "integrate", replacing)
+    _, manifest = run_experiment(parse_config(text=MOLLIFICATION_SNAPSHOT_RUN.format(
+        snapshot=path, out=tmp_path / "moved")))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != digest
+    assert manifest["inputs"] == [{"name": str(path), "sha256": digest}]
+    names = sorted(p.name for p in (tmp_path / "still").glob("series_eps*.csv"))
+    assert len(names) == 3
+    for name in names:
+        assert ((tmp_path / "moved" / name).read_bytes()
+                == (tmp_path / "still" / name).read_bytes()), name
 
 
 def test_grid_rebuilt_when_absent(tmp_path, grid):
