@@ -45,17 +45,21 @@ class BoundParams:
             raise ConfigurationError("bound constants must be positive")
 
 
-def norms(v: SpectralField) -> NormRecord:
+def norms(v: SpectralField, packed=None) -> NormRecord:
     """Norms of a solver state: L2 and gradient by Parseval on its band
     (``spectral._band_l2``, which refuses a field not tagged ``EVEN``), L^4,
     L^6 and sup by oversampled quadrature.
 
-    A single oversampled evaluation of |v|^2 feeds every lattice-quadrature
-    norm (``spectral.lq_norm`` gives any other q).  The gradient norm is
-    the root of its Parseval sum, finite whenever it is in range.
+    ``v`` is packed once (or comes ``packed``), and that band gives the lines
+    of the single oversampled evaluation of |v|^2 that feeds every lattice
+    norm (``_Band.populated``; ``spectral.lq_norm`` gives any other q).  The
+    gradient norm is the root of its Parseval sum, finite whenever it is in
+    range.
     """
-    l2, grad_l2 = _band_l2(v), _band_l2(v, grad=True)
-    linf, lq = _lattice_norms(v, (4.0, 6.0))
+    band = v.grid.band
+    packed = band.pack(v.coeffs) if packed is None else packed
+    l2, grad_l2 = _band_l2(v, packed=packed), _band_l2(v, True, packed)
+    linf, lq = _lattice_norms(v, (4.0, 6.0), band.populated(packed))
     return NormRecord(l2=l2, grad_l2=grad_l2, l4=lq[4.0], l6=lq[6.0], linf=linf)
 
 
@@ -321,7 +325,9 @@ def fit_sup_envelope_c0(t, linf_V, linf_V0, v0_l4) -> float:
     """Minimal C0 with growth_envelope(t, .., C0) * ||V0||_inf >= ||V||_inf(t).
 
     The envelope is strictly increasing in C0, so each time gives a unique
-    root; the fit is the largest of them.
+    root; the fit is the largest of them.  Each bisection stops after 200
+    steps, or sooner at a step that leaves (lo, hi), its whole state,
+    unchanged: a fixed point, so the bits are those of all 200 steps.
     """
     t = np.asarray(t, dtype=float)
     linf_V = np.asarray(linf_V, dtype=float)
@@ -351,8 +357,10 @@ def fit_sup_envelope_c0(t, linf_V, linf_V0, v0_l4) -> float:
         for _ in range(200):
             mid = np.sqrt(lo * hi) if hi / lo > 4 else 0.5 * (lo + hi)
             if short(mid) < 0:
-                lo = mid
+                lo, moved = mid, mid != lo
             else:
-                hi = mid
+                hi, moved = mid, mid != hi
+            if not moved:
+                break
         need = max(need, hi)
     return float(need)

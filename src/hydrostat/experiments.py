@@ -6,8 +6,9 @@ holding the config hash, produced-file digests, scalar metrics and
 pass/fail verdicts.  Identical config + seed reproduce the CSV bytes and
 the manifest's deterministic core exactly; wall-clock timestamps live
 outside that core.  A run resolves its initial data once, before its
-first step (``_set_up``): every member, perturbation and ``initial.hsf``
-is mollified from that one read, and a snapshot's digest is taken there.
+first step (``_set_up``; a snapshot's digest is of the bytes parsed): every
+member, perturbation and ``initial.hsf`` is mollified from that one read,
+``initial.hsf`` as its runner's parts (``_mollified``).
 """
 
 from __future__ import annotations
@@ -62,22 +63,24 @@ class ExperimentReport:
 # ---------------------------------------------------------------------------
 
 def _set_up(cfg: RunConfig, report: ExperimentReport):
-    """Un-mollified (v0bar, V0); records a snapshot's digest and any ``initial.hsf``."""
-    spec = cfg.initial_data
-    parts = prepare_initial_parts(cfg.make_grid(), replace(spec, epsilon=0.0))
-    if spec.kind == "snapshot":
-        digest = hashlib.sha256(Path(spec.snapshot).read_bytes()).hexdigest()
-        report.inputs.append({"name": spec.snapshot, "sha256": digest})
+    """Un-mollified (v0bar, V0); records a snapshot's digest, of the bytes parsed."""
+    spec = replace(cfg.initial_data, epsilon=0.0)
+    return prepare_initial_parts(cfg.make_grid(), spec, report.inputs)
+
+
+def _mollified(cfg: RunConfig, report: ExperimentReport, parts):
+    """``parts`` mollified at the config's epsilon by one multiplier; any
+    ``initial.hsf`` is written from the first two of them."""
+    parts = _mollify_parts(parts, cfg.initial_data.epsilon)
     if cfg.snapshots:
-        vbar0, step0 = _mollify_parts(parts, spec.epsilon)
-        report.files["initial.hsf"] = _snapshot_bytes(vbar0 + step0)
+        report.files["initial.hsf"] = _snapshot_bytes(parts[0] + parts[1])
     return parts
 
 
 def exp_energy_identity(cfg: RunConfig) -> ExperimentReport:
     """Energy-identity residual of a smooth-data run, and its dt-convergence."""
     report = ExperimentReport("energy_identity")
-    vbar0, step0 = _mollify_parts(_set_up(cfg, report), cfg.initial_data.epsilon)
+    vbar0, step0 = _mollified(cfg, report, _set_up(cfg, report))
     state = make_state(vbar0 + step0, 0.0, cfg.physics())
     for label, dt in (("series", cfg.dt), ("series_half", cfg.dt / 2.0)):
         _, series = integrate(state, cfg.step_control(dt), cfg.t_end)
@@ -88,7 +91,7 @@ def exp_energy_identity(cfg: RunConfig) -> ExperimentReport:
 def exp_decomposition(cfg: RunConfig) -> ExperimentReport:
     """Split run: reconstruction residual, part regularity and the sup-norm fit."""
     report = ExperimentReport("decomposition")
-    vbar0, step0 = _mollify_parts(_set_up(cfg, report), cfg.initial_data.epsilon)
+    vbar0, step0 = _mollified(cfg, report, _set_up(cfg, report))
     _, ser = run_decomposition(vbar0, step0, cfg.physics(), cfg.step_control(),
                                cfg.t_end)
     report.files["series.csv"] = ser.to_csv().encode()
@@ -111,7 +114,7 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
     report = ExperimentReport("stability")
     data = _set_up(cfg, report)
     chi = _step_part(data[0].grid, cfg.eta_perturbation, (cfg.sigma_perturbation, 0.0))
-    vbar0, step0, delta_full = _mollify_parts(data + (chi,), cfg.initial_data.epsilon)
+    vbar0, step0, delta_full = _mollified(cfg, report, data + (chi,))
     v0 = vbar0 + step0
     members = {"diff_sigma": make_state(v0 + delta_full, 0.0, params),
                "diff_sigma_half": make_state(v0 + delta_full * 0.5, 0.0, params)}
@@ -141,6 +144,8 @@ def exp_mollification_convergence(cfg: RunConfig) -> ExperimentReport:
     ctl = cfg.step_control()
     report = ExperimentReport("mollification")
     parts = _set_up(cfg, report)
+    if cfg.snapshots:
+        _mollified(cfg, report, parts)
     n_steps = cfg.planned_steps
     k = min(cfg.sample_count, n_steps)
     sampled = {0} | {max(1, round(i * n_steps / k)) for i in range(1, k + 1)}
@@ -194,7 +199,7 @@ def exp_lemma_suite(cfg: RunConfig) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     report = ExperimentReport("lemma_suite")
     if cfg.snapshots:
-        _set_up(cfg, report)
+        _mollified(cfg, report, _set_up(cfg, report))
 
     violations = 0
     tightness = 0.0       # closest approach A_k / a_k over the ensemble

@@ -8,6 +8,7 @@ with z fastest.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
@@ -34,13 +35,14 @@ def write_snapshot(path, f: SpectralField) -> None:
         fh.write(_snapshot_bytes(f))
 
 
-def read_snapshot(path, grid: Grid | None = None) -> SpectralField:
+def read_snapshot(path, grid: Grid | None = None, inputs=None) -> SpectralField:
     """Read a snapshot; reuses ``grid`` when it matches the header.
 
     Any malformed file raises ``DataError``: a bad header field, a payload
     that is short or followed by trailing bytes, or non-finite values.  So
     does a path that cannot be opened, such as a missing file or a
-    directory.
+    directory.  A list ``inputs`` gets ``{"name": path, "sha256": ...}`` of
+    the bytes parsed.
     """
     try:
         fh = open(path, "rb")
@@ -68,4 +70,6 @@ def read_snapshot(path, grid: Grid | None = None) -> SpectralField:
         except ConfigurationError as err:
             raise DataError(f"{path}: bad header: {err}") from None
     values = np.frombuffer(payload, dtype="<f8").reshape(ncomp, nx, ny, nz).astype(float)
+    if inputs is not None:
+        inputs.append({"name": path, "sha256": hashlib.sha256(raw + payload).hexdigest()})
     return to_spectral(PhysicalField(grid, values), _BYTE_TAG[tag_byte])

@@ -80,7 +80,17 @@ _K_LIMIT = np.sqrt(np.finfo(float).max / 3)
 
 
 def _forward(values):
-    return np.fft.rfftn(values, axes=_AXES, norm="forward")
+    """``rfftn`` over ``_AXES``, to the bit, pass by pass: x on rows padded by
+    8 doubles (lines 64 KiB apart, as at 64x64x128, alias in the cache), a
+    buffer freed before the z and y passes run in place."""
+    ncomp, nx, ny, nz = values.shape
+    rows = np.empty((ncomp, nx, ny * nz + 8))[..., :-8].reshape(values.shape)
+    rows[...] = values
+    out = np.fft.rfftn(rows, axes=(1,), norm="forward")
+    del rows
+    for axis in (3, 2):
+        np.fft.fft(out, axis=axis, norm="forward", out=out)
+    return out
 
 
 def _inverse(coeffs, grid):
@@ -207,6 +217,12 @@ class _Band:
     def pack(self, a):
         """The band of an array whose last three axes are (nxr, ny, nz)."""
         return a[..., : self.nm, :, : self.nl][..., self.rows, :]
+
+    def populated(self, b):
+        """``_populated`` of the even field packed as ``b``, from the band alone."""
+        mask = np.zeros((1, self.grid.nx // 2 + 1, self.grid.ny, 1), dtype=bool)
+        mask[0, : self.nm, :, 0][:, self.rows] = np.any(b, axis=(0, 3))
+        return mask
 
     def mirror(self, a):
         """Entries at -l for l = 0..nl-1 of an array of full z lines."""
@@ -618,16 +634,18 @@ def l2_norm(f: SpectralField) -> float:
     return _parseval(f.coeffs, f.grid.mode_weights, f.grid.volume, root=True)
 
 
-def _band_l2(f: SpectralField, grad=False) -> float:
+def _band_l2(f: SpectralField, grad=False, packed=None) -> float:
     """||f||_2, or with ``grad`` ||grad f||_2, of a solver state or the
     difference of two, by Parseval on its band, which holds it whole
-    (``_Band``).  A field not tagged ``EVEN`` raises ``ConfigurationError``."""
+    (``_Band``; ``packed`` if given).  A field not tagged ``EVEN`` raises
+    ``ConfigurationError``."""
     if f.symmetry != EVEN:
         raise ConfigurationError(
             f"band norms take a solver state, tagged {EVEN!r}; got {f.symmetry!r}")
     band = f.grid.band
     weights = band.weights * band.k2 if grad else band.weights
-    return _parseval(band.pack(f.coeffs), weights, f.grid.volume, root=True)
+    packed = band.pack(f.coeffs) if packed is None else packed
+    return _parseval(packed, weights, f.grid.volume, root=True)
 
 
 def grad_h_norm_sq(f: SpectralField) -> float:
@@ -876,7 +894,7 @@ def _lattice_moments(f: SpectralField, populated, qs, unit=None):
     return float(peak), size, means
 
 
-def _lattice_norms(f: SpectralField, qs):
+def _lattice_norms(f: SpectralField, qs, populated=None):
     """Sup norm and ``{q: L^q norm}`` of |f| from one streamed oversampled pass.
 
     The lattice comes in y-row slabs (``_oversampled_slabs``) and each is
@@ -885,15 +903,16 @@ def _lattice_norms(f: SpectralField, qs):
     its planes j = 0..nz'/2 only, and a column on its one z line
     (``_record_slabs``): its sup norm is the lattice's to the byte, its
     L^q norms move at round-off, because one line is summed instead of
-    (2 nx)(2 ny) copies of it.  The lines are scanned once per call
-    (``_populated``), for that choice and for the stream.  Only when |f|^2
-    or its largest power summed over the values reduced would overflow
-    are they streamed again, once for the max |component| and once
-    divided by it, so finite fields on the edge of a blow-up keep finite
-    norms and every other field keeps the unscaled arithmetic.
+    (2 nx)(2 ny) copies of it.  One line mask serves that choice and the
+    stream: ``populated``, a record's from its band (``_Band.populated``),
+    or else ``_populated``'s scan.  Only when |f|^2 or its largest power
+    summed over the values reduced would overflow are they streamed again,
+    once for the max |component| and once divided by it, so finite fields
+    on the edge of a blow-up keep finite norms and every other field keeps
+    the unscaled arithmetic.
     """
     qs = [float(q) for q in qs]
-    populated = _populated(f)
+    populated = _populated(f) if populated is None else populated
     with np.errstate(over="ignore", invalid="ignore"):
         peak, size, means = _lattice_moments(f, populated, qs)
     unit = 1.0

@@ -5,7 +5,8 @@ for any field; the band sums of the records are checked against them.
 ``one_slab`` takes the pruned oversampled stream whole, so that tests can
 compare it with ``spectral.oversample``, the lattice's definition, and
 ``whole_lattice_ratio`` reduces such whole lattices, the reference for the
-streamed Ladyzhenskaya ratios.
+streamed Ladyzhenskaya ratios.  ``fit_c0_all_steps`` is the sup-envelope
+fit with every one of its 200 bisection steps taken.
 """
 
 import numpy as np
@@ -68,3 +69,35 @@ def whole_lattice_ratio(phi, varphi, psi):
     tiny = np.finfo(float).tiny
     return LadyzhenskayaRatios(lhs, rhs1, rhs2,
                                lhs / max(rhs1, tiny), lhs / max(rhs2, tiny))
+
+
+@np.errstate(over="ignore")
+def fit_c0_all_steps(t, linf_V, linf_V0, v0_l4):
+    """``estimates.fit_sup_envelope_c0`` bisecting each root for all 200 steps."""
+    a = np.float64(1.0 + v0_l4)
+    need = 0.0
+    for ti, vi in zip(np.asarray(t, dtype=float), np.asarray(linf_V, dtype=float)):
+        target = np.log(vi / linf_V0) if vi > 0 else -np.inf
+        if target == -np.inf:
+            continue
+        b = np.exp(2.0 * ti) * (ti + 1.0) * a ** 4
+        if b == np.inf:
+            continue
+        offset = 40.0 * np.log(a) + 2.0 * np.log1p(ti)
+
+        def short(c):
+            return np.log(c) + offset + c * b - target
+
+        lo, hi = 1e-300, 1.0
+        while short(hi) < 0:
+            hi *= 2.0
+            if hi > 1e12:
+                break
+        for _ in range(200):
+            mid = np.sqrt(lo * hi) if hi / lo > 4 else 0.5 * (lo + hi)
+            if short(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        need = max(need, hi)
+    return float(need)

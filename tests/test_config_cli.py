@@ -364,7 +364,9 @@ class TestRunPersistence:
     def test_one_set_up_per_run(self, tmp_path, monkeypatch, kind, snapshots):
         """A run resolves its initial data once (``experiments._set_up``), a
         lemma suite only to write ``initial.hsf``; stability mollifies its data
-        and its perturbation with one multiplier, three ``_bump_transform``s."""
+        and its perturbation with one multiplier, three ``_bump_transform``s.
+        A stepped run that mollifies one set of parts writes ``initial.hsf``
+        from them: snapshots add no ``_bump_transform`` call."""
         calls = {"prepare": 0, "bump": 0}
 
         def counted(name, fn):
@@ -380,8 +382,10 @@ class TestRunPersistence:
         text = SMALL_BY_KIND[kind].format(out=tmp_path / "run") + f"snapshots = {snapshots}\n"
         run_experiment(parse_config(text=text))
         assert calls["prepare"] == (kind != "lemma_suite" or snapshots == "true")
-        if kind == "stability" and snapshots == "false":
-            assert calls["bump"] == 3
+        bumps = {"decomposition": 3, "stability": 3, "energy_identity": 0,
+                 "lemma_suite": 3 if snapshots == "true" else 0}
+        if kind in bumps:
+            assert calls["bump"] == bumps[kind]
 
 
 class TestReport:

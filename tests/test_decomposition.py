@@ -81,9 +81,26 @@ class TestMollify:
             rows = [np.trapezoid(np.cos(si * r) * b, r) for si in s]
             assert decomposition._bump_transform(s).tobytes() == np.array(rows).tobytes()
 
+    def test_parts_are_the_full_multipliers_products(self, grid):
+        """The block product is the full multiplier's (the bump transform of
+        every wavenumber line) bit for bit, up to the sign of zeros, which
+        are all +0: for a 3-D field, a column and a tuple of both."""
+        eps = 0.1
+        full = (decomposition._bump_transform(eps * grid.kx[:, 0, 0])[:, None, None]
+                * decomposition._bump_transform(eps * grid.ky[0, :, 0])[None, :, None]
+                * decomposition._bump_transform(eps * grid.kz[0, 0, :])[None, None, :])
+        column, _ = make_cusp_step_data(grid, InitialDataSpec(kind="cusp_step", a=(1.0, 0.4)))
+        assert spectral._is_column(column.coeffs)
+        for parts in ((random_even(grid, 3),), (column,), (column, random_even(grid, 4))):
+            for f, got in zip(parts, decomposition._mollify_parts(parts, eps), strict=True):
+                assert (got.coeffs + 0.0).tobytes() == (f.coeffs * full + 0.0).tobytes()
+                for part in (got.coeffs.real, got.coeffs.imag):
+                    assert not np.any(np.signbit(part[part == 0.0]))
+
     def test_cusp_step_parts_share_one_multiplier(self, grid, monkeypatch):
-        """Three bump transforms, one per axis, for both parts; the bytes
-        are those of mollifying each part on its own."""
+        """Three bump transforms, one per axis, for both parts, each over the
+        populated wavenumbers only (one x and one y entry for these columns);
+        the bytes are those of mollifying each part on its own."""
         spec = InitialDataSpec(kind="cusp_step", a=(1.0, 0.4), delta=0.8,
                                eta=0.25, sigma=(0.2, -0.1), epsilon=0.1)
         raw = make_cusp_step_data(grid, spec)
@@ -93,7 +110,8 @@ class TestMollify:
         monkeypatch.setattr(decomposition, "_bump_transform",
                             lambda s: calls.append(len(s)) or transform(s))
         parts = prepare_initial_parts(grid, spec)
-        assert calls == [grid.nx // 2 + 1, grid.ny, grid.nz]
+        lines = np.any([f.coeffs for f in raw], axis=(0, 1, 2, 3))
+        assert calls == [1, 1, np.count_nonzero(lines)] and calls[2] < grid.nz
         assert [f.coeffs.tobytes() for f in parts] == expected
 
 
@@ -278,6 +296,17 @@ class TestRunDecomposition:
         _, series = run_decomposition(vbar0, step0, PhysicsParams(1.0),
                                       StepControl(dt=1e-3), 0.02)
         assert np.nanmax(series.array("recon_residual")) <= 1e-8
+
+    def test_rows_scan_no_full_storage(self, grid, monkeypatch):
+        """A cusp split run takes each row's line masks from the packed bands
+        (``_Band.populated``): no ``spectral._populated`` scan."""
+        calls = []
+        populated = spectral._populated
+        monkeypatch.setattr(spectral, "_populated", lambda f: calls.append(1) or populated(f))
+        vbar0, step0 = prepare_initial_parts(grid, InitialDataSpec(kind="cusp_step"))
+        _, series = run_decomposition(vbar0, step0, PhysicsParams(1.0),
+                                      StepControl(dt=1e-3), 5e-3)
+        assert len(series.array("t")) == 6 and calls == []
 
     def test_split_sums_match_the_full_spectrum(self, grid):
         """The record's band sums, against the full-spectrum formulas on

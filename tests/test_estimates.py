@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import whole_lattice_ratio
+from oracles import fit_c0_all_steps, whole_lattice_ratio
 
 from hydrostat.errors import ConfigurationError
 from hydrostat.estimates import (BoundParams, IterationInstance, _nested_ratios,
@@ -349,6 +349,24 @@ class TestNestedRatios:
 
 
 class TestEnvelopeFitting:
+    def test_fit_has_the_bits_of_all_200_bisection_steps(self):
+        """Each root's bisection stops at its fixed point, so the fit is the
+        200-step loop's (``oracles.fit_c0_all_steps``) bit for bit: on random
+        series, on a root below the bracket (short(1e-300) >= 0, where lo * hi
+        underflows and lo becomes 0, with numpy's divide warnings) and on one
+        above it (hi doubled past 1e12)."""
+        rng = np.random.default_rng(11)
+        cases = [(np.sort(rng.uniform(0.0, 2.0, 12)), rng.uniform(1e-3, 10.0, 12),
+                  rng.uniform(0.05, 1.0), rng.uniform(0.0, 3.0)) for _ in range(40)]
+        below = ([0.0, 0.1], [1e-310, 2e-310], 1.0, 0.0)
+        above = ([0.0, 0.5], [0.3, 0.6], 0.3, -1.0 + 1e-5)
+        for t, linf_V, linf_V0, v0_l4 in cases + [below, above]:
+            with np.errstate(divide="ignore"):
+                got = fit_sup_envelope_c0(t, linf_V, linf_V0, v0_l4)
+                want = fit_c0_all_steps(t, linf_V, linf_V0, v0_l4)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert fit_sup_envelope_c0(*above) == 2.0 ** 40
+
     def test_empty_series_rejected(self):
         with pytest.raises(ConfigurationError):
             fit_sup_envelope_c0([], [], 1.0, 1.0)

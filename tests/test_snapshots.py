@@ -161,6 +161,25 @@ def test_snapshot_runs_name_the_bytes_they_read(tmp_path, grid, kind):
     assert len(hashes) == 1 and cores[0] != cores[1] and cores[0] == cores[2]
 
 
+def test_digest_names_the_bytes_parsed(tmp_path, grid, monkeypatch):
+    """A file rewritten right after ``read_snapshot`` has read it does not
+    change the digest under ``inputs``: it is of the bytes parsed."""
+    path = tmp_path / "data.hsf"
+    write_snapshot(path, sample_field(grid, 0))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def rewriting(*args):
+        field = read_snapshot(*args)
+        write_snapshot(path, sample_field(grid, 1))
+        return field
+
+    monkeypatch.setattr(decomposition, "read_snapshot", rewriting)
+    _, manifest = run_experiment(parse_config(text=SNAPSHOT_RUN.format(
+        snapshot=path, kind="decomposition", out=tmp_path / "run")))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != digest
+    assert manifest["inputs"] == [{"name": str(path), "sha256": digest}]
+
+
 def test_only_runs_that_read_a_snapshot_name_it(tmp_path, grid):
     """An analytic run has no ``inputs``; a lemma suite with snapshot data
     names the file only when ``snapshots = true`` makes it read it."""

@@ -12,15 +12,16 @@ import pytest
 from oracles import stepwise_energy_residuals
 
 from hydrostat.diagnostics import integrate_series
-from hydrostat.estimates import norms
+from hydrostat.estimates import NormRecord, norms
 from hydrostat.errors import (BlowUpError, ConstraintViolationError,
                               SchedulingError)
 from hydrostat import solver
 from hydrostat.solver import (CFLWarning, PhysicsParams, SolverState,
                               StepControl, _coriolis, _rhs_core, integrate,
                               make_state, step, step_linear)
-from hydrostat.spectral import (EVEN, Grid, SpectralField, _Band, _is_column,
-                                dealias, field_from_function, l2_norm,
+from hydrostat.spectral import (EVEN, Grid, SpectralField, _Band, _band_l2, _is_column,
+                                _lattice_norms, _populated, dealias,
+                                field_from_function, l2_norm,
                                 symmetrize, to_physical, zero_field)
 from hydrostat.hydrostatics import (_project_mean, barotropic_residual, project_barotropic,
                                     recover_w, solve_pressure)
@@ -717,6 +718,23 @@ class TestSharedBand:
         integrate(cusp_state(g), ctl, 3e-3)
         norms(vbar)
         assert seen(g.band) == before
+
+
+def test_norms_of_a_3d_state_are_the_full_scan_path():
+    """``norms`` packs a state once and streams the lines populated in that
+    band (``_Band.populated``): on every state of a 3-D ``integrate`` run
+    the mask is the full-storage scan's and the record is, to the bit, the
+    one from ``_band_l2`` and ``_lattice_norms`` with their own scans."""
+    g = Grid.make(16, 16, 32, H)
+    states = []
+    integrate(smooth_state(g), StepControl(dt=1e-3), 3e-3,
+              hooks=(lambda dt, state: states.append(state.v),))
+    assert len(states) == 4 and not _is_column(states[-1].coeffs)
+    for v in states:
+        assert np.array_equal(g.band.populated(g.band.pack(v.coeffs)), _populated(v))
+        linf, lq = _lattice_norms(v, (4.0, 6.0))
+        assert norms(v) == NormRecord(_band_l2(v), _band_l2(v, grad=True),
+                                      lq[4.0], lq[6.0], linf)
 
 
 def test_any_stored_reads_the_stored_elements():

@@ -107,6 +107,15 @@ class TestTransforms:
         rel = np.max(np.abs(back.coeffs - f.coeffs)) / np.max(np.abs(f.coeffs))
         assert rel <= 1e-13
 
+    @pytest.mark.parametrize("shape", [(2, 64, 64, 128), (1, 32, 32, 64), (2, 10, 14, 20),
+                                       (1, 16, 16, 32)])
+    def test_forward_passes_are_rfftn_to_the_byte(self, shape):
+        """The padded x pass, then z and y in place, give ``rfftn``'s bytes."""
+        values = np.random.default_rng(5).standard_normal(shape)
+        expected = np.fft.rfftn(values, axes=(2, 3, 1), norm="forward")
+        got = spectral._forward(values)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
     def test_constant_field_occupies_mean_mode_only(self, grid):
         c = 3.25
         f = field_from_function(grid, lambda X, Y, Z: c + 0 * X)
