@@ -317,24 +317,25 @@ def _split_record(state: DecompositionState) -> dict:
     v, vbar and V are solver states, so each is fixed by its band
     (``spectral._Band``): they are packed once, ``norms(v)`` and ||V||_inf
     take their line masks from those bands (``_Band.populated``), and every
-    other sum is ``_parseval`` with ``band.weights``.  dz vbar is packed too;
-    its factor i drops out of |i kz c|^2.
+    other sum is ``_parseval`` with ``band.weights`` times a |k|^2 table, each
+    table and dz vbar's one |c|^2 formed once a row.  dz vbar is packed; its
+    factor i drops out of |i kz c|^2.
     """
     g = state.driver.v.grid
     band = g.band
     v, vbar, V = (band.pack(s.v.coeffs) for s in (state.driver, state.vbar, state.V))
     rec = norms(state.driver.v, v)
-    dz = band.kz * vbar
-    w, vol = band.weights, g.volume
-    recon_l2 = _parseval(v - (vbar + V), w, vol, root=True)
+    w, wk2, vol = band.weights, band.weights * band.k2, g.volume
+    (recon_l2,) = _parseval(v - (vbar + V), (w,), vol, (True,))
+    (grad_vbar_l2,) = _parseval(vbar, (wk2,), vol, (True,))
+    dz_l2, grad_dz_sq, grad_h_dz_sq = _parseval(
+        band.kz * vbar, (w, wk2, w * band.kh2[..., None]), vol, (True, False, False))
     return dict(
         _norm_row(state.driver.t, rec),
         linf_V=_lattice_norms(state.V.v, (), band.populated(V))[0],
-        dz_vbar_l2=_parseval(dz, w, vol, root=True),
-        grad_dz_vbar_sq=_parseval(dz, w * band.k2, vol),
+        dz_vbar_l2=dz_l2, grad_dz_vbar_sq=grad_dz_sq,
         recon_residual=recon_l2 / max(rec.l2, np.finfo(float).tiny),
-        grad_vbar_l2=_parseval(vbar, w * band.k2, vol, root=True),
-        grad_h_dz_vbar_sq=_parseval(dz, w * band.kh2[..., None], vol))
+        grad_vbar_l2=grad_vbar_l2, grad_h_dz_vbar_sq=grad_h_dz_sq)
 
 
 def run_decomposition(v0bar: SpectralField, V0: SpectralField,

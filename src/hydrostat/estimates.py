@@ -9,15 +9,13 @@ k = 40) are handled entirely in log space.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .spectral import (_FACTOR, _LADY_SLAB_BYTES, Grid, SpectralField, _band_l2,
-                       _lattice_norms, _oversampled_slabs, grad_h_norm_sq, l2_norm,
-                       refine)
+                       _lattice_norms, _oversampled_slabs, _parseval, refine)
 from .spectral import oversample  # noqa: F401  -- a name the benchmark's tracer rebinds
 
 
@@ -46,9 +44,9 @@ class BoundParams:
 
 
 def norms(v: SpectralField, packed=None) -> NormRecord:
-    """Norms of a solver state: L2 and gradient by Parseval on its band
-    (``spectral._band_l2``, which refuses a field not tagged ``EVEN``), L^4,
-    L^6 and sup by oversampled quadrature.
+    """Norms of a solver state: L2 and gradient by Parseval on its band, from
+    one |v|^2 (``spectral._band_l2``, which refuses a field not tagged
+    ``EVEN``), L^4, L^6 and sup by oversampled quadrature.
 
     ``v`` is packed once (or comes ``packed``), and that band gives the lines
     of the single oversampled evaluation of |v|^2 that feeds every lattice
@@ -58,7 +56,7 @@ def norms(v: SpectralField, packed=None) -> NormRecord:
     """
     band = v.grid.band
     packed = band.pack(v.coeffs) if packed is None else packed
-    l2, grad_l2 = _band_l2(v, packed=packed), _band_l2(v, True, packed)
+    l2, grad_l2 = _band_l2(v, (False, True), packed)
     linf, lq = _lattice_norms(v, (4.0, 6.0), band.populated(packed))
     return NormRecord(l2=l2, grad_l2=grad_l2, l4=lq[4.0], l6=lq[6.0], linf=linf)
 
@@ -149,7 +147,7 @@ class MoserVerdict:
 
 
 _LOG_SLACK = 1e-9   # forgives round-off on exactly saturated recursions
-_LOG2 = math.log(2.0)
+_MOSER_BATCH = 256  # instances per batch of the lemma suite: 80 KB arrays at kmax 40
 
 
 def certified_log_bounds(m0, delta0, kmax):
@@ -158,64 +156,73 @@ def certified_log_bounds(m0, delta0, kmax):
     return -(k + 2) * np.log(m0) + 2.0 ** (k - 1) * (4 * np.log(m0) + 2 * np.log(delta0))
 
 
+def _saturated(lm, ld, log_u):
+    """log A_k of the saturated recursion damped by exp(``log_u``), for a
+    batch: ``lm``, ``ld`` (n,) and ``log_u`` (n, K), run k by k."""
+    la = np.empty(log_u.shape)
+    la[:, 0] = lm + 2 * ld + log_u[:, 0]
+    for k in range(1, la.shape[1]):
+        la[:, k] = np.logaddexp(lm + 2.0 ** (k + 1) * ld, k * lm + 2 * la[:, k - 1]) + log_u[:, k]
+    return la
+
+
+def _violations(m0, delta0, la):
+    """Where each term of a batch (rows of ``la``) breaks the hypothesis and
+    the bound A_k <= a_k, in log space; and log a_k."""
+    lm, ld = np.log(m0)[:, None], np.log(delta0)[:, None]
+    k = np.arange(1, la.shape[1])             # recursion index k, sequence A_{k+1}
+    bound = np.logaddexp(lm + 2.0 ** (k + 1) * ld, k * lm + 2 * la[:, :-1])
+    log_a = certified_log_bounds(m0[:, None], delta0[:, None], la.shape[1])
+    return la > np.hstack((lm + 2 * ld, bound)) + _LOG_SLACK, la > log_a + _LOG_SLACK, log_a
+
+
 def moser_bound_check(inst: IterationInstance) -> MoserVerdict:
-    """Check the hypothesis, then the certified bound A_k <= a_k, in log space."""
-    log_a = certified_log_bounds(inst.m0, inst.delta0, len(inst.log_terms))
-    lm, ld = np.log(inst.m0), np.log(inst.delta0)
-    la = inst.log_terms
-
-    if la[0] > lm + 2 * ld + _LOG_SLACK:
-        return MoserVerdict("hypothesis-violated", log_a, 1)
-    k = np.arange(1, len(la))             # recursion index k, sequence A_{k+1}
-    bound = np.logaddexp(lm + 2.0 ** (k + 1) * ld, k * lm + 2 * la[:-1])
-    bad = np.nonzero(la[1:] > bound + _LOG_SLACK)[0]
-    if bad.size:
-        return MoserVerdict("hypothesis-violated", log_a, int(bad[0]) + 2)
-
-    bad = np.nonzero(la > log_a + _LOG_SLACK)[0]
-    if bad.size:
-        return MoserVerdict("bound-violated", log_a, int(bad[0]) + 1)
-    return MoserVerdict("ok", log_a)
+    """Check the hypothesis, then the certified bound A_k <= a_k, in log
+    space (``_violations`` of a batch of one)."""
+    hyp, bound, log_a = _violations(np.array([inst.m0]), np.array([inst.delta0]),
+                                    inst.log_terms[None])
+    for status, bad in (("hypothesis-violated", hyp[0]), ("bound-violated", bound[0])):
+        if bad.any():
+            return MoserVerdict(status, log_a[0], int(np.argmax(bad)) + 1)
+    return MoserVerdict("ok", log_a[0])
 
 
-def _logaddexp(x, y):
-    """numpy's ``logaddexp`` on Python floats, branch by branch, to the same bits."""
-    if x == y:
-        return x + _LOG2
-    tmp = x - y
-    if tmp > 0:
-        return x + math.log1p(math.exp(-tmp))
-    if tmp <= 0:
-        return y + math.log1p(math.exp(tmp))
-    return tmp                            # a NaN operand
+def moser_batch_check(batch):
+    """(violations, tightness) of a ``random_instance`` batch, as checked one
+    at a time: how many fail ``moser_bound_check``; max_k A_k / a_k, at most 1."""
+    m0, delta0, kmax, la = batch
+    hyp, bound, log_a = _violations(m0, delta0, la)
+    live = np.arange(la.shape[1]) < kmax[:, None]         # not the padding
+    closest = np.exp(np.minimum(np.max(np.where(live, la - log_a, -np.inf), axis=1), 0.0))
+    return int(np.sum(((hyp | bound) & live).any(axis=1))), float(np.fmax.reduce(closest, initial=0.0))
 
 
 def saturated_instance(m0, delta0, kmax, damping=None) -> IterationInstance:
-    """Sequence saturating the recursion, optionally damped by factors in (0, 1].
-
-    ``damping`` are multiplicative factors u_k applied to each saturated
-    term; any such sequence still satisfies the hypothesis.
-    """
-    lm, ld = float(np.log(m0)), float(np.log(delta0))
+    """Sequence saturating the recursion (``_saturated`` of a batch of one),
+    optionally damped by factors u_k in (0, 1], one per term; any such
+    sequence still satisfies the hypothesis."""
     log_u = np.zeros(kmax) if damping is None else np.log(np.asarray(damping, dtype=float))
     if log_u.shape != (kmax,) or np.any(log_u > 0):
         raise ConfigurationError("damping must be kmax factors in (0, 1]")
-    log_u = log_u.tolist()
-    la = [lm + 2 * ld + log_u[0]]
-    for k in range(1, kmax):
-        la.append(_logaddexp(lm + 2.0 ** (k + 1) * ld, k * lm + 2 * la[-1]) + log_u[k])
-    return IterationInstance(m0, delta0, np.array(la))
+    return IterationInstance(m0, delta0, _saturated(np.log([m0]), np.log([delta0]), log_u[None])[0])
 
 
-def random_instance(rng, kmax_limit=40) -> IterationInstance:
-    """Random hypothesis-satisfying instance: M0 in [2,10], delta0 in (0,1)."""
-    m0 = rng.uniform(2.0, 10.0)
-    delta0 = rng.uniform(1e-6, 1.0 - 1e-12)
-    kmax = int(rng.integers(1, kmax_limit + 1))
-    damping = None
-    if rng.random() < 0.5:
-        damping = rng.uniform(1e-3, 1.0, size=kmax)
-    return saturated_instance(m0, delta0, kmax, damping)
+def random_instance(rng, kmax_limit=40, count=None):
+    """Random hypothesis-satisfying instance: M0 in [2,10], delta0 in (0,1),
+    kmax up to ``kmax_limit``, damped half the time by factors in [1e-3, 1).
+    With ``count``, the next ``count`` of them, by the same ``rng`` calls in
+    order, as a batch ``(m0, delta0, kmax, log_terms)`` of rows padded past kmax."""
+    n = 1 if count is None else count
+    m0, delta0, kmax, log_u = np.empty(n), np.empty(n), np.empty(n, int), np.zeros((n, kmax_limit))
+    for i in range(n):
+        m0[i], delta0[i] = rng.uniform(2.0, 10.0), rng.uniform(1e-6, 1.0 - 1e-12)
+        kmax[i] = rng.integers(1, kmax_limit + 1)
+        if rng.random() < 0.5:
+            log_u[i, : kmax[i]] = np.log(rng.uniform(1e-3, 1.0, size=kmax[i]))
+    la = _saturated(np.log(m0), np.log(delta0), log_u[:, : kmax.max(initial=1)])
+    if count is None:
+        return IterationInstance(float(m0[0]), float(delta0[0]), la[0])
+    return m0, delta0, kmax, la
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +272,8 @@ def _nested_ratios(triple, fine: Grid):
 
 
 def _column_means(triple, strides):
-    """(col_phi, col_mix) per s of ``strides``: the z column means of |phi|
-    and of |varphi psi| over the oversampled planes ``::s``.
+    """(col_phi, col_mix) per s of ``strides``: the z column means, to np.mean's
+    bits, of |phi| and of |varphi psi| over the oversampled planes ``::s``.
 
     The lattices stream in slabs of y rows k0.. of at most
     ``_LADY_SLAB_BYTES`` each, phi's alone and then varphi's and psi's in
@@ -289,12 +296,15 @@ def _column_means(triple, strides):
     for k0, vals in phi_s:
         np.abs(vals[0], out=vals[0])
         for s, (col_phi, _) in zip(strides, columns):
-            np.mean(vals[0, :, ::s], axis=1, out=col_phi[k0:k0 + vals.shape[1]])
+            np.add.reduce(vals[0, :, ::s], axis=1, out=col_phi[k0:k0 + vals.shape[1]])
     for (k0, mix), (_, other) in zip(varphi_s, psi_s, strict=True):
         mix *= other
         np.abs(mix[0], out=mix[0])
         for s, (_, col_mix) in zip(strides, columns):
-            np.mean(mix[0, :, ::s], axis=1, out=col_mix[k0:k0 + mix.shape[1]])
+            np.add.reduce(mix[0, :, ::s], axis=1, out=col_mix[k0:k0 + mix.shape[1]])
+    for s, pair in zip(strides, columns):       # np.mean's division, once a column
+        for col in pair:
+            col /= len(range(0, mix.shape[2], s))
     return columns
 
 
@@ -304,9 +314,10 @@ def _ratios(triple, col_phi, col_mix):
     lhs = float(np.mean((col_phi * volume) * (col_mix * volume)))
 
     def _pair(f):
-        n2 = l2_norm(f)
-        nh = np.sqrt(grad_h_norm_sq(f))
-        return n2, np.sqrt(n2 * (n2 + nh))
+        g = f.grid
+        n2, nh_sq = _parseval(f.coeffs, (g.mode_weights, g.mode_weights * g.kh2[:, :, None]),
+                              g.volume, (True, False))
+        return n2, np.sqrt(n2 * (n2 + np.sqrt(nh_sq)))
 
     (phi2, phi_mix), (_, var_mix), (psi2, psi_mix) = map(_pair, triple)
     rhs1 = phi2 * var_mix * psi_mix

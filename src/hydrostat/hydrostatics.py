@@ -72,7 +72,7 @@ def barotropic_residual(v: SpectralField) -> float:
 def _mean_residual(u, kx, ky, weights, volume, norm):
     """L2 size of div_h of the z-mean plane ``u`` relative to max(norm, 1)."""
     d = 1j * kx * u[0] + 1j * ky * u[1]
-    return _parseval(d, weights, volume, root=True) / max(norm, 1.0)
+    return _parseval(d, (weights,), volume, (True,))[0] / max(norm, 1.0)
 
 
 def project_barotropic(v: SpectralField) -> SpectralField:
@@ -110,7 +110,7 @@ def vertical_integral(f: SpectralField, require_periodic: bool = True) -> Spectr
     g = f.grid
     mean_plane = zmean_coeffs(f)
     if require_periodic:
-        res = _parseval(mean_plane, g.mode_weights[..., 0], g.volume, root=True)
+        (res,) = _parseval(mean_plane, (g.mode_weights[..., 0],), g.volume, (True,))
         ref = max(l2_norm(f), 1.0)
         if res > CONSTRAINT_TOL * ref:
             raise ConstraintViolationError(
@@ -151,7 +151,7 @@ def _recover_w_band(u, band):
     result is the packed full w bit for bit.
     """
     g = band.grid
-    norm = _parseval(u, band.weights, g.volume, root=True)
+    (norm,) = _parseval(u, (band.weights,), g.volume, (True,))
     res = _mean_residual(u[..., 0], band.kx[..., 0], band.ky[..., 0],
                          band.weights[..., 0], g.volume, norm)
     if res > CONSTRAINT_TOL:
@@ -170,7 +170,7 @@ def boundary_trace_norm(w: SpectralField) -> float:
     """
     g = w.grid
     trace = np.sum(w.coeffs, axis=-1)
-    return _parseval(trace, g.mode_weights[..., 0], 1.0, root=True)
+    return _parseval(trace, (g.mode_weights[..., 0],), 1.0, (True,))[0]
 
 
 def poisson_h_solve(grid: Grid, rhs_coeffs: np.ndarray) -> Pressure2D:

@@ -611,73 +611,66 @@ def div_h(f: SpectralField) -> SpectralField:
 # norms and oversampling
 # ---------------------------------------------------------------------------
 
-def _parseval(coeffs, weights, volume, root=False) -> float:
-    """volume * sum(weights * |c|^2) over the coefficients ``coeffs``, or
-    with ``root`` its square root.
+def _parseval(coeffs, weights, volume, roots) -> tuple:
+    """volume * sum(w * |c|^2) over the coefficients ``coeffs`` for each table
+    w of ``weights``, or its root where ``roots`` says so, all from one |c|^2.
 
-    Only when that sum overflows from finite coefficients is it taken
-    again of c / max |c| and scaled back in Python floats, which give inf
-    without a warning when the true value is out of range; so a root is
-    finite whenever it is in range.  Every other array keeps the unscaled
-    arithmetic.
+    Only a sum that overflows from finite coefficients is taken again, of
+    c / max |c|, and scaled back in Python floats, which give inf without a
+    warning when the true value is out of range; so a root is finite
+    whenever it is in range.  Every other sum keeps the unscaled arithmetic.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(volume * np.sum(weights * np.abs(coeffs) ** 2))
-    if np.isfinite(total) or not np.all(np.isfinite(coeffs)):
-        return np.sqrt(total) if root else total
-    unit = float(np.max(np.abs(coeffs)))
-    scaled = float(volume * np.sum(weights * np.abs(coeffs / unit) ** 2))
-    return np.sqrt(scaled) * unit if root else scaled * unit * unit
+        mag = np.abs(coeffs) ** 2
+        sums = [(float(volume * np.sum(w * mag)), 1.0) for w in weights]
+    if not all(np.isfinite(s) for s, _ in sums) and np.all(np.isfinite(coeffs)):
+        unit = float(np.max(np.abs(coeffs)))
+        mag = np.abs(coeffs / unit) ** 2
+        sums = [(s, u) if np.isfinite(s) else (float(volume * np.sum(w * mag)), unit)
+                for (s, u), w in zip(sums, weights)]
+    return tuple(np.sqrt(s) * u if root else s * u * u
+                 for (s, u), root in zip(sums, roots, strict=True))
 
 
 def l2_norm(f: SpectralField) -> float:
-    return _parseval(f.coeffs, f.grid.mode_weights, f.grid.volume, root=True)
+    return _parseval(f.coeffs, (f.grid.mode_weights,), f.grid.volume, (True,))[0]
 
 
-def _band_l2(f: SpectralField, grad=False, packed=None) -> float:
+def _band_l2(f: SpectralField, grad=False, packed=None):
     """||f||_2, or with ``grad`` ||grad f||_2, of a solver state or the
     difference of two, by Parseval on its band, which holds it whole
-    (``_Band``; ``packed`` if given).  A field not tagged ``EVEN`` raises
-    ``ConfigurationError``."""
+    (``_Band``; ``packed`` if given); a tuple ``grad`` gives a tuple of them,
+    from one |c|^2.  A field not tagged ``EVEN`` raises ``ConfigurationError``."""
     if f.symmetry != EVEN:
         raise ConfigurationError(
             f"band norms take a solver state, tagged {EVEN!r}; got {f.symmetry!r}")
-    band = f.grid.band
-    weights = band.weights * band.k2 if grad else band.weights
+    band, flags = f.grid.band, grad if isinstance(grad, tuple) else (grad,)
     packed = band.pack(f.coeffs) if packed is None else packed
-    return _parseval(packed, weights, f.grid.volume, root=True)
-
-
-def grad_h_norm_sq(f: SpectralField) -> float:
-    """Squared L2 norm of the horizontal gradient."""
-    g = f.grid
-    return _parseval(f.coeffs, g.mode_weights * g.kh2[:, :, None], g.volume)
+    out = _parseval(packed, tuple(band.weights * band.k2 if g else band.weights for g in flags),
+                    f.grid.volume, (True,) * len(flags))
+    return out if isinstance(grad, tuple) else out[0]
 
 
 def refine(f: SpectralField, fine: Grid) -> SpectralField:
-    """Embed onto a finer grid by zero padding (exact for dealiased fields)."""
+    """Embed onto a finer grid by zero padding (exact for dealiased fields),
+    one zeroed array and a copy per (y, z) quarter (``_halves``)."""
     g = f.grid
     if (fine.nx < g.nx or fine.ny < g.ny or fine.nz < g.nz
             or abs(fine.h - g.h) > 1e-15):
         raise ConfigurationError("refinement target must be at least as fine, same h")
     ncomp, nxr = f.coeffs.shape[:2]
-    rows = np.zeros((ncomp, nxr, fine.ny, g.nz), dtype=complex)
-    _pad_axis(rows, f.coeffs, 2, g.ny)
     pad = np.zeros((ncomp,) + fine.spectral_shape, dtype=complex)
-    _pad_axis(pad[:, :nxr], rows, 3, g.nz)
+    for y_dst, y_src in _halves(fine.ny, g.ny):
+        for z_dst, z_src in _halves(fine.nz, g.nz):
+            pad[:, :nxr, y_dst, z_dst] = f.coeffs[:, :, y_src, z_src]
     return SpectralField(fine, pad, f.symmetry)
 
 
-def _pad_axis(dst, src, axis, n):
-    """Copy ``src`` into the zeroed ``dst`` along ``axis``, keeping both signs.
-
-    Index n//2 (the coarse Nyquist) lands on the positive side.
-    """
+def _halves(n_fine, n):
+    """(dst, src) slices that copy a length-n spectrum into a zeroed length-n_fine
+    one, keeping both signs; index n//2 (the coarse Nyquist) lands on the positive side."""
     lo = n // 2 + 1
-    hi = dst.shape[axis] - (n - lo)
-    lead = (slice(None),) * axis
-    dst[lead + (slice(None, lo),)] = src[lead + (slice(None, lo),)]
-    dst[lead + (slice(hi, None),)] = src[lead + (slice(lo, None),)]
+    return (slice(None, lo), slice(None, lo)), (slice(n_fine - (n - lo), None), slice(lo, None))
 
 
 # OpenBLAS runs a product of at most this many multiply-adds on one thread
@@ -726,12 +719,13 @@ def _populated(f: SpectralField) -> np.ndarray:
 
 def _z_lines(f: SpectralField, ms, ns) -> np.ndarray:
     """Zero-padded z ``ifft`` of the stored lines (ms, ns) of ``f``, placed as
-    ``_pad_axis`` places them: (ncomp, len(ms), nz'), or only the planes
+    ``_halves`` places them: (ncomp, len(ms), nz'), or only the planes
     j = 0..nz'/2 of a mirrored field (``_mirrored``)."""
     g = f.grid
     fnz = _FACTOR * g.nz
     zpad = np.zeros((f.coeffs.shape[0], len(ms), fnz), dtype=complex)
-    _pad_axis(zpad, f.coeffs[:, ms, ns], 2, g.nz)
+    for dst, src in _halves(fnz, g.nz):
+        zpad[..., dst] = f.coeffs[:, ms, ns, src]
     np.fft.ifft(zpad, axis=2, norm="forward", out=zpad)
     if _mirrored(f):
         zpad = zpad[..., : fnz // 2 + 1]

@@ -366,7 +366,8 @@ class TestRunPersistence:
         lemma suite only to write ``initial.hsf``; stability mollifies its data
         and its perturbation with one multiplier, three ``_bump_transform``s.
         A stepped run that mollifies one set of parts writes ``initial.hsf``
-        from them: snapshots add no ``_bump_transform`` call."""
+        from them, and a mollification run from its member at the config's
+        epsilon: snapshots add no ``_bump_transform`` call."""
         calls = {"prepare": 0, "bump": 0}
 
         def counted(name, fn):
@@ -383,9 +384,8 @@ class TestRunPersistence:
         run_experiment(parse_config(text=text))
         assert calls["prepare"] == (kind != "lemma_suite" or snapshots == "true")
         bumps = {"decomposition": 3, "stability": 3, "energy_identity": 0,
-                 "lemma_suite": 3 if snapshots == "true" else 0}
-        if kind in bumps:
-            assert calls["bump"] == bumps[kind]
+                 "lemma_suite": 3 if snapshots == "true" else 0, "mollification": 9}
+        assert calls["bump"] == bumps[kind]
 
 
 class TestReport:

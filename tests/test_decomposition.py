@@ -3,18 +3,19 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import grad_norm_sq, stepwise_energy_residuals
+from oracles import grad_h_norm_sq, grad_norm_sq, stepwise_energy_residuals
 
 from hydrostat import decomposition, spectral
 from hydrostat.decomposition import (_SAFE_NAMES, InitialDataSpec, _split_record,
                                      lockstep, make_cusp_step_data, mollify,
                                      prepare_initial_parts, run_decomposition)
+from hydrostat.diagnostics import energy_residual_series, integrate_series
 from hydrostat.errors import BlowUpError, ConfigurationError, DataError
 from hydrostat.hydrostatics import barotropic_residual, solve_pressure
 from hydrostat.solver import (CFLWarning, PhysicsParams, StepControl, integrate,
                               make_state, step, step_linear)
 from hydrostat.spectral import (EVEN, Grid, PhysicalField, SpectralField, dealias,
-                                derivative, field_from_function, grad_h_norm_sq,
+                                derivative, field_from_function,
                                 l2_norm, linf_norm, lq_norm, symmetrize,
                                 to_physical, to_spectral, zero_field)
 
@@ -331,6 +332,47 @@ class TestRunDecomposition:
             for name, ref in expected.items():
                 assert abs(got[name] - ref) <= 1e-13 * abs(ref), name
             assert expected["grad_h_dz_vbar_sq"] > 0 and expected["recon_residual"] > 0
+
+    @pytest.mark.parametrize("f0", [0.0, 1.0, 50.0])
+    def test_column_run_is_the_closed_form(self, grid, f0):
+        """On cusp + step data every part is heat flow and RK3 rotation: with
+        Z = U^1 + i U^2, Z_l(t) = exp(-kz_l^2 t) R(-i f0 dt)^n Z_l(0), where
+        R(z) = 1 + z + z^2/2 + z^3/6.  The final coefficients and every series
+        column against it; l4, l6 and linf_V on an np.fft line twice as fine."""
+        vbar0, step0 = prepare_initial_parts(grid, InitialDataSpec(a=(1.0, -0.4), sigma=(0.2, 0.3)))
+        parts, dt, kz, vol = (vbar0 + step0, vbar0, step0), 2.0 ** -10, grid.kz[0, 0], grid.volume
+        final, ser = run_decomposition(vbar0, step0, PhysicsParams(f0), StepControl(dt=dt), 6 * dt)
+        r = 1 - 1j * f0 * dt + (-1j * f0 * dt) ** 2 / 2 + (-1j * f0 * dt) ** 3 / 6
+
+        def line(part, n):                 # the part's coefficient line after n steps
+            u, p = make_state(part, 0.0, PhysicsParams(f0)).v.coeffs[:, 0, 0], r ** n
+            return np.exp(-kz ** 2 * n * dt) * np.array([p.real * u[0] - p.imag * u[1],
+                                                        p.imag * u[0] + p.real * u[1]])
+
+        def mag_sq(c):                     # |U|^2 on the fine z line
+            fine = np.zeros((2, 2 * grid.nz), dtype=complex)
+            fine[:, : grid.nz // 2], fine[:, -grid.nz // 2:] = c[:, : grid.nz // 2], c[:, grid.nz // 2:]
+            return np.sum(np.fft.ifft(fine, norm="forward").real ** 2, axis=0)
+
+        for state, part in zip((final.driver, final.vbar, final.V), parts):
+            ref = line(part, 6)
+            assert np.max(np.abs(state.v.coeffs[:, 0, 0] - ref)) <= 1e-14 * np.max(np.abs(ref))
+        cols = {name: [] for name in ("l2", "grad_l2", "l4", "l6", "linf_V", "dz_vbar_l2",
+                                      "grad_dz_vbar_sq", "grad_vbar_l2", "grad_h_dz_vbar_sq")}
+        for n in range(7):
+            v, vbar, V = (line(part, n) for part in parts)
+            s = [vol * np.sum(kz ** (2 * j) * np.abs(c) ** 2) for c in (v, vbar) for j in range(3)]
+            for name, x in zip(cols, (np.sqrt(s[0]), np.sqrt(s[1]), (vol * np.mean(mag_sq(v) ** 2)) ** 0.25,
+                                      (vol * np.mean(mag_sq(v) ** 3)) ** (1 / 6), np.sqrt(np.max(mag_sq(V))),
+                                      np.sqrt(s[4]), s[5], np.sqrt(s[4]), 0.0)):
+                cols[name].append(x)
+        t = ser.array("t")
+        cols["energy_residual"] = energy_residual_series(t, cols["l2"], cols["grad_l2"])
+        cols["dz_vbar_dissipation"] = integrate_series(t, cols["grad_dz_vbar_sq"])
+        assert np.array_equal(t, dt * np.arange(7)) and np.all(ser.array("recon_residual") <= 1e-15)
+        for name, ref in cols.items():          # the residual cancels against E(0)
+            scale = cols["l2"][0] ** 2 if name == "energy_residual" else max(ref)
+            assert np.allclose(ser.array(name), ref, rtol=1e-13, atol=1e-13 * scale), name
 
     def test_linear_part_energy_law(self, grid):
         """The small part dissipates like a free heat flow: transport,

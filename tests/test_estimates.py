@@ -1,20 +1,24 @@
 """Tests for norms, bound evaluators, the iteration lemma and the
 layer-inequality ratio machinery."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import fit_c0_all_steps, whole_lattice_ratio
+from oracles import (fit_c0_all_steps, loop_ensemble, loop_instances, loop_saturated,
+                     loop_verdict, whole_lattice_ratio)
 
 from hydrostat.errors import ConfigurationError
-from hydrostat.estimates import (BoundParams, IterationInstance, _nested_ratios,
+from hydrostat.experiments import exp_lemma_suite
+from hydrostat.config import parse_config
+from hydrostat.estimates import (_MOSER_BATCH, BoundParams, IterationInstance, _nested_ratios,
                                  certified_log_bounds, fit_sup_envelope_c0,
                                  growth_envelope,
                                  iteration_base, iteration_weight,
                                  iteration_weight_integral,
-                                 ladyzhenskaya_ratio, moser_bound_check,
+                                 ladyzhenskaya_ratio, moser_batch_check, moser_bound_check,
                                  norms, perturbation_response,
                                  random_instance, saturated_instance,
                                  sup_norm_envelope)
@@ -191,29 +195,61 @@ class TestMoserIteration:
             assert verdict.log_certified.tobytes() == certified_log_bounds(
                 m0, delta0, kmax).tobytes()
 
+    @pytest.mark.parametrize("kmax", [1, 40, 60])
+    @pytest.mark.parametrize("count", [1, _MOSER_BATCH - 1, _MOSER_BATCH, _MOSER_BATCH + 1])
+    def test_batch_is_the_one_at_a_time_loop(self, count, kmax):
+        """A batch holds what as many one-instance draws give, bit for bit,
+        leaves the rng where they leave it, and counts as checking them one
+        at a time does."""
+        batch_rng, loop_rng, one_rng = (np.random.default_rng(count + kmax) for _ in range(3))
+        batch = random_instance(batch_rng, kmax, count)
+        instances = list(loop_instances(loop_rng, count, kmax))
+        m0, delta0, kmaxes, la = batch
+        for i, inst in enumerate(instances):
+            assert (m0[i], delta0[i], kmaxes[i]) == (inst.m0, inst.delta0, len(inst.log_terms))
+            assert la[i, : kmaxes[i]].tobytes() == inst.log_terms.tobytes()
+        assert moser_batch_check(batch) == loop_ensemble(instances)
+        assert batch_rng.random() == loop_rng.random()
+        assert random_instance(one_rng, kmax).log_terms.tobytes() == instances[0].log_terms.tobytes()
 
-def loop_saturated(m0, delta0, kmax, damping=None):
-    """The saturated recursion on numpy scalars, one term at a time."""
-    lm, ld = np.log(m0), np.log(delta0)
-    log_u = np.zeros(kmax) if damping is None else np.log(damping)
-    la = np.empty(kmax)
-    la[0] = lm + 2 * ld + log_u[0]
-    for k in range(1, kmax):
-        la[k] = np.logaddexp(lm + 2.0 ** (k + 1) * ld, k * lm + 2 * la[k - 1]) + log_u[k]
-    return la
+    def test_forged_batches_count_as_the_loop(self):
+        """Terms raised past the hypothesis or, at the last term, by about the
+        slack, terms lowered, and garbage past a row's kmax."""
+        rng = np.random.default_rng(11)
+        m0, delta0, kmax, la = random_instance(rng, 60, 2 * _MOSER_BATCH)
+        rows = rng.permutation(len(m0))
+        for r in rows[:60]:
+            la[r, rng.integers(kmax[r])] += rng.choice([1e-12, 1e-6, 0.5])
+        for r in rows[60:120]:
+            la[r, kmax[r] - 1] += 1e-9 * rng.uniform(0.5, 2.0)
+        for r in rows[120:180]:
+            la[r, rng.integers(kmax[r])] -= 0.5
+        la[kmax < la.shape[1], -1] = np.nan
+        instances = [IterationInstance(m0[i], delta0[i], la[i, : kmax[i]]) for i in range(len(m0))]
+        violations, tightness = moser_batch_check((m0, delta0, kmax, la))
+        assert (violations, tightness) == loop_ensemble(instances)
+        assert 0 < violations < len(m0) and tightness == 1.0
 
-
-def loop_verdict(inst, slack=1e-9):
-    """(status, first_violation) with the hypothesis checked one k at a time."""
-    lm, ld, la = np.log(inst.m0), np.log(inst.delta0), inst.log_terms
-    if la[0] > lm + 2 * ld + slack:
-        return "hypothesis-violated", 1
-    for k in range(1, len(la)):
-        if la[k] > np.logaddexp(lm + 2.0 ** (k + 1) * ld, k * lm + 2 * la[k - 1]) + slack:
-            return "hypothesis-violated", k + 1
-    log_a = certified_log_bounds(inst.m0, inst.delta0, len(la))
-    bad = np.nonzero(la > log_a + slack)[0]
-    return ("bound-violated", int(bad[0]) + 1) if bad.size else ("ok", None)
+    def test_ensembles_of_many_batches(self, tmp_path):
+        """moser.json of a suite over 4 batches and one more instance is the
+        one-at-a-time loop's, and the suite's traced peak, after a first run
+        that sets up what any run would, does not grow with its moser_count
+        (one batch of 1025 instances peaks about 1.5 MB higher)."""
+        peaks = []
+        for count in (_MOSER_BATCH + 1, _MOSER_BATCH + 1, 4 * _MOSER_BATCH + 1):
+            cfg = parse_config(text=f"[grid]\nnx = 8\nny = 8\nnz = 8\n[experiment]\n"
+                               f"kind = lemma_suite\nmoser_count = {count}\nmoser_kmax = 60\n"
+                               f"ladyzhenskaya_count = 1\n[output]\ndirectory = {tmp_path}\n")
+            tracemalloc.start()
+            try:
+                record = json.loads(exp_lemma_suite(cfg).files["moser.json"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        rng = np.random.default_rng(cfg.seed)
+        assert ((record["violations"], record["max_tightness"])
+                == loop_ensemble(loop_instances(rng, count, 60)))
+        assert peaks[2] < peaks[1] + 2 ** 16
 
 
 class TestLadyzhenskayaRatio:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import grad_norm_sq, l2_norm_sq, one_slab
+from oracles import grad_h_norm_sq, grad_norm_sq, l2_norm_sq, one_slab, refine_two_pass
 
 from hydrostat import spectral
 from hydrostat.decomposition import InitialDataSpec, make_cusp_step_data
@@ -15,8 +15,7 @@ from hydrostat.estimates import ladyzhenskaya_ratio, norms
 from hydrostat.spectral import (EVEN, NONE, ODD, Grid, PhysicalField,
                                 SpectralField, _Band, _forward, _inverse,
                                 _SLAB_BYTES, _is_column, _lattice_norms, _mirrored,
-                                _oversampled_slabs, _populated, _record_slabs,
-                                grad_h_norm_sq,
+                                _oversampled_slabs, _parseval, _populated, _record_slabs,
                                 dealias, derivative, div_h, field_from_function,
                                 l2_norm, linf_norm, lq_norm, oversample,
                                 parity_flip, refine, symmetrize,
@@ -402,6 +401,34 @@ class TestNormsAndSampling:
         f = random_field(grid, 14, ncomp=2)
         fine = refine(f, Grid.make(32, 32, 32, H))
         assert l2_norm(fine) == pytest.approx(l2_norm(f), rel=1e-13)
+
+    @pytest.mark.parametrize("shape", [(20, 28, 40), (10, 28, 20), (10, 14, 40), (10, 14, 20)])
+    def test_refine_is_the_two_pass_copy(self, shape):
+        """One zeroed array and four quarter copies: the bytes of padding y,
+        then z, through a temporary."""
+        f = random_field(Grid.make(10, 14, 20, H), 9, ncomp=2, symmetry=EVEN)
+        got, ref = refine(f, Grid.make(*shape, H)), refine_two_pass(f, Grid.make(*shape, H))
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes() and got.symmetry == EVEN
+
+    @pytest.mark.parametrize("amplitude", [1.0, 1e154, 1e200])
+    def test_parseval_tables_share_one_square(self, grid, amplitude):
+        """One call with several tables gives what one call per table gives,
+        bit for bit, each with its own overflow rescue."""
+        f = random_field(grid, 31, ncomp=2) * amplitude
+        tables = (grid.mode_weights, grid.mode_weights * grid.k2,
+                  grid.mode_weights * grid.kh2[:, :, None])
+        for roots in [(True, True, True), (False, False, False), (True, False, True)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                together = _parseval(f.coeffs, tables, grid.volume, roots)
+                alone = [_parseval(f.coeffs, (w,), grid.volume, (r,))[0]
+                         for w, r in zip(tables, roots)]
+            assert np.array(together).tobytes() == np.array(alone).tobytes()
+        if amplitude == 1e200:      # every sum rescued: roots in range, squares not
+            assert np.isfinite(together[0]) and together[1] == np.inf
+        rel = np.array(together[::2]) / _parseval(f.coeffs / amplitude, tables[::2],
+                                                  grid.volume, (True, True)) / amplitude
+        assert np.allclose(rel, 1.0, rtol=1e-12, atol=0)
 
     def test_spectral_accuracy_of_z_derivative(self):
         """Error drops faster than any fixed order as nz doubles."""
