@@ -16,6 +16,7 @@ import numpy as np
 from hydrostat import (InitialDataSpec, PhysicsParams, StepControl,
                        prepare_initial_parts, run_decomposition)
 from hydrostat.estimates import fit_sup_envelope_c0
+from hydrostat.hydrostatics import solve_pressure
 from hydrostat.spectral import Grid
 
 h = 0.5
@@ -47,8 +48,8 @@ print(f"\nminimal constant making the closed-form growth envelope dominate "
 
 # the final-state pressures of the two parts are recoverable on demand;
 # for z-only data they vanish identically (no horizontal structure to push)
-pb = final.pressure_vbar
-pv = final.pressure_V
+pb, pv = (solve_pressure(part.v, part.params.f0, driver=final.driver.v).total
+          for part in (final.vbar, final.V))
 print(f"part pressures at t_end: max |P_vbar| mode = {np.abs(pb.coeffs).max():.2e}, "
       f"max |P_V| mode = {np.abs(pv.coeffs).max():.2e}")
 print("(zero for this family: z-only data drives no horizontal pressure "

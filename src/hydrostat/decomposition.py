@@ -30,7 +30,6 @@ import numpy as np
 from .diagnostics import integrate_series
 from .diagnostics import energy_residual_series  # noqa: F401  -- the benchmark's tracer rebinds it
 from .errors import ConfigurationError, DataError
-from .hydrostatics import solve_pressure
 from .solver import (PhysicsParams, SolverState, StepControl, _norm_row,
                      _plan_steps, _recorded, make_state, step, step_linear)
 from .spectral import (EVEN, ODD, Grid, PhysicalField, SpectralField, _lattice_norms,
@@ -267,26 +266,11 @@ def prepare_initial_parts(grid: Grid, spec: InitialDataSpec, inputs=None):
 
 @dataclass(frozen=True, eq=False)
 class DecompositionState:
-    """The two linear parts lock-stepped with their nonlinear driver.
-
-    ``pressure_vbar`` / ``pressure_V`` are the parts' own pressures at the
-    current time, recovered from the linear Poisson problems with the
-    driver velocity in the mixed advection tensor.
-    """
+    """The two linear parts lock-stepped with their nonlinear driver."""
 
     vbar: SolverState
     V: SolverState
     driver: SolverState
-
-    @property
-    def pressure_vbar(self):
-        return solve_pressure(self.vbar.v, self.vbar.params.f0,
-                              driver=self.driver.v).total
-
-    @property
-    def pressure_V(self):
-        return solve_pressure(self.V.v, self.V.params.f0,
-                              driver=self.driver.v).total
 
 
 def lockstep(v0bar: SpectralField, V0: SpectralField, params: PhysicsParams,

@@ -65,18 +65,29 @@ def norms(v: SpectralField, packed=None) -> NormRecord:
 # closed-form bound evaluators
 # ---------------------------------------------------------------------------
 
+def _log_envelope(t, v0_l4, c):
+    """log(c a^40 (t+1)^2 e^{c b}) and its rate b = e^{2t}(t+1)a^4, a = 1 + ||v0||_4.
+
+    The log is summed as (log c + offset) + c b, offset = 40 log a +
+    2 log(1+t), the order whose bits the C0 fit keeps; ``c`` broadcasts
+    against ``t``.  b is inf where e^{2t} or a^4 overflows: there the
+    envelope is above every float.
+    """
+    t = np.asarray(t, dtype=float)
+    a = np.float64(1.0 + v0_l4)
+    with np.errstate(over="ignore"):
+        b = np.exp(2.0 * t) * (t + 1.0) * a ** 4
+        return np.log(c) + (40.0 * np.log(a) + 2.0 * np.log1p(t)) + c * b, b
+
+
 def growth_envelope(t, v0_l4, c):
     """c*(1+||v0||_4)^40 (t+1)^2 exp{c e^{2t}(t+1)(1+||v0||_4)^4}.
 
     Shared closed form of the sup-norm growth envelope; evaluated through
     the log to postpone overflow (returns inf when e^(...) overflows).
     """
-    t = np.asarray(t, dtype=float)
-    a = 1.0 + v0_l4
-    log_val = (np.log(c) + 40.0 * np.log(a) + 2.0 * np.log1p(t)
-               + c * np.exp(2.0 * t) * (t + 1.0) * a ** 4)
     with np.errstate(over="ignore"):
-        return np.exp(log_val)
+        return np.exp(_log_envelope(t, v0_l4, c)[0])
 
 
 def sup_norm_envelope(t, v0_l4, p: BoundParams):
@@ -93,11 +104,9 @@ def perturbation_response(s, v0_l4, h, p: BoundParams):
 
 def iteration_weight(t, v0_l4, p: BoundParams):
     """S0(t) = [(1+||v0||_4) exp{C e^{2t}(t+1)(1+||v0||_4)^4}]^20."""
-    t = np.asarray(t, dtype=float)
-    a = 1.0 + v0_l4
-    log_val = 20.0 * (np.log(a) + p.c * np.exp(2.0 * t) * (t + 1.0) * a ** 4)
+    b = _log_envelope(t, v0_l4, p.c)[1]
     with np.errstate(over="ignore"):
-        return np.exp(log_val)
+        return np.exp(20.0 * (np.log(1.0 + v0_l4) + p.c * b))
 
 
 def iteration_weight_integral(t, v0_l4, p: BoundParams, n: int = 256):
@@ -331,47 +340,37 @@ def _ratios(triple, col_phi, col_mix):
 # envelope fitting for the non-explicit bounds
 # ---------------------------------------------------------------------------
 
+_C0_CAP = np.float64(2.0 ** 40).view(np.int64)   # the largest fit, as bits
+_PROBES = np.arange(1, 65)                       # bit patterns tried per pass and time
+
+
 @np.errstate(over="ignore")
 def fit_sup_envelope_c0(t, linf_V, linf_V0, v0_l4) -> float:
     """Minimal C0 with growth_envelope(t, .., C0) * ||V0||_inf >= ||V||_inf(t).
 
-    The envelope is strictly increasing in C0, so each time gives a unique
-    root; the fit is the largest of them.  Each bisection stops after 200
-    steps, or sooner at a step that leaves (lo, hi), its whole state,
-    unchanged: a fixed point, so the bits are those of all 200 steps.
+    Each time's root is the smallest float c <= 2^40 at which
+    ``_log_envelope`` minus log(||V||/||V0||) is not negative (the
+    difference grows with c); the fit is the largest root.  The roots are
+    found for all times at once over the int64 bits of c, which order as
+    the non-negative floats do: each pass tries 64 evenly spaced patterns
+    of every time's interval (lo, hi] and keeps the one step of it where
+    the sign changes, so it ends in about 11 passes on the float root,
+    subnormal ones included.  A time where ||V|| = 0, or where the
+    envelope is above every float, fits any C0 > 0 and adds no demand.
     """
     t = np.asarray(t, dtype=float)
-    linf_V = np.asarray(linf_V, dtype=float)
     if t.size == 0:
         raise ConfigurationError("cannot fit an empty series")
     if linf_V0 <= 0:
         return 0.0
-    a = np.float64(1.0 + v0_l4)     # its powers may overflow to inf
-    need = 0.0
-    for ti, vi in zip(t, linf_V):
-        target = np.log(vi / linf_V0) if vi > 0 else -np.inf
-        if target == -np.inf:
-            continue
-        b = np.exp(2.0 * ti) * (ti + 1.0) * a ** 4
-        if b == np.inf:     # an envelope above every float fits any C0 > 0
-            continue
-        offset = 40.0 * np.log(a) + 2.0 * np.log1p(ti)
-
-        def short(c):
-            return np.log(c) + offset + c * b - target
-
-        lo, hi = 1e-300, 1.0
-        while short(hi) < 0:
-            hi *= 2.0
-            if hi > 1e12:
-                break
-        for _ in range(200):
-            mid = np.sqrt(lo * hi) if hi / lo > 4 else 0.5 * (lo + hi)
-            if short(mid) < 0:
-                lo, moved = mid, mid != lo
-            else:
-                hi, moved = mid, mid != hi
-            if not moved:
-                break
-        need = max(need, hi)
-    return float(need)
+    ratio = np.asarray(linf_V, dtype=float) / linf_V0
+    live = (ratio > 0) & (_log_envelope(t, v0_l4, 1.0)[1] < np.inf)
+    t, target = t[live, None], np.log(ratio[live, None])
+    lo, hi = np.zeros(t.shape, np.int64), np.full(t.shape, _C0_CAP)
+    while np.any(hi - lo > 1):
+        step = -((lo - hi) // len(_PROBES))
+        probes = np.minimum(lo + step * _PROBES, hi)
+        short = _log_envelope(t, v0_l4, probes.view(np.float64))[0] - target < 0
+        k = np.count_nonzero(short, axis=1, keepdims=True)   # 64 only at the 2^40 cap: hi stays
+        lo, hi = lo + step * k, np.minimum(lo + step * (k + 1), hi)
+    return float(np.max(hi.view(np.float64), initial=0.0))

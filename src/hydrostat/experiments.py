@@ -130,8 +130,11 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
 
     _, ser = run_decomposition(vbar0, step0, params, ctl, cfg.t_end,
                                hooks=(perturbed,))
-    m_hat = ((1.0 + ser.array("dz_vbar_l2") ** 2)
-             * (1.0 + ser.array("grad_vbar_l2") ** 2 + ser.array("grad_h_dz_vbar_sq")))
+    with np.errstate(over="ignore"):
+        m_hat = ((1.0 + ser.array("dz_vbar_l2") ** 2)
+                 * (1.0 + ser.array("grad_vbar_l2") ** 2 + ser.array("grad_h_dz_vbar_sq")))
+    if not np.all(np.isfinite(m_hat)):
+        raise DataError("the envelope weight m_hat overflows: the data are too large")
     report.files["series.csv"] = ser.to_csv().encode()
     report.files["differences.json"] = _json_bytes({
         "t": ser.columns["t"], "m_hat": m_hat.tolist(), **diffs,

@@ -6,7 +6,7 @@ for any field; the band sums of the records are checked against them.
 compare it with ``spectral.oversample``, the lattice's definition, and
 ``whole_lattice_ratio`` reduces such whole lattices, the reference for the
 streamed Ladyzhenskaya ratios.  ``fit_c0_all_steps`` is the sup-envelope
-fit with every one of its 200 bisection steps taken.  The ``loop_``
+fit as a 200-step bisection of each time's root, one time at a time.  The ``loop_``
 functions are the Moser iteration one instance, and one term, at a time,
 the references for its batches, and ``refine_two_pass`` is zero padding
 one axis at a time.
@@ -82,7 +82,8 @@ def whole_lattice_ratio(phi, varphi, psi):
 
 @np.errstate(over="ignore")
 def fit_c0_all_steps(t, linf_V, linf_V0, v0_l4):
-    """``estimates.fit_sup_envelope_c0`` bisecting each root for all 200 steps."""
+    """``estimates.fit_sup_envelope_c0`` bisecting each time's root for 200
+    steps from the bracket (1e-300, hi], hi doubled from 1 up to 2^40."""
     a = np.float64(1.0 + v0_l4)
     need = 0.0
     for ti, vi in zip(np.asarray(t, dtype=float), np.asarray(linf_V, dtype=float)):

@@ -14,7 +14,7 @@ import pytest
 from hydrostat.config import parse_config
 from hydrostat.decomposition import (InitialDataSpec, prepare_initial_parts,
                                      run_decomposition)
-from hydrostat.estimates import (fit_sup_envelope_c0, moser_bound_check,
+from hydrostat.estimates import (fit_sup_envelope_c0, moser_batch_check, moser_bound_check,
                                  random_instance, saturated_instance)
 from hydrostat.experiments import (exp_lemma_suite, exp_mollification_convergence,
                                    exp_stability, load_manifest,
@@ -186,9 +186,7 @@ def test_06_sup_norm_envelope_fit(decomposition_runs):
 def test_07_iteration_lemma_suite():
     """10,000 randomized hypothesis-satisfying instances, zero violations."""
     rng = np.random.default_rng(20240817)
-    violations = sum(
-        0 if moser_bound_check(random_instance(rng, 40)).ok else 1
-        for _ in range(10_000))
+    violations, _ = moser_batch_check(random_instance(rng, 40, 10_000))
     sat = moser_bound_check(saturated_instance(2.0, 0.1, 40))
     a1_gap = abs(sat.log_certified[0] - (np.log(2.0) + 2 * np.log(0.1)))
     ok = violations == 0 and a1_gap <= 1e-12

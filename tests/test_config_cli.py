@@ -696,6 +696,17 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             "run failed: physical field overflows its spectral transform")
 
+    def test_stability_weight_that_overflows_fails_the_run(self, tmp_path, capsys):
+        """a = 1e308, -1e308 with delta = 7 transform and step, but the squared
+        norms in the stability weight m_hat overflow: the run fails with a
+        DataError, not a numpy warning."""
+        path = tmp_path / "c.ini"
+        path.write_text(re.sub(r"(n[xyz]) = 16", r"\1 = 8",
+                               SMALL_STABILITY.format(out=tmp_path / "run"))
+                        + "[initial_data]\nkind = cusp_step\na = 1e308, -1e308\ndelta = 7\n")
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("run failed: the envelope weight m_hat overflows")
+
     def test_failing_verdict_exits_one(self, tmp_path):
         """A reversed mollification ladder cannot be Cauchy-decreasing."""
         text = f"""

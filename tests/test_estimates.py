@@ -13,7 +13,8 @@ from oracles import (fit_c0_all_steps, loop_ensemble, loop_instances, loop_satur
 from hydrostat.errors import ConfigurationError
 from hydrostat.experiments import exp_lemma_suite
 from hydrostat.config import parse_config
-from hydrostat.estimates import (_MOSER_BATCH, BoundParams, IterationInstance, _nested_ratios,
+from hydrostat.estimates import (_MOSER_BATCH, BoundParams, IterationInstance, _log_envelope,
+                                 _nested_ratios,
                                  certified_log_bounds, fit_sup_envelope_c0,
                                  growth_envelope,
                                  iteration_base, iteration_weight,
@@ -386,21 +387,31 @@ class TestNestedRatios:
 
 class TestEnvelopeFitting:
     def test_fit_has_the_bits_of_all_200_bisection_steps(self):
-        """Each root's bisection stops at its fixed point, so the fit is the
-        200-step loop's (``oracles.fit_c0_all_steps``) bit for bit: on random
-        series, on a root below the bracket (short(1e-300) >= 0, where lo * hi
-        underflows and lo becomes 0, with numpy's divide warnings) and on one
-        above it (hi doubled past 1e12)."""
+        """The fit is the 200-step bisection's (``oracles.fit_c0_all_steps``)
+        bit for bit on random series and on a root above its bracket (hi
+        doubled past 1e12, so 2^40).  On every case it is the smallest float
+        that meets the envelope at every time.  That holds for the roots
+        below the bisection's bracket too, where its lo * hi underflows
+        (``below``, about 1.65e-310) and under the smallest subnormal, with
+        no numpy warning."""
         rng = np.random.default_rng(11)
         cases = [(np.sort(rng.uniform(0.0, 2.0, 12)), rng.uniform(1e-3, 10.0, 12),
                   rng.uniform(0.05, 1.0), rng.uniform(0.0, 3.0)) for _ in range(40)]
         below = ([0.0, 0.1], [1e-310, 2e-310], 1.0, 0.0)
+        subnormal = ([0.0, 0.1], [1e-320, 2e-320], 1.0, 1.0)
         above = ([0.0, 0.5], [0.3, 0.6], 0.3, -1.0 + 1e-5)
-        for t, linf_V, linf_V0, v0_l4 in cases + [below, above]:
-            with np.errstate(divide="ignore"):
-                got = fit_sup_envelope_c0(t, linf_V, linf_V0, v0_l4)
-                want = fit_c0_all_steps(t, linf_V, linf_V0, v0_l4)
+        for t, linf_V, linf_V0, v0_l4 in cases + [above]:
+            got = fit_sup_envelope_c0(t, linf_V, linf_V0, v0_l4)
+            want = fit_c0_all_steps(t, linf_V, linf_V0, v0_l4)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        for t, linf_V, linf_V0, v0_l4 in cases + [below, subnormal]:
+            c0 = fit_sup_envelope_c0(t, linf_V, linf_V0, v0_l4)
+            target = np.log(np.asarray(linf_V) / linf_V0)
+            assert np.all(_log_envelope(t, v0_l4, c0)[0] - target >= 0)
+            if c0 > np.nextafter(0.0, 1.0):
+                assert np.any(_log_envelope(t, v0_l4, np.nextafter(c0, 0.0))[0] - target < 0)
+        assert fit_sup_envelope_c0(*below) == pytest.approx(2e-310 / 1.1 ** 2, rel=1e-12)
+        assert fit_sup_envelope_c0(*subnormal) == np.nextafter(0.0, 1.0)
         assert fit_sup_envelope_c0(*above) == 2.0 ** 40
 
     def test_empty_series_rejected(self):
