@@ -14,9 +14,10 @@ Run:  python demos/demo_06_quantitative_lemmas.py
 import numpy as np
 
 from hydrostat import BoundParams, ladyzhenskaya_ratio, moser_bound_check
-from hydrostat.estimates import (iteration_base, iteration_weight_integral,
+from hydrostat.estimates import (growth_envelope, iteration_base,
+                                 iteration_weight_integral,
                                  perturbation_response, random_instance,
-                                 saturated_instance, sup_norm_envelope)
+                                 saturated_instance)
 from hydrostat.spectral import (Grid, PhysicalField, dealias,
                                 field_from_function, to_spectral)
 
@@ -54,7 +55,7 @@ print(f"max empirical constant demand over 50 random triples: {worst:.4f}")
 p = BoundParams(c0=1.0, c=1.0, c0_star=1.0)
 print("\nclosed-form evaluators with unit constants:")
 print(f"  sup-norm growth envelope at t = 0, small data: "
-      f"{sup_norm_envelope(0.0, 0.0, p):.6f} (= e)")
+      f"{growth_envelope(0.0, 0.0, p.c0):.6f} (= e)")
 print(f"  perturbation response rho(0) = "
       f"{perturbation_response(0.0, 1.0, 0.5, p)} and rho(1e-25) = "
       f"{perturbation_response(1e-25, 1.0, 0.5, p):.3e}")

@@ -24,7 +24,6 @@ from .decomposition import (DecompositionState, InitialDataSpec,
                             prepare_initial_parts, run_decomposition)
 from .estimates import (BoundParams, IterationInstance, NormRecord,
                         growth_envelope, iteration_base, ladyzhenskaya_ratio,
-                        moser_bound_check, norms, perturbation_response,
-                        sup_norm_envelope)
+                        moser_bound_check, norms, perturbation_response)
 from .diagnostics import DiagnosticsSeries
 from .io import read_snapshot, write_snapshot

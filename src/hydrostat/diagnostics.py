@@ -1,8 +1,9 @@
 """Time-series diagnostics: norm records, energy bookkeeping, CSV output.
 
 The cumulative dissipation integral backing the energy-identity check uses
-a sliding 6-point Newton-Cotes rule (exact for quintics); on nonlinear
-data this quadrature, not the time stepper, limits the reported residual.
+a sliding 6-point interpolatory rule (exact for quintics), with weights from
+the moment equations of every interval at once; on nonlinear data this
+quadrature, not the time stepper, limits the reported residual.
 """
 
 from __future__ import annotations
@@ -68,31 +69,34 @@ class DiagnosticsSeries:
 def integrate_series(t, g):
     """Cumulative integral of samples g(t), sliding quintic interpolation.
 
-    Returns D with D[0] = 0 and D[i] ~= int_{t0}^{ti} g.  Each subinterval
-    integrates the degree-5 polynomial through the 6 nearest samples
-    (degrading gracefully for short series): O(dt^6), with constants that
-    grow with the decay rates, so it can exceed an order-3 stepper's error.
+    Returns D with D[0] = 0 and D[i] ~= int_{t0}^{ti} g: on subinterval i,
+    the integral of the degree-5 polynomial through the 6 nearest samples
+    (fewer for short series), O(dt^6) with constants that grow with the
+    decay rates, so it can exceed an order-3 stepper's error.  It is w . g,
+    the weights solving sum_k w_k u_k^q = u_{i+1}^(q+1)/(q+1), q < 6, in
+    u = (t - t_i)/scale: one batched solve for all intervals.  Times must be
+    finite and increasing (``ConfigurationError``); samples that are not
+    finite give a result that is not, without a numpy warning.
     """
     t = np.asarray(t, dtype=float)
     g = np.asarray(g, dtype=float)
     n = t.size
     if n != g.size:
         raise ConfigurationError("time and sample arrays differ in length")
-    out = np.zeros(n)
+    if not (np.all(np.isfinite(t)) and np.all(np.diff(t) > 0)):
+        raise ConfigurationError("times must be finite and strictly increasing")
     if n < 2:
-        return out
+        return np.zeros(n)
     window = min(6, n)
-    deg = window - 1
-    for i in range(n - 1):
-        j = min(max(i - (window - 2) // 2, 0), n - window)
-        tw = t[j:j + window]
-        scale = max(tw[-1] - tw[0], np.finfo(float).tiny)
-        u = (tw - t[i]) / scale
-        coef = np.polynomial.polynomial.polyfit(u, g[j:j + window], deg)
-        powers = np.arange(deg + 1) + 1.0
-        u1 = (t[i + 1] - t[i]) / scale
-        out[i + 1] = out[i] + scale * np.sum(coef * u1 ** powers / powers)
-    return out
+    i = np.arange(n - 1)
+    rows = np.clip(i - (window - 2) // 2, 0, n - window)[:, None] + np.arange(window)
+    scale = t[rows[:, -1]] - t[rows[:, 0]]
+    u = (t[rows] - t[i, None]) / scale[:, None]
+    powers = np.arange(window) + 1.0
+    moments = ((t[i + 1] - t[i]) / scale)[:, None] ** powers / powers
+    w = np.linalg.solve(u[:, None, :] ** (powers[:, None] - 1.0), moments[..., None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):     # g not finite: a result that is not
+        return np.concatenate(([0.0], np.cumsum(scale * np.sum(w * g[rows], axis=1))))
 
 
 def energy_residual_series(t, l2, grad_l2):

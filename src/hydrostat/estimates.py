@@ -90,16 +90,12 @@ def growth_envelope(t, v0_l4, c):
         return np.exp(_log_envelope(t, v0_l4, c)[0])
 
 
-def sup_norm_envelope(t, v0_l4, p: BoundParams):
-    """Growth envelope with the uniqueness-theory constant C0."""
-    return growth_envelope(t, v0_l4, p.c0)
-
-
 def perturbation_response(s, v0_l4, h, p: BoundParams):
-    """rho(s): the threshold map of the perturbation result; rho(0) = 0."""
+    """rho(s) = C0 a^40 e^{C0 a^4} s, a = 1 + ||v0||_4 + (2h)^(1/4) s: the
+    threshold map of the perturbation result, the envelope at t = 0 with
+    shifted data; rho(0) = 0, and inf where the envelope overflows."""
     s = np.asarray(s, dtype=float)
-    base = 1.0 + v0_l4 + (2.0 * h) ** 0.25 * s
-    return p.c0 * base ** 40 * np.exp(p.c0 * base ** 4) * s
+    return growth_envelope(0.0, v0_l4 + (2.0 * h) ** 0.25 * s, p.c0) * s
 
 
 def iteration_weight(t, v0_l4, p: BoundParams):

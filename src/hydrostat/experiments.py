@@ -133,8 +133,6 @@ def exp_stability(cfg: RunConfig) -> ExperimentReport:
     with np.errstate(over="ignore"):
         m_hat = ((1.0 + ser.array("dz_vbar_l2") ** 2)
                  * (1.0 + ser.array("grad_vbar_l2") ** 2 + ser.array("grad_h_dz_vbar_sq")))
-    if not np.all(np.isfinite(m_hat)):
-        raise DataError("the envelope weight m_hat overflows: the data are too large")
     report.files["series.csv"] = ser.to_csv().encode()
     report.files["differences.json"] = _json_bytes({
         "t": ser.columns["t"], "m_hat": m_hat.tolist(), **diffs,
@@ -298,6 +296,8 @@ def _judge_decomposition(files, h):
 
 def _judge_stability(files, h):
     record = json.loads(_artifact(files, "differences.json"))
+    if not np.all(np.isfinite(record["m_hat"])):      # an overflow, or a damaged record
+        raise DataError("the envelope weight m_hat overflows: it is not finite")
     diff_b = np.asarray(record["diff_sigma"])
     diff_c = np.asarray(record["diff_sigma_half"])
     d0_b = max(record["normalizer_sigma"], 1e-300)

@@ -6,7 +6,9 @@ for any field; the band sums of the records are checked against them.
 compare it with ``spectral.oversample``, the lattice's definition, and
 ``whole_lattice_ratio`` reduces such whole lattices, the reference for the
 streamed Ladyzhenskaya ratios.  ``fit_c0_all_steps`` is the sup-envelope
-fit as a 200-step bisection of each time's root, one time at a time.  The ``loop_``
+fit as a 200-step bisection of each time's root, one time at a time, and
+``integrate_series_polyfit`` is the sliding quintic quadrature as one
+least-squares fit per interval.  The ``loop_``
 functions are the Moser iteration one instance, and one term, at a time,
 the references for its batches, and ``refine_two_pass`` is zero padding
 one axis at a time.
@@ -14,6 +16,7 @@ one axis at a time.
 
 import numpy as np
 
+from hydrostat.errors import ConfigurationError
 from hydrostat.estimates import IterationInstance, LadyzhenskayaRatios, certified_log_bounds
 from hydrostat.spectral import SpectralField, _oversampled_slabs, _parseval, l2_norm
 
@@ -111,6 +114,36 @@ def fit_c0_all_steps(t, linf_V, linf_V0, v0_l4):
                 hi = mid
         need = max(need, hi)
     return float(need)
+
+
+def integrate_series_polyfit(t, g):
+    """Cumulative integral of samples g(t), sliding quintic interpolation.
+
+    Returns D with D[0] = 0 and D[i] ~= int_{t0}^{ti} g.  Each subinterval
+    integrates the degree-5 polynomial through the 6 nearest samples
+    (degrading gracefully for short series): O(dt^6), with constants that
+    grow with the decay rates, so it can exceed an order-3 stepper's error.
+    """
+    t = np.asarray(t, dtype=float)
+    g = np.asarray(g, dtype=float)
+    n = t.size
+    if n != g.size:
+        raise ConfigurationError("time and sample arrays differ in length")
+    out = np.zeros(n)
+    if n < 2:
+        return out
+    window = min(6, n)
+    deg = window - 1
+    for i in range(n - 1):
+        j = min(max(i - (window - 2) // 2, 0), n - window)
+        tw = t[j:j + window]
+        scale = max(tw[-1] - tw[0], np.finfo(float).tiny)
+        u = (tw - t[i]) / scale
+        coef = np.polynomial.polynomial.polyfit(u, g[j:j + window], deg)
+        powers = np.arange(deg + 1) + 1.0
+        u1 = (t[i + 1] - t[i]) / scale
+        out[i + 1] = out[i] + scale * np.sum(coef * u1 ** powers / powers)
+    return out
 
 
 def loop_saturated(m0, delta0, kmax, damping=None):

@@ -555,6 +555,22 @@ class TestCli:
         listed = [entry["name"] for entry in load_manifest(run_dir)["files"]]
         assert sorted(reads) == sorted(listed)
 
+    @pytest.mark.parametrize("column, forge", [
+        ("t", lambda t: t[::-1]),
+        ("m_hat", lambda m: m[:2] + [float("nan")] + m[3:]),
+    ], ids=["decreasing-t", "nan-m_hat"])
+    def test_report_refuses_a_forged_stability_record(self, tmp_path, small_run,
+                                                      column, forge, capsys):
+        """differences.json forged consistently, sha256 included, with times
+        that do not increase or a weight that is not finite: the judge
+        refuses it, and ``report`` exits 2."""
+        run_dir = shutil.copytree(small_run("stability"), tmp_path / "run")
+        record = json.loads((run_dir / "differences.json").read_text())
+        record[column] = forge(record[column])
+        _rewrite_record(run_dir, "differences.json", record)
+        assert main(["report", str(run_dir)]) == 2
+        assert capsys.readouterr().err.startswith("report error: ")
+
     @pytest.mark.parametrize("section, line", [
         ("initial_data", "epsilon = nan"),
         ("experiment", "epsilons = nan, 0.1"),

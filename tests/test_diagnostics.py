@@ -5,7 +5,8 @@ import pytest
 
 from hydrostat.diagnostics import (CSV_COLUMNS, DiagnosticsSeries,
                                    energy_residual_series, integrate_series)
-from hydrostat.errors import DataError
+from hydrostat.errors import ConfigurationError, DataError
+from oracles import integrate_series_polyfit
 
 
 class TestSeries:
@@ -75,6 +76,37 @@ class TestQuadrature:
         t = np.array([0.0, 0.1, 0.25, 0.3, 0.55, 0.6, 0.8, 1.0])
         g = t ** 3
         np.testing.assert_allclose(integrate_series(t, g), t ** 4 / 4, atol=1e-13)
+
+    @pytest.mark.parametrize("t", [
+        [0.0, 0.1, 0.1, 0.3],
+        [0.0, 0.2, 0.1, 0.3],
+        [0.0, np.nan, 0.2, 0.3],
+        [0.0, 0.1, 0.2, np.inf],
+    ], ids=["repeated", "decreasing", "nan", "inf"])
+    def test_bad_times_raise(self, t):
+        with pytest.raises(ConfigurationError):
+            integrate_series(t, np.ones(4))
+
+    def test_matches_the_polyfit_loop(self):
+        """The moment-equation weights integrate the same polynomials as one
+        least-squares fit per interval: 1000 seeded series of 1..40 samples,
+        time spans 1e-4..10, amplitudes over 6 decades, on uniform times,
+        uniform times with a shorter last step, and non-uniform times."""
+        rng = np.random.default_rng(7)
+        for case in range(1000):
+            n = int(rng.integers(1, 41))
+            span = 10.0 ** rng.uniform(-4, 1)
+            steps = np.ones(max(n - 1, 0))
+            if case % 3 == 1 and n > 1:
+                steps[-1] = rng.uniform(0.05, 1.0)
+            elif case % 3 == 2:
+                steps = rng.uniform(0.2, 1.0, steps.size)
+            x = np.concatenate(([0.0], np.cumsum(steps))) / max(n - 1, 1)
+            t = rng.uniform(-1.0, 1.0) * span + span * x
+            wave = np.sin(rng.uniform(0, 2 * np.pi) * x + rng.uniform(0, 2 * np.pi))
+            g = 10.0 ** rng.uniform(-3, 3) * np.exp(rng.uniform(-3, 3) * x) * (1.0 + 0.5 * wave)
+            np.testing.assert_allclose(integrate_series(t, g), integrate_series_polyfit(t, g),
+                                       rtol=1e-13, atol=0, err_msg=f"case {case}")
 
 
 class TestEnergyResiduals:

@@ -21,8 +21,7 @@ from hydrostat.estimates import (_MOSER_BATCH, BoundParams, IterationInstance, _
                                  iteration_weight_integral,
                                  ladyzhenskaya_ratio, moser_batch_check, moser_bound_check,
                                  norms, perturbation_response,
-                                 random_instance, saturated_instance,
-                                 sup_norm_envelope)
+                                 random_instance, saturated_instance)
 from hydrostat.spectral import (_LADY_SLAB_BYTES, EVEN, NONE, ODD, Grid, PhysicalField,
                                 SpectralField, _oversampled_slabs,
                                 dealias, field_from_function,
@@ -97,14 +96,14 @@ class TestNorms:
 class TestBoundEvaluators:
     def test_envelope_at_origin(self):
         p = BoundParams(c0=1.0)
-        assert sup_norm_envelope(0.0, 0.0, p) == pytest.approx(np.e, rel=1e-14)
+        assert growth_envelope(0.0, 0.0, p.c0) == pytest.approx(np.e, rel=1e-14)
 
     def test_envelope_monotone_in_time_and_data(self):
         p = BoundParams()
         t = np.linspace(0.0, 2.0, 50)
-        vals = sup_norm_envelope(t, 0.3, p)
+        vals = growth_envelope(t, 0.3, p.c0)
         assert np.all(np.diff(vals) > 0)
-        assert sup_norm_envelope(1.0, 0.6, p) > sup_norm_envelope(1.0, 0.3, p)
+        assert growth_envelope(1.0, 0.6, p.c0) > growth_envelope(1.0, 0.3, p.c0)
         assert growth_envelope(1.0, 0.3, 2.0) > growth_envelope(1.0, 0.3, 1.0)
 
     def test_perturbation_response_vanishes_at_zero(self):
@@ -118,6 +117,18 @@ class TestBoundEvaluators:
         vals = perturbation_response(s, 1.0, H, p)
         assert np.all(np.diff(vals) > 0)
         assert vals[0] < 1e-9
+
+    def test_perturbation_response_is_the_envelope_at_shifted_data(self):
+        """rho(s) = C0 a^40 e^{C0 a^4} s, a = 1 + ||v0||_4 + (2h)^(1/4) s,
+        evaluated through the envelope's log: inf, with no overflow
+        warning, once e^{C0 a^4} is past the float range."""
+        p = BoundParams(c0=1.5)
+        s = np.logspace(-30, -1, 40)
+        base = 1.0 + 1.0 + (2.0 * H) ** 0.25 * s
+        direct = p.c0 * base ** 40 * np.exp(p.c0 * base ** 4) * s
+        np.testing.assert_allclose(perturbation_response(s, 1.0, H, p), direct,
+                                   rtol=1e-13, atol=0)
+        assert perturbation_response(10.0, 1.0, H, BoundParams()) == np.inf
 
     def test_iteration_base_at_least_two(self):
         p = BoundParams()
