@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .spectral import (_FACTOR, _LADY_SLAB_BYTES, Grid, SpectralField, _band_l2,
-                       _lattice_norms, _oversampled_slabs, _parseval, refine)
+                       _lattice_norms, _oversampled_slabs, _parseval)
 from .spectral import oversample  # noqa: F401  -- a name the benchmark's tracer rebinds
 
 
@@ -92,10 +92,11 @@ def growth_envelope(t, v0_l4, c):
 
 def perturbation_response(s, v0_l4, h, p: BoundParams):
     """rho(s) = C0 a^40 e^{C0 a^4} s, a = 1 + ||v0||_4 + (2h)^(1/4) s: the
-    threshold map of the perturbation result, the envelope at t = 0 with
-    shifted data; rho(0) = 0, and inf where the envelope overflows."""
+    threshold map of the perturbation result, the envelope at t = 0 with shifted
+    data; rho(0) = 0 for every ||v0||_4, else inf where the envelope overflows."""
     s = np.asarray(s, dtype=float)
-    return growth_envelope(0.0, v0_l4 + (2.0 * h) ** 0.25 * s, p.c0) * s
+    rho = growth_envelope(0.0, v0_l4 + (2.0 * h) ** 0.25 * s, p.c0)
+    return np.multiply(rho, s, out=np.zeros(np.shape(rho)), where=s != 0)[()]
 
 
 def iteration_weight(t, v0_l4, p: BoundParams):
@@ -254,38 +255,35 @@ def ladyzhenskaya_ratio(phi: SpectralField, varphi: SpectralField,
     (``_column_means``), whose size changes lhs by round-off only.
     """
     triple = (phi, varphi, psi)
-    (columns,) = _column_means(triple, (1,))
-    return _ratios(triple, *columns)
+    return next(_ratios(triple, _column_means(triple, (1,))))
 
 
 def _nested_ratios(triple, fine: Grid):
-    """``ladyzhenskaya_ratio`` of ``triple`` and of ``refined``, the triple
-    refined onto ``fine`` (nz doubled), from one stream of ``refined``.
+    """``ladyzhenskaya_ratio`` of ``triple`` and of it refined onto ``fine`` (nz
+    doubled), from one stream per field onto the fine oversampled lattice.
 
-    The coarse lattice is the even z planes of the fine one, so each slab
-    is reduced over every plane and over the planes ``::2``.  The fine
-    ratios are the byte-exact ones; the coarse lhs moves at round-off (a
-    z transform twice as long).  Each right-hand side is taken on its own
-    fields.
+    The coarse lattice is its even z planes, so each slab is reduced over
+    every plane and over the planes ``::2``.  The fine lhs is the refined
+    triple's to the byte, the coarse one moves at round-off (a z transform
+    twice as long), and both share the right-hand sides of ``triple``.
     """
     if any((f.grid.nx, f.grid.ny, 2 * f.grid.nz) != (fine.nx, fine.ny, fine.nz)
-           for f in triple):
-        raise ConfigurationError("nested ratios need the grid with nz doubled")
-    refined = [refine(f, fine) for f in triple]
-    fine_columns, coarse_columns = _column_means(refined, (1, 2))
-    return _ratios(triple, *coarse_columns), _ratios(refined, *fine_columns)
+           or abs(fine.h - f.grid.h) > 1e-15 for f in triple):
+        raise ConfigurationError("nested ratios need the grid with nz doubled, same h")
+    fine_columns, coarse_columns = _column_means(triple, (1, 2), _FACTOR * fine.nz)
+    return tuple(_ratios(triple, (coarse_columns, fine_columns)))
 
 
-def _column_means(triple, strides):
+def _column_means(triple, strides, fnz=None):
     """(col_phi, col_mix) per s of ``strides``: the z column means, to np.mean's
     bits, of |phi| and of |varphi psi| over the oversampled planes ``::s``.
 
-    The lattices stream in slabs of y rows k0.. of at most
-    ``_LADY_SLAB_BYTES`` each, phi's alone and then varphi's and psi's in
-    lockstep, and each slab is reduced for every stride before the next
-    is made.  Untagged views stream every plane of a tagged field.  The
-    columns are stored (ny', nx'), the memory order of the whole
-    lattice's, so ``_ratios`` sums them in that order.
+    The lattices, of ``fnz`` planes (``_oversampled_slabs``), stream in slabs
+    of y rows k0.. of at most ``_LADY_SLAB_BYTES`` each, phi's alone and
+    then varphi's and psi's in lockstep, and each slab is reduced for every
+    stride before the next is made.  Untagged views stream every plane of a
+    tagged field.  The columns are stored (ny', nx'), the memory order of
+    the whole lattice's, so ``_ratios`` sums them in that order.
     """
     g = triple[0].grid
     for f in triple:
@@ -296,7 +294,7 @@ def _column_means(triple, strides):
     columns = [(np.empty((_FACTOR * g.ny, _FACTOR * g.nx)),
                 np.empty((_FACTOR * g.ny, _FACTOR * g.nx))) for _ in strides]
     phi_s, varphi_s, psi_s = (_oversampled_slabs(SpectralField(f.grid, f.coeffs),
-                                                 _LADY_SLAB_BYTES)
+                                                 _LADY_SLAB_BYTES, fnz=fnz)
                               for f in triple)
     for k0, vals in phi_s:
         np.abs(vals[0], out=vals[0])
@@ -313,23 +311,22 @@ def _column_means(triple, strides):
     return columns
 
 
-def _ratios(triple, col_phi, col_mix):
-    """The ratios from ``_column_means`` and the norms of ``triple``."""
-    volume = triple[0].grid.volume
-    lhs = float(np.mean((col_phi * volume) * (col_mix * volume)))
+def _ratios(triple, columns):
+    """The ratios of each (col_phi, col_mix) of ``columns``, over ``triple``'s norms."""
+    g = triple[0].grid
+    weights = (g.mode_weights, g.mode_weights * g.kh2[:, :, None])
 
     def _pair(f):
-        g = f.grid
-        n2, nh_sq = _parseval(f.coeffs, (g.mode_weights, g.mode_weights * g.kh2[:, :, None]),
-                              g.volume, (True, False))
+        n2, nh_sq = _parseval(f.coeffs, weights, g.volume, (True, False))
         return n2, np.sqrt(n2 * (n2 + np.sqrt(nh_sq)))
 
     (phi2, phi_mix), (_, var_mix), (psi2, psi_mix) = map(_pair, triple)
     rhs1 = phi2 * var_mix * psi_mix
     rhs2 = phi_mix * var_mix * psi2
     tiny = np.finfo(float).tiny
-    return LadyzhenskayaRatios(lhs, rhs1, rhs2,
-                               lhs / max(rhs1, tiny), lhs / max(rhs2, tiny))
+    for col_phi, col_mix in columns:
+        lhs = float(np.mean((col_phi * g.volume) * (col_mix * g.volume)))
+        yield LadyzhenskayaRatios(lhs, rhs1, rhs2, lhs / max(rhs1, tiny), lhs / max(rhs2, tiny))
 
 
 # ---------------------------------------------------------------------------

@@ -32,16 +32,17 @@ oversampled norms of parity-tagged fields reduce over the planes
 j = 0..nz'/2 of the finer lattice, counting the two end planes at half
 weight in means; an even field whose z Nyquist plane is populated is the
 exception, because zero padding places that mode on one side only and
-breaks the mirror.
-Untagged fields, ``to_physical`` and ``oversample`` use the whole
-lattice.  The norms never hold that lattice: it streams in
+breaks the mirror.  Untagged fields, ``to_physical`` and ``oversample``
+use the whole lattice.  The norms never hold that lattice: it streams in
 slabs of y rows (``_oversampled_slabs``), and each slab is reduced to a
 max and sums of powers before the next one is made.  A column, a field
 whose only populated (m, n) line is m = n = 0, depends on z alone, so
 its norms reduce that one z line (``_record_slabs``): the sup norm is
 the lattice's to the byte, the L^q norms move at round-off.  The layer
-inequality's checker streams its lattices the same way, in smaller
-slabs.  The slab size changes memory and round-off only.
+inequality's checker streams its lattices the same way, in smaller slabs
+(a block of them per y sum), and onto more z planes for nz doubled, the
+lattice of its fields refined, bit for bit.  The slab size changes
+memory and round-off only.
 
 Conventions (fixed for cross-run reproducibility):
 
@@ -690,6 +691,8 @@ def _blocked_matmul(a, b, out):
     return out
 
 
+_Y_ROWS = 8     # lattice rows per y product at least: skinnier GEMMs run far below peak
+
 # The oversampled lattice is twice as fine as the grid along each axis.
 _FACTOR = 2
 
@@ -702,12 +705,12 @@ _FACTOR = 2
 _SLAB_BYTES = 16 * 2 ** 20
 
 # ``estimates.ladyzhenskaya_ratio`` streams its lattices in slabs of at most
-# this many bytes each: a fine 32x32x128 call peaks at 4.0 MiB under
-# tracemalloc, against 18.8 MiB for whole lattices, and it never runs
-# beside the stepper.  The record keeps 16 MiB, because small slabs slow
-# it: ``_lattice_norms`` of a 2-component 64x64x128 field took 36-37 ms
-# with 16 MiB slabs and 44-52 ms with 512 KiB ones (median of 10, 3 runs).
-# The slab size changes memory and round-off only.
+# this many bytes each, so a fine 32x32x128 call and a 32x32x64 triple with nz
+# doubled (``_nested_ratios``) both peak at 4.2 MiB under tracemalloc (0.2 MiB
+# of it a y block's second slab of planes), against 18.8 MiB for whole
+# lattices; it never runs beside the stepper.  The record keeps 16 MiB, because
+# small slabs slow it: ``_lattice_norms`` of a 2-component 64x64x128 field took
+# 36-37 ms with 16 MiB slabs and 44-52 ms with 512 KiB ones (median of 10, 3 runs).
 _LADY_SLAB_BYTES = 2 ** 19
 
 
@@ -717,14 +720,13 @@ def _populated(f: SpectralField) -> np.ndarray:
     return np.any(f.coeffs, axis=(0, 3), keepdims=True)
 
 
-def _z_lines(f: SpectralField, ms, ns) -> np.ndarray:
-    """Zero-padded z ``ifft`` of the stored lines (ms, ns) of ``f``, placed as
-    ``_halves`` places them: (ncomp, len(ms), nz'), or only the planes
-    j = 0..nz'/2 of a mirrored field (``_mirrored``)."""
-    g = f.grid
-    fnz = _FACTOR * g.nz
+def _z_lines(f: SpectralField, ms, ns, fnz=None) -> np.ndarray:
+    """Zero-padded z ``ifft`` of the stored lines (ms, ns) of ``f`` onto ``fnz``
+    planes (``_FACTOR * nz``) as ``_halves`` places them: (ncomp, len(ms),
+    fnz), or only the planes j = 0..fnz/2 of a mirrored field (``_mirrored``)."""
+    fnz = fnz or _FACTOR * f.grid.nz
     zpad = np.zeros((f.coeffs.shape[0], len(ms), fnz), dtype=complex)
-    for dst, src in _halves(fnz, g.nz):
+    for dst, src in _halves(fnz, f.grid.nz):
         zpad[..., dst] = f.coeffs[:, ms, ns, src]
     np.fft.ifft(zpad, axis=2, norm="forward", out=zpad)
     if _mirrored(f):
@@ -732,14 +734,15 @@ def _z_lines(f: SpectralField, ms, ns) -> np.ndarray:
     return zpad
 
 
-def _oversampled_slabs(f: SpectralField, slab_bytes=None, populated=None):
+def _oversampled_slabs(f: SpectralField, slab_bytes=None, populated=None, fnz=None):
     """Lattice values of ``oversample``, to round-off, as a stream of y-row slabs.
 
     Evaluates one axis at a time and only the lines that can be non-zero:
 
-    * z: a zero-padded ``ifft`` (``_z_lines``) on the stored (m, n)
-      lines that hold a non-zero coefficient, the ``populated`` mask of
-      ``_populated``, which a caller that has scanned ``f`` passes;
+    * z: a zero-padded ``ifft`` (``_z_lines``) onto ``fnz`` planes (more
+      than ``_FACTOR * nz`` refine ``f`` in z, bit for bit) of the stored
+      (m, n) lines that hold a non-zero coefficient, the ``populated``
+      mask of ``_populated``, which a caller that has scanned ``f`` passes;
     * y: those lines go onto the populated rows n only, and one complex
       table exp(2 pi i n k / ny') sums them;
     * x: the real pair [w_m cos, -w_m sin](2 pi m i / nx') (w_0 = 1,
@@ -748,20 +751,20 @@ def _oversampled_slabs(f: SpectralField, slab_bytes=None, populated=None):
 
     The z pass and the tables run once per call.  The y and x sums are
     matrix products, run as stacks of row blocks (``_blocked_matmul``),
-    once per slab of lattice rows k0..k0+rows-1 against that slab's table
-    columns.  Yields ``(k0, values)`` with ``values`` of shape
-    (ncomp, rows, nz', nx'), a buffer that the next slab overwrites.
-    There is one slab per ``slab_bytes`` of the lattice, rounded up, or
-    one in all when ``slab_bytes`` is None; all but the last have the
-    same row count.  A mirrored field (``_mirrored``) is evaluated on the
-    planes j = 0..nz'/2 only.
+    the x sum once per slab of lattice rows k0..k0+rows-1 and the y sum
+    once per block of whole slabs, at least ``_Y_ROWS`` rows.  Yields
+    ``(k0, values)`` with ``values`` of shape (ncomp, rows, nz', nx'), a
+    buffer that the next slab overwrites.  There is one slab per
+    ``slab_bytes`` of the lattice, rounded up, or one in all when
+    ``slab_bytes`` is None; all but the last have the same row count.  A
+    mirrored field (``_mirrored``) is evaluated on the planes j = 0..nz'/2 only.
     """
     g = f.grid
     ncomp = f.coeffs.shape[0]
     fnx, fny = _FACTOR * g.nx, _FACTOR * g.ny
     ms, ns = np.nonzero((_populated(f) if populated is None else populated)[0, ..., 0])
 
-    zpad = _z_lines(f, ms, ns)
+    zpad = _z_lines(f, ms, ns, fnz)
     nzp = zpad.shape[2]
 
     rows, row_of = np.unique(ns, return_inverse=True)
@@ -782,29 +785,29 @@ def _oversampled_slabs(f: SpectralField, slab_bytes=None, populated=None):
 
     slabs = 1 if slab_bytes is None else -(-ncomp * fny * nzp * fnx * 8 // slab_bytes)
     step = -(-fny // slabs)
+    block = min(fny, step * -(-_Y_ROWS // step))
     width = nzp * len(cols)
-    planes = np.empty(ncomp * step * width, dtype=complex)
-    values = None
-    for k0 in range(0, fny, step):
-        n = min(step, fny - k0)
-        last = k0 + n == fny
-        slab = planes[: ncomp * n * width].reshape(ncomp, n, width)
+    planes = np.empty(ncomp * block * width, dtype=complex)
+    for b0 in range(0, fny, block):
+        nb = min(block, fny - b0)
+        summed = planes[: ncomp * nb * width].reshape(ncomp, nb, width)
         for comp in range(ncomp):      # transposed, so the row blocks run along (j, m)
             _blocked_matmul(lines[comp].reshape(len(rows), width).T,
-                            y_table[:, k0:k0 + n], slab[comp].T)
-        # The last slab frees the lines before the values are made and the
-        # planes before its consumer runs, so a single slab allocates and
-        # frees in the order a whole lattice did (fewer page faults).
-        if last:
+                            y_table[:, b0:b0 + nb], summed[comp].T)
+        # The lines go after the last y sum and the planes before the last yield, so one
+        # slab allocates and frees in the order a whole lattice did (fewer page faults).
+        if b0 + nb == fny:
             del lines
-        if values is None:
-            values = np.empty(ncomp * step * nzp * fnx)
-        out = values[: ncomp * n * nzp * fnx].reshape(ncomp, n, nzp, fnx)
-        _blocked_matmul(slab.view(float).reshape(ncomp * n * nzp, 2 * len(cols)), x_pair,
-                        out.reshape(-1, fnx))
-        if last:
-            del planes, slab
-        yield k0, out
+        values = np.empty(ncomp * step * nzp * fnx) if b0 == 0 else values
+        for k0 in range(b0, b0 + nb, step):
+            n = min(step, fny - k0)
+            out = values[: ncomp * n * nzp * fnx].reshape(ncomp, n, nzp, fnx)
+            for comp in range(ncomp):
+                _blocked_matmul(summed[comp, k0 - b0:k0 - b0 + n].view(float).reshape(
+                    n * nzp, -1), x_pair, out[comp].reshape(-1, fnx))
+            if k0 + n == fny:
+                del planes, summed
+            yield k0, out
 
 
 def _mirrored(f: SpectralField) -> bool:

@@ -5,7 +5,8 @@ for any field; the band sums of the records are checked against them.
 ``one_slab`` takes the pruned oversampled stream whole, so that tests can
 compare it with ``spectral.oversample``, the lattice's definition, and
 ``whole_lattice_ratio`` reduces such whole lattices, the reference for the
-streamed Ladyzhenskaya ratios.  ``fit_c0_all_steps`` is the sup-envelope
+streamed Ladyzhenskaya ratios; ``nested_ratios_refined`` is the lemma
+suite's pair of them taken on the triple and on its refined copy.  ``fit_c0_all_steps`` is the sup-envelope
 fit as a 200-step bisection of each time's root, one time at a time, and
 ``integrate_series_polyfit`` is the sliding quintic quadrature as one
 least-squares fit per interval.  The ``loop_``
@@ -17,8 +18,9 @@ one axis at a time.
 import numpy as np
 
 from hydrostat.errors import ConfigurationError
-from hydrostat.estimates import IterationInstance, LadyzhenskayaRatios, certified_log_bounds
-from hydrostat.spectral import SpectralField, _oversampled_slabs, _parseval, l2_norm
+from hydrostat.estimates import (IterationInstance, LadyzhenskayaRatios, certified_log_bounds,
+                                 ladyzhenskaya_ratio)
+from hydrostat.spectral import SpectralField, _oversampled_slabs, _parseval, l2_norm, refine
 
 
 def l2_norm_sq(f):
@@ -208,3 +210,10 @@ def refine_two_pass(f, fine):
     out = np.zeros((ncomp,) + fine.spectral_shape, dtype=complex)
     pad_axis(out[:, :nxr], rows, 3, g.nz)
     return SpectralField(fine, out, f.symmetry)
+
+
+def nested_ratios_refined(triple, fine):
+    """``estimates._nested_ratios`` by its definition: ``ladyzhenskaya_ratio``
+    of ``triple``, and of the triple refined onto ``fine`` (``refine``),
+    each on its own lattice with its own right-hand sides."""
+    return ladyzhenskaya_ratio(*triple), ladyzhenskaya_ratio(*(refine(f, fine) for f in triple))

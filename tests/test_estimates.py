@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (fit_c0_all_steps, loop_ensemble, loop_instances, loop_saturated,
-                     loop_verdict, whole_lattice_ratio)
+                     loop_verdict, nested_ratios_refined, whole_lattice_ratio)
 
 from hydrostat.errors import ConfigurationError
 from hydrostat.experiments import exp_lemma_suite
@@ -108,6 +108,16 @@ class TestBoundEvaluators:
 
     def test_perturbation_response_vanishes_at_zero(self):
         assert perturbation_response(0.0, 1.0, H, BoundParams()) == 0.0
+
+    @pytest.mark.parametrize("v0_l4", [1.0, 5.0, 1e200])
+    def test_perturbation_response_vanishes_at_zero_for_every_data(self, v0_l4):
+        """rho(0) = 0 for every ||v0||_4, scalar or array, also where the
+        envelope is past every float (from ||v0||_4 ~ 4.2 on), with no
+        numpy warning: inf * 0 is never formed."""
+        p = BoundParams()
+        assert perturbation_response(0.0, v0_l4, H, p) == 0.0
+        vals = perturbation_response(np.array([0.0, 1e-30]), v0_l4, H, p)
+        assert vals[0] == 0.0 and vals[1] > 0.0
 
     def test_perturbation_response_continuous_near_zero(self):
         """rho is increasing and tends to zero with s (steeply: the
@@ -365,33 +375,70 @@ class TestStreamedLadyzhenskayaRatio:
 
 
 class TestNestedRatios:
-    """The lemma suite's coarse and fine ratios from one stream of the refined
-    triple: the coarse lattice is the even z planes of the fine one."""
+    """The lemma suite's coarse and fine ratios from one stream of each field
+    of the triple onto the fine lattice, whose even z planes are the coarse
+    one; the reference refines the triple and takes each ratio on its own."""
 
-    @pytest.mark.parametrize("shape, h", [((32, 32, 64), 0.5), ((24, 20, 48), 0.37)])
-    def test_match_the_two_separate_ratios(self, shape, h):
+    @staticmethod
+    def assert_match_the_reference(shape, h, tag=NONE):
+        """The fine lhs is the refined triple's bit for bit and both right-hand
+        sides are the triple's, so the fine ratios move at round-off only."""
         coarse = Grid.make(*shape, h)
         fine = Grid.make(shape[0], shape[1], 2 * shape[2], h)
         rng = np.random.default_rng(sum(shape) + 1)
         triple = [dealias(to_spectral(PhysicalField(
             coarse, rng.standard_normal((1,) + shape)))) for _ in range(3)]
-        refined = [refine(f, fine) for f in triple]
-        rows = [vals.shape[1] for _, vals in _oversampled_slabs(refined[0], _LADY_SLAB_BYTES)]
-        assert len(rows) > 2
-        if shape == (24, 20, 48):
-            assert rows[-1] < rows[0]                  # the last slab is uneven
+        if tag != NONE:
+            triple = [symmetrize(f, tag) for f in triple]
         got_coarse, got_fine = _nested_ratios(triple, fine)
-        assert got_fine == ladyzhenskaya_ratio(*refined)
-        direct, whole = ladyzhenskaya_ratio(*triple), whole_lattice_ratio(*triple)
+        direct, refined = nested_ratios_refined(triple, fine)
+        assert got_fine.lhs == refined.lhs
+        assert (got_fine.rhs1, got_fine.rhs2) == (direct.rhs1, direct.rhs2)
+        for a, b in ((got_fine.ratio1, refined.ratio1), (got_fine.ratio2, refined.ratio2)):
+            assert abs(a - b) <= 1e-15 * abs(b)
+        whole = whole_lattice_ratio(*(SpectralField(coarse, f.coeffs) for f in triple))
         for a, b, c in zip(got_coarse.__dict__.values(), direct.__dict__.values(),
                            whole.__dict__.values(), strict=True):
             assert abs(a - b) <= 1e-15 * abs(b)
             assert abs(a - c) <= 1e-14 * abs(c)
+        return [vals.shape[1] for _, vals in _oversampled_slabs(
+            SpectralField(coarse, triple[0].coeffs), _LADY_SLAB_BYTES, fnz=2 * fine.nz)]
+
+    @pytest.mark.parametrize("shape, h", [((32, 32, 64), 0.5), ((24, 20, 48), 0.37),
+                                          ((10, 14, 20), 0.5)])
+    def test_match_the_two_separate_ratios(self, shape, h):
+        """At 32x32x64 the 64 rows come as 16 slabs of 4, two to a y block; at
+        24x20x48 the 40 rows as 5 slabs of 7 and one of 5, in y blocks of 14
+        rows that do not divide 40; at 10x14x20 (an odd ny/2) as one slab."""
+        rows = self.assert_match_the_reference(shape, h)
+        assert rows == {(32, 32, 64): [4] * 16, (24, 20, 48): [7] * 5 + [5],
+                        (10, 14, 20): [28]}[shape]
+
+    @pytest.mark.parametrize("tag", [EVEN, ODD])
+    def test_tagged_triples_match_the_two_separate_ratios(self, tag):
+        self.assert_match_the_reference((24, 20, 48), 0.37, tag)
+
+    def test_one_triple_never_holds_a_fine_lattice(self):
+        """A 32x32x64 triple peaks below one fine oversampled lattice, and no
+        higher than the 7_621_298 B it peaked at when it streamed its copy
+        refined to 32x32x128 (numpy 2.4, before the single pass)."""
+        g, fine = Grid.make(32, 32, 64, H), Grid.make(32, 32, 128, H)
+        rng = np.random.default_rng(11)
+        triple = [dealias(to_spectral(PhysicalField(
+            g, rng.standard_normal((1,) + g.physical_shape)))) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            _nested_ratios(triple, fine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 64 * 256 * 8
+        assert peak <= 7_621_298
 
     def test_refuses_a_fine_grid_that_does_not_double_nz(self):
         g = Grid.make(8, 8, 8, H)
         one = field_from_function(g, lambda X, Y, Z: 1.0 + 0 * X)
-        for fine in (Grid.make(8, 8, 32, H), Grid.make(16, 8, 16, H)):
+        for fine in (Grid.make(8, 8, 32, H), Grid.make(16, 8, 16, H), Grid.make(8, 8, 16, 2 * H)):
             with pytest.raises(ConfigurationError, match="nz doubled"):
                 _nested_ratios((one, one, one), fine)
 

@@ -628,6 +628,39 @@ class TestStreamedNorms:
             assert np.max(np.abs(values - expected)) <= 1e-13 * np.max(np.abs(whole))
         assert counts == [11, 11, 10]
 
+    @pytest.mark.parametrize("tag", [NONE, EVEN, ODD])
+    def test_more_planes_give_the_refined_fields_lattice(self, grid, tag):
+        """``fnz`` places the coefficients as ``refine`` and then the stream
+        do, so the slabs are those of the field refined in z, bit for bit."""
+        f = random_field(grid, 36, ncomp=2, symmetry=tag)
+        fine = Grid.make(grid.nx, grid.ny, 2 * grid.nz, grid.h)
+        pairs = zip(_oversampled_slabs(f, 2 ** 16, fnz=2 * fine.nz),
+                    _oversampled_slabs(refine(f, fine), 2 ** 16), strict=True)
+        for (k0, got), (j0, want) in pairs:
+            assert k0 == j0 and got.tobytes() == want.tobytes()
+
+    def test_y_sums_run_once_per_block_of_slabs(self, grid, monkeypatch):
+        """Slabs of 3 rows of a 2-component field: the y sums run once per block
+        of 3 slabs, the fewest whole slabs that make ``_Y_ROWS`` = 8 rows (the
+        last block of 5), the x sums once per slab, and the slabs still tile
+        the lattice."""
+        f = random_field(grid, 34, ncomp=2)
+        whole = np.moveaxis(one_slab(f), 1, 3)
+        blocked, complex_b = spectral._blocked_matmul, []
+
+        def counted(a, b, out):
+            complex_b.append(np.iscomplexobj(b))
+            return blocked(a, b, out)
+
+        monkeypatch.setattr(spectral, "_blocked_matmul", counted)
+        counts = []
+        for k0, values in _oversampled_slabs(f, -(-whole.nbytes // 11)):
+            counts.append(values.shape[1])
+            expected = whole[:, k0:k0 + values.shape[1]]
+            assert np.max(np.abs(values - expected)) <= 1e-13 * np.max(np.abs(whole))
+        assert counts == [3] * 10 + [2] and spectral._Y_ROWS == 8
+        assert (complex_b.count(True), complex_b.count(False)) == (2 * 4, 2 * 11)
+
     def test_norms_never_hold_the_whole_lattice(self, grid64):
         f = random_field(grid64, 35, ncomp=2, symmetry=EVEN)
         assert _mirrored(f)
