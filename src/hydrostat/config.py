@@ -110,9 +110,9 @@ class RunConfig:
     snapshots: bool
     canonical: str = field(repr=False, default="")
 
-    def make_grid(self, nz=None):
-        return Grid.make(self.grid_nx, self.grid_ny,
-                         self.grid_nz if nz is None else nz, self.h)
+    def make_grid(self):
+        """The run's one grid; the lemma suite's nested lattice derives from it."""
+        return Grid.make(self.grid_nx, self.grid_ny, self.grid_nz, self.h)
 
     def physics(self):
         return PhysicsParams(f0=self.f0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .spectral import (_FACTOR, _LADY_SLAB_BYTES, Grid, SpectralField, _band_l2,
+from .spectral import (_FACTOR, _LADY_SLAB_BYTES, SpectralField, _band_l2,
                        _lattice_norms, _oversampled_slabs, _parseval)
 from .spectral import oversample  # noqa: F401  -- a name the benchmark's tracer rebinds
 
@@ -258,19 +258,16 @@ def ladyzhenskaya_ratio(phi: SpectralField, varphi: SpectralField,
     return next(_ratios(triple, _column_means(triple, (1,))))
 
 
-def _nested_ratios(triple, fine: Grid):
-    """``ladyzhenskaya_ratio`` of ``triple`` and of it refined onto ``fine`` (nz
-    doubled), from one stream per field onto the fine oversampled lattice.
+def _nested_ratios(triple):
+    """``ladyzhenskaya_ratio`` of ``triple`` and of it refined to nz doubled (no grid
+    is built for that), from one stream per field onto the fine oversampled lattice.
 
     The coarse lattice is its even z planes, so each slab is reduced over
     every plane and over the planes ``::2``.  The fine lhs is the refined
     triple's to the byte, the coarse one moves at round-off (a z transform
     twice as long), and both share the right-hand sides of ``triple``.
     """
-    if any((f.grid.nx, f.grid.ny, 2 * f.grid.nz) != (fine.nx, fine.ny, fine.nz)
-           or abs(fine.h - f.grid.h) > 1e-15 for f in triple):
-        raise ConfigurationError("nested ratios need the grid with nz doubled, same h")
-    fine_columns, coarse_columns = _column_means(triple, (1, 2), _FACTOR * fine.nz)
+    fine_columns, coarse_columns = _column_means(triple, (1, 2), 2 * _FACTOR * triple[0].grid.nz)
     return tuple(_ratios(triple, (coarse_columns, fine_columns)))
 
 

@@ -215,17 +215,16 @@ def exp_lemma_suite(cfg: RunConfig) -> ExperimentReport:
         "max_tightness": float(tightness),
         "saturated_log_a1": float(sat.log_certified[0])})
 
-    coarse = cfg.make_grid()
-    fine = cfg.make_grid(nz=2 * cfg.grid_nz)
-    shaping = np.exp(-coarse.k2 / (2.0 * (4.0 * np.pi) ** 2))
+    grid = cfg.make_grid()
+    shaping = np.exp(-(grid.kx ** 2 + grid.ky ** 2 + grid.kz ** 2) / (2.0 * (4.0 * np.pi) ** 2))
     ratios = []
     for _ in range(cfg.ladyzhenskaya_count):
-        triple = [_random_scalar_field(rng, coarse, shaping) for _ in range(3)]
-        rc, rf = _nested_ratios(triple, fine)
+        triple = [_random_scalar_field(rng, grid, shaping) for _ in range(3)]
+        rc, rf = _nested_ratios(triple)
         ratios.append({"coarse": [rc.ratio1, rc.ratio2],
                        "fine": [rf.ratio1, rf.ratio2]})
 
-    ones = field_from_function(coarse, lambda X, Y, Z: 1.0 + 0 * X)
+    ones = field_from_function(grid, lambda X, Y, Z: 1.0 + 0 * X)
     const_case = ladyzhenskaya_ratio(ones, ones, ones)
 
     maxima = _ratio_maxima(ratios)

@@ -9,10 +9,9 @@ the full system solve their own linearization bit for bit.
 The pressure is not computed while stepping.  It depends on (x, y) only,
 so its gradient lies in the z-mean plane, and it is the Lagrange
 multiplier of the barotropic constraint: ``hydrostatics._project_mean``,
-applied on the band after every stage, removes exactly that gradient part
-(``project_barotropic``, its full-storage form, runs only in ``make_state``).
-The tests check the projected tendency against one that applies the
-pressure from ``solve_pressure`` explicitly.
+on the band in ``make_state`` and after every stage, removes exactly that
+gradient part.  The tests check the projected tendency against one that
+applies the pressure from ``solve_pressure`` explicitly.
 
 Scheme: three-stage low-storage Runge-Kutta (order 3) for the transport /
 rotation terms with the unit-viscosity diffusion handled by the exact
@@ -74,9 +73,9 @@ import numpy as np
 from .diagnostics import DiagnosticsSeries, energy_residual_series
 from .errors import BlowUpError, ConfigurationError, SchedulingError
 from .estimates import norms
-from .hydrostatics import _project_mean, _recover_w_band, project_barotropic
-from .hydrostatics import recover_w, solve_pressure  # noqa: F401  -- bench/tracing.py rebinds them
-from .spectral import EVEN, SpectralField, _Band, _is_column, dealias, symmetrize
+from .hydrostatics import _project_mean, _recover_w_band
+from .hydrostatics import project_barotropic, recover_w, solve_pressure  # noqa: F401  -- for tracing
+from .spectral import EVEN, SpectralField, _Band, _is_column
 
 RK_A = (8.0 / 15.0, 5.0 / 12.0, 3.0 / 4.0)
 RK_B = (0.0, -17.0 / 60.0, -5.0 / 12.0)
@@ -134,11 +133,16 @@ class CFLWarning(UserWarning):
 
 
 def make_state(v: SpectralField, t: float, params: PhysicsParams) -> SolverState:
-    """Clean a velocity field into a valid solver state."""
+    """Clean a velocity field into a valid solver state, reading only its band:
+    ``project_barotropic(symmetrize(dealias(v), EVEN))``, on the band and unpacked once."""
     if v.ncomp != 2:
         raise ConfigurationError("solver state needs a 2-component velocity")
-    clean = project_barotropic(symmetrize(dealias(v), EVEN))
-    return SolverState(clean, float(t), params)
+    band = v.grid.band
+    lines = v.coeffs[:, : band.nm][:, :, band.rows]
+    u = 0.5 * (lines[..., : band.nl] + band.mirror(lines))
+    if not _is_column(u):
+        _project_mean(u[..., 0], band.kx[..., 0], band.ky[..., 0], band.kh2)
+    return SolverState(SpectralField(v.grid, band.unpack(u), EVEN), float(t), params)
 
 
 def _coriolis(coeffs):

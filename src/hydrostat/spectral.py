@@ -165,6 +165,7 @@ class _Band:
     when the band is built, once per grid (``Grid.band``), and only
     ``__init__`` writes them: the band holds no per-run state, so
     trajectories on one grid may share it across threads without a lock.
+    ``k2`` is the full |k|^2 table packed, in the memory order its sums follow.
     """
 
     def __init__(self, grid):
@@ -176,7 +177,7 @@ class _Band:
         self.kx = grid.kx_d[: self.nm]
         self.ky = grid.ky_d[:, self.rows]
         self.kz = grid.kz_d[..., : self.nl]
-        self.k2 = self.pack(grid.k2)
+        self.k2 = self.pack(grid.kx ** 2 + grid.ky ** 2 + grid.kz ** 2)
         self.kh2 = grid.kh2[: self.nm][:, self.rows]
         # l > 0 stands for l and -l, and m > 0 for m and -m
         twice = np.where(np.arange(max(self.nl, self.nm)) > 0, 2.0, 1.0)
@@ -344,8 +345,8 @@ def _check_memory(need, what):
 
 
 def _check_grid(nx, ny, nz, h):
-    """``Grid.make``'s checks, building no table: its tables plus one
-    2-component coefficient array must fit the physical memory, too."""
+    """``Grid.make``'s checks, building no table: the |k|^2 table its band packs,
+    its mask and one 2-component spectrum must fit the physical memory, too."""
     for name, n in (("nx", nx), ("ny", ny), ("nz", nz)):
         if n < 8 or n % 2:
             raise ConfigurationError(f"[grid] {name}={n}: mode counts must be even and >= 8")
@@ -353,7 +354,7 @@ def _check_grid(nx, ny, nz, h):
         raise ConfigurationError(f"[grid] h={h}: half-height must be positive and finite")
     if not np.pi / h * nz < _K_LIMIT:
         raise ConfigurationError(f"[grid] h={h}: vertical wavenumbers up to pi*nz/h overflow")
-    _check_memory((8 + 1 + 2 * 16) * (nx // 2 + 1) * ny * nz,    # k2, the mask, 2 complex
+    _check_memory((8 + 1 + 2 * 16) * (nx // 2 + 1) * ny * nz,    # band's |k|^2, mask, 2 complex
                   f"[grid] {nx}x{ny}x{nz}: tables")
 
 
@@ -371,7 +372,6 @@ class Grid:
     kx_d: np.ndarray        # derivative tables: Nyquist zeroed
     ky_d: np.ndarray
     kz_d: np.ndarray
-    k2: np.ndarray          # (nxr, ny, nz) |k|^2
     kh2: np.ndarray         # (nxr, ny) horizontal |k_H|^2
     dealias_mask: np.ndarray
     mode_weights: np.ndarray  # Parseval weights for half-spectrum storage
@@ -393,7 +393,6 @@ class Grid:
         ky_d[0, ny // 2] = 0.0
         kz_d[0, 0, nz // 2] = 0.0
 
-        k2 = kx ** 2 + ky ** 2 + kz ** 2
         kh2 = (kx ** 2 + ky ** 2)[:, :, 0]
 
         keep = ((np.abs(mx) <= nx / 3)[:, None, None]
@@ -405,8 +404,7 @@ class Grid:
         weights[-1] = 1.0
 
         return cls(nx=nx, ny=ny, nz=nz, h=float(h), kx=kx, ky=ky, kz=kz,
-                   kx_d=kx_d, ky_d=ky_d, kz_d=kz_d, k2=k2, kh2=kh2,
-                   dealias_mask=keep,
+                   kx_d=kx_d, ky_d=ky_d, kz_d=kz_d, kh2=kh2, dealias_mask=keep,
                    mode_weights=weights)
 
     @property
@@ -540,15 +538,17 @@ def field_from_function(grid, fn, symmetry=NONE):
 
     X, Y and Z are broadcastable coordinate lines of shapes (nx, 1, 1),
     (1, ny, 1) and (1, 1, nz), so a separable expression evaluates its
-    functions on lines; each component is broadcast to the lattice.
+    functions on lines; their stack, at its common shape, is broadcast to
+    the lattice as a view, so a z-only expression is never copied onto it.
     """
     X, Y, Z = np.meshgrid(grid.x(), grid.y(), grid.z(), indexing="ij", sparse=True)
     vals = fn(X, Y, Z)
     if isinstance(vals, np.ndarray) and vals.ndim == 3:
         vals = (vals,)
-    stacked = np.stack([np.broadcast_to(np.asarray(v, dtype=float), grid.physical_shape)
-                        for v in vals])
-    return to_spectral(PhysicalField(grid, stacked), symmetry)
+    shape = np.broadcast_shapes((1, 1, 1), *(np.shape(v) for v in vals))
+    stacked = np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape) for v in vals])
+    values = np.broadcast_to(stacked, stacked.shape[:1] + grid.physical_shape)
+    return to_spectral(PhysicalField(grid, values), symmetry)
 
 
 def zero_field(grid, ncomp=1, symmetry=NONE):

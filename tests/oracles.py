@@ -28,10 +28,15 @@ def l2_norm_sq(f):
     return _parseval(f.coeffs, (f.grid.mode_weights,), f.grid.volume, (False,))[0]
 
 
+def full_k2(g):
+    """|k|^2 on the grid's whole half spectrum, (nxr, ny, nz)."""
+    return g.kx ** 2 + g.ky ** 2 + g.kz ** 2
+
+
 def grad_norm_sq(f):
     """Squared L2 norm of the full (3D) gradient, by Parseval."""
     g = f.grid
-    return _parseval(f.coeffs, (g.mode_weights * g.k2,), g.volume, (False,))[0]
+    return _parseval(f.coeffs, (g.mode_weights * full_k2(g),), g.volume, (False,))[0]
 
 
 def grad_h_norm_sq(f):

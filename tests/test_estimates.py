@@ -390,7 +390,7 @@ class TestNestedRatios:
             coarse, rng.standard_normal((1,) + shape)))) for _ in range(3)]
         if tag != NONE:
             triple = [symmetrize(f, tag) for f in triple]
-        got_coarse, got_fine = _nested_ratios(triple, fine)
+        got_coarse, got_fine = _nested_ratios(triple)
         direct, refined = nested_ratios_refined(triple, fine)
         assert got_fine.lhs == refined.lhs
         assert (got_fine.rhs1, got_fine.rhs2) == (direct.rhs1, direct.rhs2)
@@ -422,25 +422,18 @@ class TestNestedRatios:
         """A 32x32x64 triple peaks below one fine oversampled lattice, and no
         higher than the 7_621_298 B it peaked at when it streamed its copy
         refined to 32x32x128 (numpy 2.4, before the single pass)."""
-        g, fine = Grid.make(32, 32, 64, H), Grid.make(32, 32, 128, H)
+        g = Grid.make(32, 32, 64, H)
         rng = np.random.default_rng(11)
         triple = [dealias(to_spectral(PhysicalField(
             g, rng.standard_normal((1,) + g.physical_shape)))) for _ in range(3)]
         tracemalloc.start()
         try:
-            _nested_ratios(triple, fine)
+            _nested_ratios(triple)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 64 * 256 * 8
         assert peak <= 7_621_298
-
-    def test_refuses_a_fine_grid_that_does_not_double_nz(self):
-        g = Grid.make(8, 8, 8, H)
-        one = field_from_function(g, lambda X, Y, Z: 1.0 + 0 * X)
-        for fine in (Grid.make(8, 8, 32, H), Grid.make(16, 8, 16, H), Grid.make(8, 8, 16, 2 * H)):
-            with pytest.raises(ConfigurationError, match="nz doubled"):
-                _nested_ratios((one, one, one), fine)
 
 
 class TestEnvelopeFitting:

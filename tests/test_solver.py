@@ -19,10 +19,10 @@ from hydrostat import solver
 from hydrostat.solver import (CFLWarning, PhysicsParams, SolverState,
                               StepControl, _coriolis, _rhs_core, integrate,
                               make_state, step, step_linear)
-from hydrostat.spectral import (EVEN, Grid, SpectralField, _Band, _band_l2, _is_column,
-                                _lattice_norms, _populated, dealias,
+from hydrostat.spectral import (EVEN, NONE, ODD, Grid, PhysicalField, SpectralField, _Band,
+                                _band_l2, _is_column, _lattice_norms, _populated, dealias,
                                 field_from_function, l2_norm,
-                                symmetrize, to_physical, zero_field)
+                                symmetrize, to_physical, to_spectral, zero_field)
 from hydrostat.hydrostatics import (_project_mean, barotropic_residual, project_barotropic,
                                     recover_w, solve_pressure)
 from hydrostat.decomposition import (InitialDataSpec, lockstep,
@@ -308,6 +308,48 @@ class TestIntegrate:
             residuals.append(np.max(np.abs(e - e0 + dissipation[::stride])))
         assert residuals[0] / residuals[1] >= 6.0 and residuals[1] / residuals[2] >= 6.0
         assert residuals[2] <= 1e-9 * e0
+
+
+class TestMakeState:
+    """``make_state`` cleans on the band alone: its values are those of the
+    three full-storage passes, and it reads nothing outside the band."""
+
+    @pytest.mark.parametrize("shape", [(16, 16, 32), (10, 14, 20)])
+    @pytest.mark.parametrize("kind", [NONE, EVEN, ODD, "column"])
+    def test_is_the_full_storage_clean(self, shape, kind):
+        """Random fields, not dealiased: untagged, even, odd and a column.  The
+        bytes are equal up to the sign of zeros."""
+        g = Grid.make(*shape, H)
+        rng = np.random.default_rng(sum(shape))
+        if kind == "column":
+            line = rng.standard_normal((2, 1, 1, g.nz))
+            v = to_spectral(PhysicalField(g, np.broadcast_to(line, (2,) + g.physical_shape)))
+        else:
+            v = to_spectral(PhysicalField(g, rng.standard_normal((2,) + g.physical_shape)), kind)
+        got = make_state(v, 0.0, PhysicsParams(1.0)).v
+        ref = project_barotropic(symmetrize(dealias(v), EVEN)).coeffs
+        assert (got.coeffs + 0.0).tobytes() == (ref + 0.0).tobytes()     # -0 + 0 is +0
+        assert got.symmetry == EVEN and _is_column(got.coeffs) == (kind in ("column", ODD))
+        assert np.any(got.coeffs) == (kind != ODD)      # an odd field's even part is 0
+
+    def test_a_nan_outside_the_band_is_never_read(self):
+        """A full-storage dealias keeps it, as NaN * 0."""
+        g = Grid.make(16, 16, 32, H)
+        v = field_from_function(g, lambda X, Y, Z: (np.cos(2 * np.pi * (X + Y)), np.sin(Z)))
+        coeffs = v.coeffs.copy()
+        coeffs[1, 7, 3, 2] = coeffs[0, 0, 0, 11] = np.nan
+        got = make_state(v.with_coeffs(coeffs), 0.0, PhysicsParams()).v
+        assert np.all(np.isfinite(got.coeffs))
+        assert got.coeffs.tobytes() == make_state(v, 0.0, PhysicsParams()).v.coeffs.tobytes()
+
+    def test_peak_stays_below_two_spectra(self):
+        """At 64x64x128 the band lines, their even part and the one unpacked
+        spectrum; the three full passes peaked at three spectra."""
+        g = Grid.make(64, 64, 128, H)
+        rng = np.random.default_rng(5)
+        v = SpectralField(g, rng.standard_normal((2,) + g.spectral_shape) * (1 + 1j))
+        g.band      # built with the grid's first state, as every run builds it
+        assert traced_peak(lambda: make_state(v, 0.0, PhysicsParams())) <= 2 * v.coeffs.nbytes
 
 
 class TestLinearStepScheduling:

@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import grad_h_norm_sq, grad_norm_sq, l2_norm_sq, one_slab, refine_two_pass
+from oracles import (full_k2, grad_h_norm_sq, grad_norm_sq, l2_norm_sq, one_slab,
+                     refine_two_pass)
 
 from hydrostat import spectral
 from hydrostat.decomposition import InitialDataSpec, make_cusp_step_data
@@ -78,6 +79,12 @@ class TestGrid:
         z = grid.z()
         assert z[0] == -H and z[-1] < H
 
+    def test_keeps_one_full_spectrum_array_the_dealias_mask(self):
+        grid = Grid.make(10, 14, 20, H)
+        full = [name for name, value in vars(grid).items()
+                if isinstance(value, np.ndarray) and value.size >= 6 * 14 * 20]
+        assert full == ["dealias_mask"]
+
     def test_mean_mode_is_field_mean(self, grid):
         f = random_field(grid, 0)
         phys = to_physical(f)
@@ -148,6 +155,25 @@ class TestTransforms:
         bumped[1, -1, -1, 3] = np.nextafter(bumped[1, -1, -1, 3], np.inf)
         assert to_spectral(PhysicalField(g, bumped)).coeffs.tobytes() == \
             _forward(bumped).tobytes()
+
+    def test_z_only_expression_is_never_copied_onto_the_lattice(self):
+        """Its components reach the transform as a broadcast view: the peak
+        is the spectrum and a fraction of one lattice, the bytes are the
+        lattice copy's."""
+        g = Grid.make(32, 32, 64, H)
+
+        def fn(X, Y, Z):
+            return np.abs(Z) ** 0.3, 2.0
+
+        tracemalloc.start()
+        try:
+            f = field_from_function(g, fn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < f.coeffs.nbytes + 2 * 8 * 32 * 32 * 64 / 2
+        lattice = np.stack([np.broadcast_to(v, g.physical_shape) for v in fn(*g.mesh())])
+        assert f.coeffs.tobytes() == to_spectral(PhysicalField(g, lattice)).coeffs.tobytes()
 
     def test_non_finite_values_rejected(self, grid):
         vals = np.zeros((1,) + grid.physical_shape)
@@ -415,7 +441,7 @@ class TestNormsAndSampling:
         """One call with several tables gives what one call per table gives,
         bit for bit, each with its own overflow rescue."""
         f = random_field(grid, 31, ncomp=2) * amplitude
-        tables = (grid.mode_weights, grid.mode_weights * grid.k2,
+        tables = (grid.mode_weights, grid.mode_weights * full_k2(grid),
                   grid.mode_weights * grid.kh2[:, :, None])
         for roots in [(True, True, True), (False, False, False), (True, False, True)]:
             with warnings.catch_warnings():
@@ -764,7 +790,9 @@ class TestBand:
         ones = np.ones((1, band.nm, len(band.rows), band.nl), dtype=complex)
         assert np.array_equal(band.unpack(ones)[0] != 0, grid.dealias_mask)
         assert np.all(band.pack(grid.dealias_mask))
-        assert band.pack(grid.k2).shape == ones.shape[1:]
+        k2 = band.pack(full_k2(grid))
+        assert k2.shape == ones.shape[1:] and band.k2.strides == k2.strides
+        assert band.k2.tobytes() == k2.tobytes()
 
     @given(**band_cases)
     @settings(max_examples=30, deadline=None)
